@@ -22,22 +22,36 @@ from .chain import (
     image,
 )
 
-# Above this size products are memoized on demand instead of precomputed.
-FULL_TABLE_LIMIT = 512
-
 DEFAULT_SEARCH_GUARD = 60
 DEFAULT_CLOSURE_GUARD = 5000
 
 
+def _env_guard() -> int | None:
+    """ORDRANGE_MAX_ELEMENTS as a positive integer, or None when unset."""
+    raw = os.environ.get("ORDRANGE_MAX_ELEMENTS")
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise DomainError(
+        f"ORDRANGE_MAX_ELEMENTS must be a positive integer, got {raw!r}")
+
+
 def search_guard() -> int:
-    """Element-count limit for subset searches (env ORDRANGE_MAX_ELEMENTS)."""
-    return int(os.environ.get("ORDRANGE_MAX_ELEMENTS", DEFAULT_SEARCH_GUARD))
+    """Element-count limit for subset searches; the env value replaces it."""
+    override = _env_guard()
+    return DEFAULT_SEARCH_GUARD if override is None else override
 
 
 def closure_guard() -> int:
-    """Element-count limit for closure computations (same env override)."""
-    raw = os.environ.get("ORDRANGE_MAX_ELEMENTS")
-    return DEFAULT_CLOSURE_GUARD if raw is None else int(raw)
+    """Element-count limit for closure computations; the env value can
+    raise it but never lower it."""
+    override = _env_guard()
+    return max(DEFAULT_CLOSURE_GUARD, override or 0)
 
 
 def count_maps(n: int, r: int) -> int:
@@ -53,14 +67,16 @@ class SemigroupTable:
     """An enumerated finite semigroup of ChainMaps with id-based products.
 
     Elements are pairwise distinct and the set must be closed under
-    composition.  Products are looked up through a full table when the
-    semigroup has at most FULL_TABLE_LIMIT elements and memoized on
-    demand otherwise; both paths give identical answers (the memo is a
-    plain dict, safe for concurrent readers under CPython).
+    composition.  Every element takes its values in U, the union of all
+    their values, so the product f*g reads g only through its
+    restriction to U: elements with equal restrictions share one product
+    column, and there are at most C(2|U|-1, |U|-1) columns.  A column is
+    filled on first use.  N distinct maps into U with N = C(n+|U|-1, |U|-1)
+    are all of them, hence closed; any other element list has every
+    column filled at construction, which is its closure check.
     """
 
-    def __init__(self, elements: Sequence[ChainMap], *, check_closed: bool = True,
-                 force_memo: bool = False):
+    def __init__(self, elements: Sequence[ChainMap]):
         self.elements: tuple[ChainMap, ...] = tuple(elements)
         if not self.elements:
             raise DomainError("a semigroup table needs at least one element")
@@ -74,33 +90,35 @@ class SemigroupTable:
             self.index[el.images] = i
         ident = identity(self.n).images
         self.has_identity = ident in self.index
-        self._table: list[list[int]] | None = None
-        self._memo: dict[int, int] = {}
-        if not force_memo and len(self.elements) <= FULL_TABLE_LIMIT:
-            self._fill_table()  # raises if any product escapes
-        elif check_closed:
-            self._check_closed()
+        values = sorted({v for el in self.elements for v in el.images})
+        keys: dict[tuple[int, ...], int] = {}
+        self._col_of: list[int] = []  # column id of each element
+        self._rep: list[int] = []  # one element id per column
+        for i, el in enumerate(self.elements):
+            key = tuple(el.images[u - 1] for u in values)
+            if key not in keys:
+                keys[key] = len(self._rep)
+                self._rep.append(i)
+            self._col_of.append(keys[key])
+        self._cols: list[list[int] | None] = [None] * len(self._rep)
+        if len(self.elements) != count_maps(self.n, len(values)):
+            for c in range(len(self._cols)):
+                self._column(c)  # raises if any product escapes
 
-    def _compose_raw(self, i: int, j: int) -> int:
-        gi = self.elements[j].images
-        prod = tuple(gi[v - 1] for v in self.elements[i].images)
-        try:
-            return self.index[prod]
-        except KeyError:
-            raise DomainError(
-                f"product {list(prod)} escapes the table; not closed") from None
-
-    def _fill_table(self) -> None:
-        size = len(self.elements)
-        rows = []
-        for i in range(size):
-            rows.append([self._compose_raw(i, j) for j in range(size)])
-        self._table = rows
-
-    def _check_closed(self) -> None:
-        for i in range(len(self.elements)):
-            for j in range(len(self.elements)):
-                self._compose_raw(i, j)
+    def _column(self, c: int) -> list[int]:
+        """Ids of f * g over all f, for the elements g of column c."""
+        col = self._cols[c]
+        if col is None:
+            pick = (0,) + self.elements[self._rep[c]].images  # 1-based
+            index = self.index
+            try:
+                col = [index[tuple(map(pick.__getitem__, f.images))]
+                       for f in self.elements]
+            except KeyError:
+                raise DomainError(
+                    "a product escapes the table; not closed") from None
+            self._cols[c] = col
+        return col
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -116,38 +134,56 @@ class SemigroupTable:
 
     def product(self, i: int, j: int) -> int:
         """Id of elements[i] followed by elements[j]."""
-        if self._table is not None:
-            return self._table[i][j]
-        key = i * len(self.elements) + j
-        got = self._memo.get(key)
-        if got is None:
-            got = self._compose_raw(i, j)
-            self._memo[key] = got
-        return got
+        col = self._cols[self._col_of[j]]
+        if col is None:
+            col = self._column(self._col_of[j])
+        return col[i]
 
     def identity_id(self) -> int | None:
         if not self.has_identity:
             return None
         return self.index[identity(self.n).images]
 
-    def closure(self, generator_ids: Iterable[int]) -> frozenset[int]:
-        """Ids of all products of the given generators (any length >= 1)."""
+    def is_regular_id(self, a: int) -> bool:
+        """Regularity by definition: a*b*a == a for some element b.
+
+        a*b depends on b only through its column, so one b per column
+        covers every element.
+        """
+        col_a = self._column(self._col_of[a])
+        return any(col_a[self._column(c)[a]] == a
+                   for c in range(len(self._cols)))
+
+    def expressions(self, generator_ids: Iterable[int]) -> list[tuple[int, ...]]:
+        """Breadth-first closure of the generators, in discovery order.
+
+        Each entry is (g,) for a generator, in ascending id order, or
+        (p, x, g) for an element p first reached as x * g, where x
+        appears earlier in the order and g is a generator.
+        """
         gens = sorted(set(generator_ids))
         for g in gens:
             if not 0 <= g < len(self.elements):
                 raise DomainError(f"generator id {g} out of range")
+        order: list[tuple[int, ...]] = [(g,) for g in gens]
+        right = [(g, self._column(self._col_of[g])) for g in gens]
         seen = set(gens)
-        frontier = list(gens)
+        frontier = gens
         while frontier:
             fresh = []
             for x in frontier:
-                for g in gens:
-                    p = self.product(x, g)
+                for g, col in right:
+                    p = col[x]
                     if p not in seen:
                         seen.add(p)
+                        order.append((p, x, g))
                         fresh.append(p)
             frontier = fresh
-        return frozenset(seen)
+        return order
+
+    def closure(self, generator_ids: Iterable[int]) -> frozenset[int]:
+        """Ids of all products of the given generators (any length >= 1)."""
+        return frozenset(entry[0] for entry in self.expressions(generator_ids))
 
 
 def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
@@ -165,7 +201,7 @@ def enumerate_semigroup(n: int, Y: RangeSet, *, guard: int | None = None) -> Sem
     if total > limit:
         raise GuardExceeded(
             f"semigroup has {total} elements, above the guard {limit}")
-    return SemigroupTable(enumerate_elements(n, Y), check_closed=False)
+    return SemigroupTable(enumerate_elements(n, Y))
 
 
 def maps_with_image_size(n: int, Y: RangeSet, k: int) -> list[ChainMap]:

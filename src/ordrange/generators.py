@@ -68,10 +68,11 @@ def captive_set(n: int, Y: RangeSet) -> tuple[int, ...]:
 def rank_by_formula(n: int, Y: RangeSet) -> int:
     """Minimum size of a generating set.
 
-    For 1 < r < n this is C(n-1, r-1) + #captive(Y).  The degenerate
-    ends follow the usual conventions: a one-point range gives the
-    trivial semigroup (rank 1) and the full range gives the monoid of
-    all monotone maps (rank n, counting its identity).
+    For 1 < r < n this is C(n-1, r-1) + #captive(Y).  At the degenerate
+    ends a one-point range gives the trivial semigroup (rank 1), and the
+    full range gives all monotone maps, whose semigroup rank is n + 1:
+    the monoid rank n plus the identity, which no product of other
+    elements reaches.  This is the rank the subset search computes.
     """
     import math
 
@@ -81,7 +82,7 @@ def rank_by_formula(n: int, Y: RangeSet) -> int:
     if r == 1:
         return 1
     if r == n:
-        return n
+        return n + 1
     return math.comb(n - 1, r - 1) + len(captive_set(n, Y))
 
 

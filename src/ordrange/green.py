@@ -17,42 +17,57 @@ from .regularity import is_regular
 RELATIONS = ("L", "R", "H", "D", "J")
 
 
+def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
+    """The characterized class key: two maps are related iff keys agree.
+
+    L: the image for a regular map, the map itself otherwise; R: the
+    kernel; H: the map itself (H-trivial); D and J: the image size for a
+    regular map, the kernel otherwise.
+    """
+    if relation == "H":
+        return ("el", alpha.images)
+    if relation == "R":
+        return ("ker", kernel(alpha).boundaries)
+    if relation == "L":
+        if is_regular(alpha, Y):
+            return ("im", image(alpha).members)
+        return ("el", alpha.images)
+    if relation in ("D", "J"):
+        if is_regular(alpha, Y):
+            return ("rank", len(image(alpha)))
+        return ("ker", kernel(alpha).boundaries)
+    raise DomainError(f"unknown relation {relation!r}")
+
+
+def _related(relation: str, alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
+    return green_key(relation, alpha, Y) == green_key(relation, beta, Y)
+
+
 def l_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     """Same principal left ideal: equal, or both regular with equal images."""
-    if alpha == beta:
-        return True
-    return (
-        is_regular(alpha, Y)
-        and is_regular(beta, Y)
-        and image(alpha) == image(beta)
-    )
+    return _related("L", alpha, beta, Y)
 
 
 def r_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     """Same principal right ideal: equal kernels."""
     if Y.n != alpha.n or Y.n != beta.n:
         raise DomainError("mismatched chain sizes")
-    return kernel(alpha) == kernel(beta)
+    return _related("R", alpha, beta, Y)
 
 
 def h_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     """The semigroup is H-trivial: related iff equal."""
-    return alpha == beta
+    return _related("H", alpha, beta, Y)
 
 
 def d_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     """Both regular with equally many values, or both irregular kernel-equal."""
-    ra, rb = is_regular(alpha, Y), is_regular(beta, Y)
-    if ra and rb:
-        return len(image(alpha)) == len(image(beta))
-    if not ra and not rb:
-        return kernel(alpha) == kernel(beta)
-    return False
+    return _related("D", alpha, beta, Y)
 
 
 def j_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     """Coincides with the D relation on a finite semigroup."""
-    return d_related(alpha, beta, Y)
+    return _related("J", alpha, beta, Y)
 
 
 @dataclass(frozen=True)
@@ -84,12 +99,8 @@ def _finish(relation: str, table: SemigroupTable, Y: RangeSet | None,
     if Y is not None:
         regular_flags = [is_regular(el, Y) for el in table.elements]
     else:
-        # definition-based, for oracle egg-boxes: a is regular iff aba == a
-        regular_flags = [
-            any(table.product(table.product(a, b), a) == a
-                for b in range(len(table)))
-            for a in range(len(table))
-        ]
+        # definition-based, for oracle egg-boxes
+        regular_flags = [table.is_regular_id(a) for a in range(len(table))]
     packed = []
     for ids in groups:
         ids = tuple(sorted(ids))
@@ -114,25 +125,9 @@ def _finish(relation: str, table: SemigroupTable, Y: RangeSet | None,
 
 def green_classes(relation: str, table: SemigroupTable, Y: RangeSet) -> EggBox:
     """Partition by the characterized form of one relation (L/R/H/D/J)."""
-    if relation not in RELATIONS:
-        raise DomainError(f"unknown relation {relation!r}")
-    keys: dict[object, list[int]] = {}
+    keys: dict[tuple, list[int]] = {}
     for i, el in enumerate(table.elements):
-        if relation == "H":
-            key = ("el", el.images)
-        elif relation == "R":
-            key = ("ker", kernel(el).boundaries)
-        elif relation == "L":
-            if is_regular(el, Y):
-                key = ("im", image(el).members)
-            else:
-                key = ("el", el.images)
-        else:  # D and J agree
-            if is_regular(el, Y):
-                key = ("rank", len(image(el)))
-            else:
-                key = ("ker", kernel(el).boundaries)
-        keys.setdefault(key, []).append(i)
+        keys.setdefault(green_key(relation, el, Y), []).append(i)
     return _finish(relation, table, Y, list(keys.values()))
 
 

@@ -47,9 +47,7 @@ def are_isomorphic(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> bool:
 def _profile(table: SemigroupTable, i: int) -> tuple:
     el = table.elements[i]
     idem = table.product(i, i) == i
-    regular = any(
-        table.product(table.product(i, b), i) == i for b in range(len(table)))
-    return (idem, regular, len(image(el)), len(fixed_points(el)))
+    return (idem, table.is_regular_id(i), len(image(el)), len(fixed_points(el)))
 
 
 def _greedy_generators(table: SemigroupTable) -> list[int]:
@@ -62,31 +60,6 @@ def _greedy_generators(table: SemigroupTable) -> list[int]:
             if len(have) == len(table):
                 break
     return gens
-
-
-def _expressions(table: SemigroupTable, gens: list[int]) -> list[tuple[int, ...]]:
-    """Discovery order plus one product expression per element.
-
-    Each entry is (id,) for a generator or (id, a, b) meaning the
-    element with that id equals elements[a] * elements[b], where a and b
-    appear earlier in the order.
-    """
-    order: list[tuple[int, ...]] = [(g,) for g in gens]
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                p = table.product(x, g)
-                if p not in seen:
-                    seen.add(p)
-                    order.append((p, x, g))
-                    fresh.append(p)
-        frontier = fresh
-    if len(seen) != len(table):
-        raise AssertionError("generators do not span the table")
-    return order
 
 
 def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) -> bool:
@@ -122,7 +95,7 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable,
     if sorted(prof_s) != sorted(prof_t):
         return None
     gens = _greedy_generators(S)
-    order = _expressions(S, gens)
+    order = S.expressions(gens)
     candidates = [
         [t for t in range(len(T)) if prof_t[t] == prof_s[g]] for g in gens
     ]

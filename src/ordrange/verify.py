@@ -8,9 +8,9 @@ beyond the sizes they are meant for; a skip is not a failure.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from typing import Iterable
 
-from .chain import RangeSet, compose, image, kernel
-from .chain import PartialMap
+from .chain import PartialMap, RangeSet, image, kernel
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
@@ -63,144 +63,85 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     Ys = _all_range_sets(n) if sets is None else sets
     results: list[tuple[str, bool, str]] = []
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        results.append((name, ok, detail))
+    def record(name: str, failures: Iterable[str] = (), passed: str = "") -> None:
+        """Run a lazy sweep up to its first failure, whose detail is kept;
+        a sweep that yields nothing passes with the ``passed`` note."""
+        detail = next(iter(failures), None)
+        results.append((name, detail is None, passed if detail is None else detail))
 
-    # cardinality ----------------------------------------------------------
-    bad = [Y for Y in Ys
-           if len(enumerate_elements(n, Y)) != count_maps(n, len(Y))]
-    record("cardinality", not bad,
-           f"{len(Ys)} sets" if not bad else f"wrong count for {bad[0]!r}")
+    def cardinality():
+        for Y in Ys:
+            if len(enumerate_elements(n, Y)) != count_maps(n, len(Y)):
+                yield f"wrong count for {Y!r}"
 
-    # regularity -----------------------------------------------------------
-    ok = True
-    detail = ""
-    for Y in Ys:
-        table = enumerate_semigroup(n, Y)
-        reg = regular_elements(n, Y)
-        reg_set = {f.images for f in reg}
-        for f in table.elements:
-            if is_regular(f, Y) != is_regular_by_search(f, table):
-                ok, detail = False, f"{f!r} in Y={list(Y.members)}"
-                break
-        if not ok:
-            break
-        for f in reg:
-            for g in reg:
-                if compose(f, g).images not in reg_set:
-                    ok, detail = False, f"closure breaks in Y={list(Y.members)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-        if is_semigroup_regular(n, Y) != (len(reg) == len(table)):
-            ok, detail = False, f"trichotomy wrong for Y={list(Y.members)}"
-            break
-        for f in reg:
-            for g in table.elements:
-                if not is_regular(compose(f, g), Y):
-                    ok, detail = False, f"right ideal breaks in Y={list(Y.members)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-        if any(regularity_conditions(f) != (True, True, True)
-               for f in table.elements):
-            ok, detail = False, f"order conditions fail in Y={list(Y.members)}"
-            break
-    record("regularity-oracle-equivalence", ok, detail)
+    def regularity():
+        for Y in Ys:
+            where = f"Y={list(Y.members)}"
+            table = enumerate_semigroup(n, Y)
+            for f in table.elements:
+                if is_regular(f, Y) != is_regular_by_search(f, table):
+                    yield f"{f!r} in {where}"
+            reg = [table.id_of(f) for f in regular_elements(n, Y)]
+            reg_set = set(reg)
+            if any(table.product(a, b) not in reg_set for a in reg for b in reg):
+                yield f"closure breaks in {where}"
+            if is_semigroup_regular(n, Y) != (len(reg) == len(table)):
+                yield f"trichotomy wrong for {where}"
+            if any(table.product(a, b) not in reg_set
+                   for a in reg for b in range(len(table))):
+                yield f"right ideal breaks in {where}"
+            if any(regularity_conditions(f) != (True, True, True)
+                   for f in table.elements):
+                yield f"order conditions fail in {where}"
 
-    # green ----------------------------------------------------------------
-    ok = True
-    detail = ""
-    skipped = 0
-    for Y in Ys:
-        if count_maps(n, len(Y)) > GREEN_LIMIT:
-            skipped += 1
-            continue
-        table = enumerate_semigroup(n, Y)
-        for rel in RELATIONS:
-            chars = green_classes(rel, table, Y)
-            oracle = green_classes_by_ideals(rel, table)
-            if chars.as_sets() != oracle.as_sets():
-                ok, detail = False, f"{rel} differs for Y={list(Y.members)}"
-                break
-        if not ok:
-            break
-        if any(len(c) != 1
-               for c in green_classes("H", table, Y).classes):
-            ok, detail = False, f"H not trivial for Y={list(Y.members)}"
-            break
-        d = green_classes_by_ideals("D", table).as_sets()
-        j = green_classes_by_ideals("J", table).as_sets()
-        if d != j:
-            ok, detail = False, f"D != J for Y={list(Y.members)}"
-            break
-    if ok and skipped:
-        detail = f"skipped {skipped} oversize sets"
-    record("green-oracle-equivalence", ok, detail)
+    def green():
+        for Y in green_sets:
+            where = f"Y={list(Y.members)}"
+            table = enumerate_semigroup(n, Y)
+            for rel in RELATIONS:
+                chars = green_classes(rel, table, Y)
+                oracle = green_classes_by_ideals(rel, table)
+                if chars.as_sets() != oracle.as_sets():
+                    yield f"{rel} differs for {where}"
+            if any(len(c) != 1
+                   for c in green_classes("H", table, Y).classes):
+                yield f"H not trivial for {where}"
+            d = green_classes_by_ideals("D", table).as_sets()
+            j = green_classes_by_ideals("J", table).as_sets()
+            if d != j:
+                yield f"D != J for {where}"
 
-    # completability ---------------------------------------------------------
-    if n <= COMPLETABILITY_LIMIT:
-        ok = True
-        detail = ""
+    def completability():
         for Y in Ys:
             for theta in _partial_maps_into(n, Y):
                 verdict = is_completable(theta, Y)
                 exts = complete_extensions(theta, Y)
                 witness = build_extension(theta, Y)
                 if verdict != bool(exts) or verdict != (witness is not None):
-                    ok = False
-                    detail = f"{theta!r} into Y={list(Y.members)}"
-                    break
+                    yield f"{theta!r} into Y={list(Y.members)}"
                 if not verdict:
-                    ok, detail = False, f"finite chain refused {theta!r}"
-                    break
-            if not ok:
-                break
-        record("completability-criterion", ok, detail)
-    else:
-        record("completability-criterion", True, f"skipped for n > {COMPLETABILITY_LIMIT}")
+                    yield f"finite chain refused {theta!r}"
 
-    # rank ------------------------------------------------------------------
-    ok = True
-    detail = ""
-    for Y in Ys:
-        r = len(Y)
-        if not 1 < r < n:
-            continue
-        gens = minimum_generating_set(n, Y)
-        if len(gens) != rank_by_formula(n, Y):
-            ok, detail = False, f"size mismatch for Y={list(Y.members)}"
-            break
-        if (not captive_set(n, Y)) != generates(
-                [g.element for g in gens.members
-                 if g.kind == "full_image"],
-                enumerate_semigroup(n, Y)):
-            ok, detail = False, \
-                f"captive-empty criterion fails for Y={list(Y.members)}"
-            break
-    record("rank-constructed", ok, detail)
+    def rank_constructed():
+        for Y in Ys:
+            r = len(Y)
+            if not 1 < r < n:
+                continue
+            gens = minimum_generating_set(n, Y)
+            if len(gens) != rank_by_formula(n, Y):
+                yield f"size mismatch for Y={list(Y.members)}"
+            if (not captive_set(n, Y)) != generates(
+                    [g.element for g in gens.members
+                     if g.kind == "full_image"],
+                    enumerate_semigroup(n, Y)):
+                yield f"captive-empty criterion fails for Y={list(Y.members)}"
 
-    ok = True
-    detail = ""
-    checked = 0
-    for Y in Ys:
-        r = len(Y)
-        if not 1 < r < n or count_maps(n, r) > min(BRUTE_RANK_LIMIT, search_guard()):
-            continue
-        checked += 1
-        if rank_by_search(n, Y) != rank_by_formula(n, Y):
-            ok, detail = False, f"search disagrees for Y={list(Y.members)}"
-            break
-    record("rank-search", ok, detail or f"{checked} sets within guard")
+    def rank_search():
+        for Y in search_sets:
+            if rank_by_search(n, Y) != rank_by_formula(n, Y):
+                yield f"search disagrees for Y={list(Y.members)}"
 
-    # words ------------------------------------------------------------------
-    if n <= WORDS_LIMIT:
-        ok = True
-        detail = ""
+    def words():
         for Y in Ys:
             r = len(Y)
             if not 1 < r < n:
@@ -212,79 +153,69 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                 try:
                     express_in_generators(f, gens)
                 except AssertionError as exc:
-                    ok, detail = False, f"{f!r} in Y={list(Y.members)}: {exc}"
-                    break
-            if not ok:
-                break
-        record("word-reconstruction", ok, detail)
-    else:
-        record("word-reconstruction", True, f"skipped for n > {WORDS_LIMIT}")
+                    yield f"{f!r} in Y={list(Y.members)}: {exc}"
 
-    # canonical order-isomorphism roundtrip ----------------------------------
-    ok = True
-    detail = ""
-    for Y in Ys:
-        elements = enumerate_elements(n, Y)
-        by_kernel: dict = {}
-        for f in elements:
-            by_kernel.setdefault(kernel(f).boundaries, []).append(f)
-        for group in by_kernel.values():
-            for f in group:
-                for g in group:
-                    theta = canonical_order_isomorphism(f, g)
-                    if any(theta(f(x)) != g(x) for x in range(1, n + 1)):
-                        ok, detail = False, f"roundtrip fails in Y={list(Y.members)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("canonical-order-isomorphism", ok, detail)
+    def canonical():
+        for Y in Ys:
+            by_kernel: dict = {}
+            for f in enumerate_elements(n, Y):
+                by_kernel.setdefault(kernel(f).boundaries, []).append(f)
+            for group in by_kernel.values():
+                for f in group:
+                    for g in group:
+                        theta = canonical_order_isomorphism(f, g)
+                        if any(theta(f(x)) != g(x) for x in range(1, n + 1)):
+                            yield f"roundtrip fails in Y={list(Y.members)}"
 
-    # bicompletability of injective maps --------------------------------------
-    if n <= COMPLETABILITY_LIMIT:
-        ok = True
-        detail = ""
+    def bicompletability():
         for Y in Ys:
             for k in range(1, len(Y) + 1):
                 for dom in combinations(Y.members, k):
                     for img in combinations(Y.members, k):
                         theta = PartialMap(n, dom, img)
                         if not is_bicompletable(theta, Y):
-                            ok, detail = False, f"{theta!r} in Y={list(Y.members)}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        record("bicompletability", ok, detail)
-    else:
-        record("bicompletability", True, f"skipped for n > {COMPLETABILITY_LIMIT}")
+                            yield f"{theta!r} in Y={list(Y.members)}"
 
-    # isomorphism --------------------------------------------------------------
-    if n <= ISO_LIMIT and sets is None:
-        ok = True
-        detail = ""
+    def isomorphism():
         all_sets = _all_range_sets(n)
         for Y in all_sets:
             S = enumerate_semigroup(n, Y)
             for Z in all_sets:
                 T = enumerate_semigroup(n, Z)
                 expected = are_isomorphic(n, Y, n, Z)
-                found = find_isomorphism(S, T) is not None
-                if expected != found:
-                    ok = False
-                    detail = f"Y={list(Y.members)} Z={list(Z.members)}"
-                    break
-            if not ok:
-                break
-        record("isomorphism-classification", ok, detail)
+                if expected != (find_isomorphism(S, T) is not None):
+                    yield f"Y={list(Y.members)} Z={list(Z.members)}"
+
+    green_sets = [Y for Y in Ys if count_maps(n, len(Y)) <= GREEN_LIMIT]
+    oversize = len(Ys) - len(green_sets)
+    search_sets = [
+        Y for Y in Ys if 1 < len(Y) < n
+        and count_maps(n, len(Y)) <= min(BRUTE_RANK_LIMIT, search_guard())]
+
+    record("cardinality", cardinality(), f"{len(Ys)} sets")
+    record("regularity-oracle-equivalence", regularity())
+    record("green-oracle-equivalence", green(),
+           f"skipped {oversize} oversize sets" if oversize else "")
+    if n <= COMPLETABILITY_LIMIT:
+        record("completability-criterion", completability())
+    else:
+        record("completability-criterion",
+               passed=f"skipped for n > {COMPLETABILITY_LIMIT}")
+    record("rank-constructed", rank_constructed())
+    record("rank-search", rank_search(), f"{len(search_sets)} sets within guard")
+    if n <= WORDS_LIMIT:
+        record("word-reconstruction", words())
+    else:
+        record("word-reconstruction", passed=f"skipped for n > {WORDS_LIMIT}")
+    record("canonical-order-isomorphism", canonical())
+    if n <= COMPLETABILITY_LIMIT:
+        record("bicompletability", bicompletability())
+    else:
+        record("bicompletability", passed=f"skipped for n > {COMPLETABILITY_LIMIT}")
+    if n <= ISO_LIMIT and sets is None:
+        record("isomorphism-classification", isomorphism())
     elif sets is None:
-        record("isomorphism-classification", True, f"skipped for n > {ISO_LIMIT}")
+        record("isomorphism-classification", passed=f"skipped for n > {ISO_LIMIT}")
 
     lines = []
     failures = 0

@@ -80,6 +80,22 @@ class TestGolden:
         assert payload == {"isomorphic": False, "condition": None,
                            "mapping": None, "induced_theta": None}
 
+    @pytest.mark.parametrize("n,Y", [("2", "1,2"), ("3", "1,2,3")])
+    def test_rank_check_whole_chain(self, capsys, n, Y):
+        code, out, _ = run(capsys, "rank", "-n", n, "-Y", Y, "--check")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == int(n) + 1
+        assert payload["checked"] == ["brute", "formula"]
+
+    def test_gens_above_closure_guard(self, capsys):
+        code, out, err = run(capsys, "gens", "-n", "12", "-Y", "1,3,5,7,9,11")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == payload["size"] == 463
+        assert len(err.splitlines()) == 1
+        assert "closure check skipped" in err and "6188" in err
+
     def test_rank_check(self, capsys):
         code, out, _ = run(capsys, "rank", "-n", "4", "-Y", "1,3", "--check")
         assert code == 0
@@ -154,6 +170,21 @@ class TestErrors:
     def test_verify_needs_target(self, capsys):
         code, _, err = run(capsys, "verify", "-n", "3")
         assert code == 2
+
+
+class TestGuardVariable:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_rejects_non_positive_or_junk(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", raw)
+        code, _, err = run(capsys, "enumerate", "-n", "3", "-Y", "1,3")
+        assert code == 2
+        assert "ORDRANGE_MAX_ELEMENTS" in err
+
+    def test_never_lowers_the_closure_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "100")
+        code, out, _ = run(capsys, "enumerate", "-n", "8", "-Y", "1,3,5,7")
+        assert code == 0
+        assert json.loads(out)["count"] == 165
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from ordrange import (
     identity,
     image,
     maps_with_image_size,
+    regular_elements,
 )
 
 
@@ -110,14 +111,20 @@ class TestTable:
             for j, g in enumerate(table.elements):
                 assert table.elements[table.product(i, j)] == compose(f, g)
 
-    def test_memo_and_full_paths_agree(self):
-        Y = RangeSet(4, (1, 2, 4))
-        elements = enumerate_elements(4, Y)
-        full = SemigroupTable(elements)
-        memo = SemigroupTable(elements, force_memo=True)
-        for i in range(len(full)):
-            for j in range(len(full)):
-                assert full.product(i, j) == memo.product(i, j)
+    def test_lazy_columns_match_compose(self):
+        # all maps into Y: closed by count, columns filled on first use
+        table = enumerate_semigroup(5, RangeSet(5, (1, 2, 4)))
+        for i, f in enumerate(table.elements):
+            for j, g in enumerate(table.elements):
+                assert table.elements[table.product(i, j)] == compose(f, g)
+
+    def test_closed_subset_fills_every_column(self):
+        # a proper closed subset is checked by filling every column
+        table = SemigroupTable(regular_elements(4, RangeSet(4, (2, 3))))
+        assert len(table) == 3
+        for i, f in enumerate(table.elements):
+            for j, g in enumerate(table.elements):
+                assert table.elements[table.product(i, j)] == compose(f, g)
 
     def test_identity_flag(self):
         full = enumerate_semigroup(3, RangeSet(3, (1, 2, 3)))

@@ -66,7 +66,7 @@ class TestRankFormula:
 
     def test_degenerate_ends(self):
         assert rank_by_formula(5, RangeSet(5, (3,))) == 1
-        assert rank_by_formula(4, RangeSet(4, (1, 2, 3, 4))) == 4
+        assert rank_by_formula(4, RangeSet(4, (1, 2, 3, 4))) == 5
 
 
 class TestFullImageMaps:
