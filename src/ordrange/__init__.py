@@ -35,6 +35,7 @@ from .completability import (
     build_extension,
     canonical_order_isomorphism,
     complete_extensions,
+    count_extensions,
     is_bicompletable,
     is_completable,
     order_ideals,

@@ -11,10 +11,13 @@ independent routes so that equivalence stays testable.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .chain import ChainMap, DomainError, PartialMap, RangeSet, kernel
-from .enumeration import enumerate_elements
+# unused here; bench/tracer.py reads and wraps this binding
+from .enumeration import enumerate_elements  # noqa: F401
 
 
 def order_ideals(points: Iterable[int]) -> list[frozenset[int]]:
@@ -67,14 +70,32 @@ def is_completable(theta: PartialMap, Y: RangeSet) -> bool:
 
 
 def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
-    """Every total monotone map into Y agreeing with theta, by filtering."""
+    """Every total monotone map into Y agreeing with theta, by filtering
+    all of them in lexicographic order."""
     _partial_into(theta, Y)
-    dom = theta.domain
-    out = []
-    for f in enumerate_elements(theta.n, Y):
-        if all(f(a) == theta(a) for a in dom):
-            out.append(f)
-    return out
+    at = [a - 1 for a in theta.domain]
+    want = list(theta.images)
+    return [ChainMap(theta.n, seq)
+            for seq in combinations_with_replacement(Y.members, theta.n)
+            if [seq[i] for i in at] == want]
+
+
+def count_extensions(theta: PartialMap, Y: RangeSet) -> int:
+    """The number of extensions of theta into Y, in closed form.
+
+    The points of each gap (before the first domain point, between two
+    consecutive ones, after the last) take a weakly increasing run of
+    the m values of Y between the images that bound the gap: for a gap
+    of length len that is C(len + m - 1, m - 1) runs.
+    """
+    _partial_into(theta, Y)
+    dom, img, n = theta.domain, theta.images, theta.n
+    total = 1
+    for a, b, lo, hi in zip((0,) + dom, dom + (n + 1,), (1,) + img, img + (n,)):
+        length = b - a - 1
+        m = sum(lo <= y <= hi for y in Y)
+        total *= math.comb(length + m - 1, length)
+    return total
 
 
 def build_extension(theta: PartialMap, Y: RangeSet) -> ChainMap | None:

@@ -139,6 +139,24 @@ class SemigroupTable:
             col = self._column(self._col_of[j])
         return col[i]
 
+    def columns_of(self, ids: Iterable[int]) -> tuple[list[list[int]], list[int]]:
+        """The distinct product columns of the given right factors.
+
+        Returns the columns, each listing the ids of f * g over all f for
+        the elements g that share it, and for each id in ``ids`` the
+        position of its column in that list.  Columns are filled on demand.
+        """
+        position: dict[int, int] = {}
+        columns: list[list[int]] = []
+        slots = []
+        for g in ids:
+            c = self._col_of[g]
+            if c not in position:
+                position[c] = len(columns)
+                columns.append(self._column(c))
+            slots.append(position[c])
+        return columns, slots
+
     def identity_id(self) -> int | None:
         if not self.has_identity:
             return None
@@ -151,8 +169,8 @@ class SemigroupTable:
         covers every element.
         """
         col_a = self._column(self._col_of[a])
-        return any(col_a[self._column(c)[a]] == a
-                   for c in range(len(self._cols)))
+        return any(col_a[(col or self._column(c))[a]] == a  # None: not filled yet
+                   for c, col in enumerate(self._cols))
 
     def expressions(self, generator_ids: Iterable[int]) -> list[tuple[int, ...]]:
         """Breadth-first closure of the generators, in discovery order.

@@ -2,13 +2,16 @@
 
 Two code paths are kept deliberately separate: characterized predicates
 that decide each relation from images, kernels and regularity, and a
-definition-based oracle that partitions an enumerated table through
-principal ideals.  The egg-box report is the common output format.
+definition-based oracle that partitions an enumerated table into the
+strongly connected components of its Cayley graphs, whose reachability
+is principal-ideal containment.  The egg-box report is the common
+output format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .chain import ChainMap, DomainError, RangeSet, image, kernel
 from .enumeration import SemigroupTable
@@ -131,60 +134,83 @@ def green_classes(relation: str, table: SemigroupTable, Y: RangeSet) -> EggBox:
     return _finish(relation, table, Y, list(keys.values()))
 
 
-def _left_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
-    out = {a}
-    for s in range(len(table)):
-        out.add(table.product(s, a))
-    return frozenset(out)
+def _scc_labels(adj: list[Sequence[int]]) -> list[int]:
+    """Strongly connected component label of every node of a digraph.
 
-
-def _right_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
-    out = {a}
-    for s in range(len(table)):
-        out.add(table.product(a, s))
-    return frozenset(out)
-
-
-def _two_sided_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
-    right = _right_ideal(table, a)
-    out = set(right)
-    for s in range(len(table)):
-        for x in right:
-            out.add(table.product(s, x))
-    return frozenset(out)
-
-
-def _group_by(items: list[frozenset[int]]) -> list[list[int]]:
-    buckets: dict[frozenset[int], list[int]] = {}
-    for i, key in enumerate(items):
-        buckets.setdefault(key, []).append(i)
-    return list(buckets.values())
+    ``adj[v]`` lists the successors of node v.  Iterative Tarjan: one
+    explicit stack of (node, successor iterator) frames, no recursion.
+    """
+    size = len(adj)
+    index = [-1] * size
+    low = [0] * size
+    label = [-1] * size
+    stack: list[int] = []
+    count = comps = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    frames.append((w, iter(adj[w])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = comps
+                        if w == v:
+                            break
+                    comps += 1
+    return label
 
 
 def green_classes_by_ideals(relation: str, table: SemigroupTable) -> EggBox:
-    """Definition-based oracle partition, computed from principal ideals.
+    """Definition-based oracle partition, from the Cayley graphs of the table.
 
-    L compares left ideals, R right ideals, J two-sided ideals (each with
-    an identity adjoined when the table lacks one, which the {a}-union
-    handles implicitly), H intersects L and R, and D is the transitive
+    b lies in the principal right ideal aS^1 iff b is reachable from a
+    along right edges a -> a*s, so R-classes are the strongly connected
+    components of the right Cayley graph; L-classes those of the left
+    graph (a -> s*a), J-classes those of both edge sets together.  The
+    empty path stands for the adjoined identity, so no identity is
+    needed in the table.  H intersects L and R, and D is the transitive
     closure of L union R with no commutation assumption.
+
+    a*s depends on s only through its product column, so one s per
+    column gives every right edge.  The left edges of a are the entries
+    of its column; they run through one extra node per column.
     """
     if relation not in RELATIONS:
         raise DomainError(f"unknown relation {relation!r}")
     size = len(table)
-    if relation == "L":
-        groups = _group_by([_left_ideal(table, a) for a in range(size)])
-    elif relation == "R":
-        groups = _group_by([_right_ideal(table, a) for a in range(size)])
+    columns, slot = table.columns_of(range(size))
+    right = list(zip(*columns))
+    left = [(size + c,) for c in slot] + [tuple(set(col)) for col in columns]
+
+    def components(adj: list[Sequence[int]]) -> list[int]:
+        return _scc_labels(adj)[:size]
+
+    if relation == "R":
+        keys: list = components(right)
+    elif relation == "L":
+        keys = components(left)
     elif relation == "J":
-        groups = _group_by([_two_sided_ideal(table, a) for a in range(size)])
+        keys = components([r + e for r, e in zip(right, left)] + left[size:])
     elif relation == "H":
-        lefts = [_left_ideal(table, a) for a in range(size)]
-        rights = [_right_ideal(table, a) for a in range(size)]
-        buckets: dict[tuple, list[int]] = {}
-        for i in range(size):
-            buckets.setdefault((lefts[i], rights[i]), []).append(i)
-        groups = list(buckets.values())
+        keys = list(zip(components(left), components(right)))
     else:  # D: transitive closure of L | R via union-find
         parent = list(range(size))
 
@@ -194,20 +220,14 @@ def green_classes_by_ideals(relation: str, table: SemigroupTable) -> EggBox:
                 x = parent[x]
             return x
 
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for part in (
-            _group_by([_left_ideal(table, a) for a in range(size)]),
-            _group_by([_right_ideal(table, a) for a in range(size)]),
-        ):
-            for ids in part:
-                for other in ids[1:]:
-                    union(ids[0], other)
-        buckets2: dict[int, list[int]] = {}
-        for i in range(size):
-            buckets2.setdefault(find(i), []).append(i)
-        groups = list(buckets2.values())
-    return _finish(relation, table, None, groups)
+        for labels in (components(left), components(right)):
+            first: dict[int, int] = {}
+            for i, lab in enumerate(labels):
+                rx, ry = find(first.setdefault(lab, i)), find(i)
+                if rx != ry:
+                    parent[ry] = rx
+        keys = [find(i) for i in range(size)]
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return _finish(relation, table, None, list(groups.values()))

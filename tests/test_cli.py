@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordrange
 from ordrange.cli import main
 
 
@@ -36,6 +42,14 @@ class TestGolden:
         assert code == 0
         assert json.loads(out) == {
             "completable": True, "witness": [1, 1, 3], "extensions": 2}
+
+    def test_complete_counts_beyond_enumeration(self, capsys):
+        code, out, _ = run(capsys, "complete", "-n", "30",
+                           "-Y", "1,5,10,15,20,25,30",
+                           "--theta", '{"domain":[2],"images":[5]}')
+        assert code == 0
+        assert '"extensions":474672' in out
+        assert json.loads(out)["extensions"] == 2 * math.comb(33, 5)
 
     def test_regular(self, capsys):
         code, out, _ = run(capsys, "regular", "-n", "4", "-Y", "2,3")
@@ -197,3 +211,23 @@ class TestVerify:
     def test_single_set(self, capsys):
         code, out, _ = run(capsys, "verify", "-n", "4", "-Y", "1,3")
         assert code == 0
+
+
+class TestModuleEntry:
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(ordrange.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ordrange", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = self.run_module("card", "-n", "3", "-Y", "1,2")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == '{"count":4}'
+
+    def test_python_dash_m_passes_the_exit_code_on(self):
+        proc = self.run_module("card", "-n", "3", "-Y", "5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")

@@ -13,6 +13,7 @@ from ordrange import (
     canonical_order_isomorphism,
     ceiling_extension,
     complete_extensions,
+    count_extensions,
     enumerate_elements,
     floor_extension,
     identity,
@@ -96,6 +97,26 @@ class TestExtensions:
         exts = {f.images for f in complete_extensions(theta, Y)}
         assert floor_extension(theta).images in exts
         assert ceiling_extension(theta).images in exts
+
+
+    def test_filter_keeps_the_enumeration_order(self):
+        for n in range(1, 5):
+            for Y in range_sets(n):
+                for theta in all_partial_maps(n, Y):
+                    expected = [f for f in enumerate_elements(n, Y)
+                                if all(f(a) == theta(a) for a in theta.domain)]
+                    assert complete_extensions(theta, Y) == expected
+
+    def test_count_matches_enumeration(self):
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                for theta in all_partial_maps(n, Y):
+                    assert count_extensions(theta, Y) == \
+                        len(complete_extensions(theta, Y)), (theta, Y)
+
+    def test_count_rejects_image_outside_range(self, y13):
+        with pytest.raises(DomainError):
+            count_extensions(PartialMap(3, (1,), (2,)), y13)
 
 
 class TestCanonicalOrderIsomorphism:

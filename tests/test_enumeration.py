@@ -126,6 +126,16 @@ class TestTable:
             for j, g in enumerate(table.elements):
                 assert table.elements[table.product(i, j)] == compose(f, g)
 
+    def test_columns_of_lists_each_distinct_column_once(self):
+        # restriction to Y = {1, 3, 4} is onto O_3, so 10 distinct columns
+        table = enumerate_semigroup(4, RangeSet(4, (1, 3, 4)))
+        ids = range(len(table))
+        columns, slot = table.columns_of(ids)
+        assert len({tuple(col) for col in columns}) == len(columns) == 10
+        for j in ids:
+            assert columns[slot[j]] == [table.product(i, j) for i in ids]
+        assert table.columns_of([7, 7]) == ([columns[slot[7]]], [0, 0])
+
     def test_identity_flag(self):
         full = enumerate_semigroup(3, RangeSet(3, (1, 2, 3)))
         assert full.has_identity

@@ -1,11 +1,15 @@
 import math
 
+import pytest
+
 from conftest import range_sets
 from ordrange import (
     ChainMap,
     RangeSet,
+    SemigroupTable,
     constant,
     d_related,
+    enumerate_elements,
     enumerate_semigroup,
     green_classes,
     green_classes_by_ideals,
@@ -15,9 +19,50 @@ from ordrange import (
     j_related,
     l_related,
     r_related,
+    regular_elements,
 )
+from ordrange.green import _finish
 
 cm = ChainMap.from_images
+RELATIONS = ("L", "R", "H", "D", "J")
+
+
+def ideal_oracle(relation, table):
+    """Reference egg-box from principal ideals, by definition.
+
+    L compares S^1 a, R compares a S^1, J compares S^1 a S^1, H
+    intersects L and R, and D joins L and R by saturation.  Quadratic
+    to cubic in the table size, so for small tables only.
+    """
+    ids = range(len(table))
+    left = [frozenset({a, *(table.product(s, a) for s in ids)}) for a in ids]
+    right = [frozenset({a, *(table.product(a, s) for s in ids)}) for a in ids]
+    if relation == "L":
+        keys = left
+    elif relation == "R":
+        keys = right
+    elif relation == "H":
+        keys = list(zip(left, right))
+    elif relation == "J":
+        keys = [frozenset({*r, *(table.product(s, x) for s in ids for x in r)})
+                for r in right]
+    else:
+        keys = [None] * len(table)
+        for a in ids:
+            if keys[a] is not None:
+                continue
+            keys[a], todo = a, [a]
+            while todo:
+                x = todo.pop()
+                for y in ids:
+                    if keys[y] is None and (left[y] == left[x]
+                                            or right[y] == right[x]):
+                        keys[y] = a
+                        todo.append(y)
+    groups = {}
+    for a, key in enumerate(keys):
+        groups.setdefault(key, []).append(a)
+    return _finish(relation, table, None, list(groups.values()))
 
 
 class TestPredicates:
@@ -76,6 +121,44 @@ class TestOracleEggBox:
         d = green_classes_by_ideals("D", table)
         j = green_classes_by_ideals("J", table)
         assert d.as_sets() == j.as_sets()
+
+
+CLOSED_TABLES = {  # closed subsets that take the fill-every-column path
+    "regular-part": lambda: SemigroupTable(
+        regular_elements(4, RangeSet(4, (2, 3)))),
+    "rank-2-ideal": lambda: SemigroupTable(
+        [f for f in enumerate_elements(4, RangeSet(4, (1, 2, 3, 4)))
+         if len(image(f)) <= 2]),
+}
+
+
+class TestCayleyOracle:
+    def test_matches_ideal_oracle_on_every_range_set(self):
+        for n in range(1, 5):
+            for Y in range_sets(n):
+                table = enumerate_semigroup(n, Y)
+                for rel in RELATIONS:
+                    assert green_classes_by_ideals(rel, table) == \
+                        ideal_oracle(rel, table), (n, Y, rel)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_TABLES))
+    def test_matches_ideal_oracle_on_closed_subsets(self, name):
+        table = CLOSED_TABLES[name]()
+        ids = range(len(table))
+        has_unit = any(all(table.product(e, x) == x == table.product(x, e)
+                           for x in ids) for e in ids)
+        assert has_unit == (name == "regular-part")  # unit (2, 2, 3, 3)
+        for rel in RELATIONS:
+            assert green_classes_by_ideals(rel, table) == \
+                ideal_oracle(rel, table), rel
+
+    def test_matches_characterization_on_whole_chain_6(self):
+        Y = RangeSet(6, (1, 2, 3, 4, 5, 6))
+        table = enumerate_semigroup(6, Y)
+        assert len(table) == 462
+        for rel in RELATIONS:
+            assert green_classes_by_ideals(rel, table).as_sets() == \
+                green_classes(rel, table, Y).as_sets(), rel
 
 
 class TestEquivalenceSweep:
