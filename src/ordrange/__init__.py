@@ -52,6 +52,7 @@ from .generators import (
     TaggedGenerator,
     captive_set,
     ceiling_retraction,
+    corank_one_generator,
     factor_raising_rank,
     factor_through_full_image,
     floor_retraction,

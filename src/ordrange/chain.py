@@ -8,9 +8,9 @@ instances are safe to share between threads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 
 class DomainError(ValueError):
@@ -79,7 +79,8 @@ class PartialMap:
     """An order-preserving map from a subchain of {1..n} into {1..n}.
 
     The domain is strictly increasing, the image sequence weakly
-    increasing; on a chain that is exactly order-preservation.
+    increasing; on a chain that is exactly order-preservation.  A total
+    extension is a choice of values on each gap (:meth:`extend`).
     """
 
     n: int
@@ -99,16 +100,16 @@ class PartialMap:
                 f"{len(self.images)} images")
         prev = 0
         for a in self.domain:
-            if not 1 <= a <= self.n:
-                raise DomainError(f"domain point {a} outside 1..{self.n}")
+            if not isinstance(a, int) or not 1 <= a <= self.n:
+                raise DomainError(f"domain point {a!r} outside 1..{self.n}")
             if a <= prev:
                 raise DomainError(
                     f"domain {list(self.domain)} is not strictly increasing")
             prev = a
         prev = 1
         for b in self.images:
-            if not 1 <= b <= self.n:
-                raise DomainError(f"image {b} outside 1..{self.n}")
+            if not isinstance(b, int) or not 1 <= b <= self.n:
+                raise DomainError(f"image {b!r} outside 1..{self.n}")
             if b < prev:
                 raise DomainError(
                     f"images {list(self.images)} are not weakly increasing")
@@ -122,6 +123,26 @@ class PartialMap:
 
     def __len__(self) -> int:
         return len(self.domain)
+
+    def gaps(self) -> Iterator[tuple[int, int, int | None, int | None]]:
+        """``(a, b, lo, hi)`` per gap, in chain order: the points a+1 .. b-1,
+        with a = 0 before the domain and b = n + 1 after it.  ``lo`` and
+        ``hi`` are the images at a and b, or None past either end.  Gap t
+        follows the t-point prefix ideal of the domain; it may be empty."""
+        dom, img = self.domain, self.images
+        return zip((0,) + dom, dom + (self.n + 1,), (None,) + img, img + (None,))
+
+    def extend(self, choose: Callable[[int | None, int | None], int]) -> ChainMap:
+        """The total map that agrees with this one and sends each point of
+        a nonempty gap to ``choose(lo, hi)``; monotone when every choice
+        lies between the bounds that are not None."""
+        out: list[int] = []
+        for a, b, lo, hi in self.gaps():
+            if a:
+                out.append(lo)
+            if b - a > 1:
+                out += [choose(lo, hi)] * (b - a - 1)
+        return ChainMap(self.n, tuple(out))
 
     def is_total(self) -> bool:
         return len(self.domain) == self.n
@@ -155,8 +176,8 @@ class RangeSet:
             raise DomainError("range set must be nonempty")
         prev = 0
         for y in self.members:
-            if not 1 <= y <= self.n:
-                raise DomainError(f"member {y} outside 1..{self.n}")
+            if not isinstance(y, int) or not 1 <= y <= self.n:
+                raise DomainError(f"member {y!r} outside 1..{self.n}")
             if y <= prev:
                 raise DomainError(
                     f"members {list(self.members)} are not strictly increasing")
@@ -321,34 +342,18 @@ def floor_extension(theta: PartialMap) -> ChainMap:
     """Total extension sending each gap point to its nearest lower neighbour.
 
     Every x takes the image of the greatest domain point <= x; points
-    below the whole domain clamp to the first image.  A one-point
-    domain extends to the constant map.
+    below the whole domain take the first image.
     """
-    dom, img, n = theta.domain, theta.images, theta.n
-    if len(dom) == 1:
-        return constant(n, img[0])
-    out = []
-    for x in range(1, n + 1):
-        j = bisect_right(dom, x) - 1
-        out.append(img[j] if j >= 0 else img[0])
-    return ChainMap(n, tuple(out))
+    return theta.extend(lambda lo, hi: hi if lo is None else lo)
 
 
 def ceiling_extension(theta: PartialMap) -> ChainMap:
     """Total extension sending each gap point to its nearest upper neighbour.
 
     Mirror of :func:`floor_extension`: every x takes the image of the
-    least domain point >= x, clamping to the last image above the domain.
+    least domain point >= x, and the last image above the whole domain.
     """
-    dom, img, n = theta.domain, theta.images, theta.n
-    if len(dom) == 1:
-        return constant(n, img[0])
-    k = len(dom)
-    out = []
-    for x in range(1, n + 1):
-        j = bisect_left(dom, x)
-        out.append(img[j] if j < k else img[k - 1])
-    return ChainMap(n, tuple(out))
+    return theta.extend(lambda lo, hi: lo if hi is None else hi)
 
 
 def reflect(f: ChainMap) -> ChainMap:

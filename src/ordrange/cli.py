@@ -222,7 +222,6 @@ def _generating_set(n: int, Y: RangeSet):
 
 def _cmd_rank(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    r = len(Y)
     methods = {
         "formula": lambda: rank_by_formula(args.n, Y),
         "constructed": lambda: len(_generating_set(args.n, Y)),
@@ -231,10 +230,8 @@ def _cmd_rank(args) -> dict:
     value = methods[args.method]()
     payload = {"rank": value}
     if args.check:
-        names = ["formula"]
-        if 1 < r < args.n:
-            names.append("constructed")
-        if count_maps(args.n, r) <= search_guard():
+        names = ["formula", "constructed"]
+        if count_maps(args.n, len(Y)) <= search_guard():
             names.append("brute")
         others = {name: value if name == args.method else methods[name]()
                   for name in names}

@@ -38,35 +38,23 @@ def _partial_into(theta: PartialMap, Y: RangeSet) -> None:
                 f"image value {b} is outside {list(Y.members)}")
 
 
+def _members_between(Y: RangeSet, lo: int | None, hi: int | None) -> list[int]:
+    """The members of Y in [lo, hi]; a bound of None is the chain's end."""
+    lo, hi = lo or 1, hi or Y.n
+    return [y for y in Y.members if lo <= y <= hi]
+
+
 def is_completable(theta: PartialMap, Y: RangeSet) -> bool:
     """Order-ideal criterion for the existence of a total extension.
 
-    For the t-point prefix ideal the chain gap is the open interval
-    between the ideal and the rest of the domain; the boundary ideals
-    use the natural conventions (everything below the domain for the
-    empty ideal, everything above it for the full one).
+    Gap t of the domain is the open chain interval between its t-point
+    prefix ideal and the rest of the domain (everything below the domain
+    for the empty ideal, everything above it for the full one); each
+    nonempty gap needs a member of Y between the images that bound it.
     """
     _partial_into(theta, Y)
-    dom, img, n = theta.domain, theta.images, theta.n
-    k = len(dom)
-    for t in range(k + 1):
-        if t == 0:
-            gap = dom[0] > 1
-        elif t == k:
-            gap = dom[k - 1] < n
-        else:
-            gap = dom[t] - dom[t - 1] >= 2
-        if not gap:
-            continue
-        if t == 0:
-            witness = any(y <= img[0] for y in Y)
-        elif t == k:
-            witness = any(img[k - 1] <= y for y in Y)
-        else:
-            witness = any(img[t - 1] <= y <= img[t] for y in Y)
-        if not witness:
-            return False
-    return True
+    return all(_members_between(Y, lo, hi)
+               for a, b, lo, hi in theta.gaps() if b - a > 1)
 
 
 def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
@@ -83,52 +71,28 @@ def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
 def count_extensions(theta: PartialMap, Y: RangeSet) -> int:
     """The number of extensions of theta into Y, in closed form.
 
-    The points of each gap (before the first domain point, between two
-    consecutive ones, after the last) take a weakly increasing run of
-    the m values of Y between the images that bound the gap: for a gap
-    of length len that is C(len + m - 1, m - 1) runs.
+    The points of each gap take a weakly increasing run of the m members
+    of Y between the images that bound the gap: for a gap of length len
+    that is C(len + m - 1, len) runs.
     """
     _partial_into(theta, Y)
-    dom, img, n = theta.domain, theta.images, theta.n
     total = 1
-    for a, b, lo, hi in zip((0,) + dom, dom + (n + 1,), (1,) + img, img + (n,)):
+    for a, b, lo, hi in theta.gaps():
         length = b - a - 1
-        m = sum(lo <= y <= hi for y in Y)
-        total *= math.comb(length + m - 1, length)
+        total *= math.comb(length + len(_members_between(Y, lo, hi)) - 1, length)
     return total
 
 
 def build_extension(theta: PartialMap, Y: RangeSet) -> ChainMap | None:
     """One extension built constructively, or None when the criterion fails.
 
-    Gap points between an ideal and its complement all receive the same
-    witness value (the least one), which keeps the result monotone.
+    Each gap takes the least member of Y between its bounding images, so
+    the result is monotone, and it is the least extension.
     """
     if not is_completable(theta, Y):
         return None
-    dom, img, n = theta.domain, theta.images, theta.n
-    k = len(dom)
-    witness: dict[int, int] = {}
-    for t in range(k + 1):
-        if t == 0:
-            candidates = [y for y in Y if y <= img[0]]
-        elif t == k:
-            candidates = [y for y in Y if img[k - 1] <= y]
-        else:
-            candidates = [y for y in Y if img[t - 1] <= y <= img[t]]
-        if candidates:
-            witness[t] = min(candidates)
-    out = []
-    for x in range(1, n + 1):
-        i = 0
-        while i < k and dom[i] < x:
-            i += 1
-        if i < k and dom[i] == x:
-            out.append(theta(x))
-        else:
-            out.append(witness[i])
-    gamma = ChainMap(n, tuple(out))
-    assert all(gamma(a) == theta(a) for a in dom)
+    gamma = theta.extend(lambda lo, hi: _members_between(Y, lo, hi)[0])
+    assert all(gamma(a) == theta(a) for a in theta.domain)
     return gamma
 
 

@@ -47,6 +47,7 @@ FLOOR = "floor_retraction"
 CEILING = "ceiling_retraction"
 PREFIX_SHIFT = "prefix_shift"
 SUFFIX_SHIFT = "suffix_shift"
+CORANK_ONE = "corank_one"
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,17 @@ def suffix_shift_generator(n: int, Y: RangeSet, j: int) -> ChainMap:
     dom = ys[: j - 1] + ys[j:]
     img = ys[: j - 1] + ys[j - 1: r - 1]
     return floor_extension(PartialMap(n, dom, img))
+
+
+def corank_one_generator(n: int, Y: RangeSet, t: int) -> ChainMap:
+    """For the whole chain: the map with image {1..n} minus t whose one
+    non-singleton kernel block is {n-t, n-t+1}, or {1, 2} when t = n."""
+    if not 2 <= n == len(Y) or not 1 <= t <= n:
+        raise DomainError(f"need Y the whole chain of n >= 2 and 1 <= t <= n, "
+                          f"got |Y|={len(Y)}, n={n}, t={t}")
+    s = n - t if t < n else 1
+    part = ConvexPartition(n, tuple(x for x in range(1, n + 1) if x != s))
+    return full_image_map(part, RangeSet(n, Y.without(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,55 +397,57 @@ def tail_anchor(n: int, Y: RangeSet) -> int:
 
 def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
                            ) -> GeneratingSet:
-    """A generating set of the minimum size C(n-1, r-1) + #captive(Y).
+    """A generating set of the minimum size :func:`rank_by_formula`.
 
-    All full-image maps are always needed; the extra generators are one
-    retraction (or shift) per captive member, chosen by a case analysis
-    on where the least missing chain point i and the top run anchor j
-    fall.  Retractions whose index is not captive are dropped: those lie
-    in the closure of the full-image maps.  With ``check`` the closure
-    is computed and compared against the full semigroup (mandatory
-    everywhere the guard allows).
+    All full-image maps are always needed.  For 1 < r < n the extra
+    generators are one retraction (or shift) per captive member, chosen
+    by a case analysis on where the least missing chain point i and the
+    top run anchor j fall.  Retractions whose index is not captive are
+    dropped: those lie in the closure of the full-image maps.  A
+    one-point Y needs its constant map alone; the whole chain needs the
+    identity and the n maps of :func:`corank_one_generator`.  With
+    ``check`` the closure is computed and compared against the full
+    semigroup (mandatory everywhere the guard allows).
     """
     r = len(Y)
     if Y.n != n:
         raise DomainError(f"range set lives on chain {Y.n}, not {n}")
-    if not 1 < r < n:
-        raise DomainError(f"need 1 < |Y| < n, got |Y|={r}, n={n}")
-    i = first_missing_point(n, Y)
-    j = tail_anchor(n, Y)
-    captive = set(captive_set(n, Y))
-
     eps: list[tuple[str, int]] = []
-    if i == r + 1:
-        eps = [(CEILING, t) for t in range(1, r)]
-    else:
-        if i == 1:
-            tilde: list[int] = []
-            shift_low = None
-            hats = set(range(2, r + 1))
-        elif i == 2:
-            tilde = [1]
-            shift_low = None
-            hats = set(range(2, r + 1))
+    if r == n > 1:
+        eps = [(CORANK_ONE, t) for t in range(1, n + 1)]
+    elif r > 1:
+        i = first_missing_point(n, Y)
+        j = tail_anchor(n, Y)
+        captive = set(captive_set(n, Y))
+        if i == r + 1:
+            eps = [(CEILING, t) for t in range(1, r)]
         else:
-            tilde = list(range(2, i - 1))
-            shift_low = i
-            hats = set(range(i, r + 1))
-        shift_high = None
-        if j == r + 1:
-            hats.discard(r)
-        elif 2 <= j <= r - 1:
-            hats.discard(j)
-            hats.discard(r)
-            shift_high = j
-        hats = {t for t in hats if Y.members[t - 1] in captive}
-        if shift_low is not None:
-            eps.append((PREFIX_SHIFT, shift_low))
-        eps.extend((CEILING, t) for t in tilde)
-        eps.extend((FLOOR, t) for t in sorted(hats))
-        if shift_high is not None:
-            eps.append((SUFFIX_SHIFT, shift_high))
+            if i == 1:
+                tilde: list[int] = []
+                shift_low = None
+                hats = set(range(2, r + 1))
+            elif i == 2:
+                tilde = [1]
+                shift_low = None
+                hats = set(range(2, r + 1))
+            else:
+                tilde = list(range(2, i - 1))
+                shift_low = i
+                hats = set(range(i, r + 1))
+            shift_high = None
+            if j == r + 1:
+                hats.discard(r)
+            elif 2 <= j <= r - 1:
+                hats.discard(j)
+                hats.discard(r)
+                shift_high = j
+            hats = {t for t in hats if Y.members[t - 1] in captive}
+            if shift_low is not None:
+                eps.append((PREFIX_SHIFT, shift_low))
+            eps.extend((CEILING, t) for t in tilde)
+            eps.extend((FLOOR, t) for t in sorted(hats))
+            if shift_high is not None:
+                eps.append((SUFFIX_SHIFT, shift_high))
 
     members = [
         TaggedGenerator(f, FULL_IMAGE) for f in full_image_maps(n, Y)
@@ -444,6 +458,7 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
             CEILING: ceiling_retraction,
             PREFIX_SHIFT: prefix_shift_generator,
             SUFFIX_SHIFT: suffix_shift_generator,
+            CORANK_ONE: corank_one_generator,
         }[kind]
         members.append(TaggedGenerator(builder(n, Y, idx), kind, idx))
 

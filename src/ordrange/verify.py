@@ -182,10 +182,9 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     def isomorphism():
         all_sets = _all_range_sets(n)
-        for Y in all_sets:
-            S = enumerate_semigroup(n, Y)
-            for Z in all_sets:
-                T = enumerate_semigroup(n, Z)
+        tables = [enumerate_semigroup(n, Y) for Y in all_sets]
+        for Y, S in zip(all_sets, tables):
+            for Z, T in zip(all_sets, tables):
                 expected = are_isomorphic(n, Y, n, Z)
                 if expected != (find_isomorphism(S, T) is not None):
                     yield f"Y={list(Y.members)} Z={list(Z.members)}"

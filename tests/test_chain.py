@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +74,14 @@ class TestConstruction:
             RangeSet(4, (1, 1))
         with pytest.raises(DomainError):
             RangeSet(4, ())
+
+    def test_rejects_non_integer_points(self):
+        with pytest.raises(DomainError):
+            PartialMap(3, (1.5,), (1,))
+        with pytest.raises(DomainError):
+            PartialMap(3, (1,), (1.0,))
+        with pytest.raises(DomainError):
+            RangeSet(3, (1, 2.0))
 
     def test_partition_must_end_at_n(self):
         with pytest.raises(DomainError):
@@ -185,6 +193,26 @@ class TestCanonicalExtensions:
         theta = PartialMap(5, (3,), (4,))
         assert floor_extension(theta) == constant(5, 4)
         assert ceiling_extension(theta) == constant(5, 4)
+
+    def test_match_their_definitions_exhaustively(self):
+        """floor(x) is the image of the greatest domain point <= x, else
+        the first image; ceiling(x) the image of the least domain point
+        >= x, else the last image."""
+        for n in range(1, 7):
+            points = range(1, n + 1)
+            for k in points:
+                for dom in combinations(points, k):
+                    for img in combinations_with_replacement(points, k):
+                        pairs = list(zip(dom, img))
+                        floor = tuple(
+                            max((p for p in pairs if p[0] <= x),
+                                default=pairs[0])[1] for x in points)
+                        ceiling = tuple(
+                            min((p for p in pairs if p[0] >= x),
+                                default=pairs[-1])[1] for x in points)
+                        theta = PartialMap(n, dom, img)
+                        assert floor_extension(theta).images == floor, theta
+                        assert ceiling_extension(theta).images == ceiling, theta
 
     @given(st.data())
     def test_agree_on_domain_and_image(self, data):

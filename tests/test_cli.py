@@ -100,7 +100,32 @@ class TestGolden:
         assert code == 0
         payload = json.loads(out)
         assert payload["rank"] == int(n) + 1
-        assert payload["checked"] == ["brute", "formula"]
+        assert payload["checked"] == ["brute", "constructed", "formula"]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gens_whole_chain_closure_checked(self, capsys, n):
+        Y = ",".join(map(str, range(1, n + 1)))
+        code, out, err = run(capsys, "gens", "-n", str(n), "-Y", Y)
+        assert code == 0 and err == ""  # within the closure guard
+        payload = json.loads(out)
+        assert payload["rank"] == payload["size"] == n + 1
+        assert [(m["kind"], m["index"]) for m in payload["members"]] == \
+            [("full_image", None)] + [("corank_one", t) for t in range(1, n + 1)]
+
+    def test_gens_one_point_range(self, capsys):
+        code, out, _ = run(capsys, "gens", "-n", "5", "-Y", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == payload["size"] == 1
+        assert payload["members"] == [
+            {"images": [3, 3, 3, 3, 3], "kind": "full_image", "index": None}]
+
+    @pytest.mark.parametrize("n,Y,rank", [("4", "2", 1), ("5", "1,2,3,4,5", 6)])
+    def test_rank_constructed_on_degenerate_sizes(self, capsys, n, Y, rank):
+        code, out, _ = run(capsys, "rank", "-n", n, "-Y", Y,
+                           "--method", "constructed")
+        assert code == 0
+        assert json.loads(out) == {"rank": rank}
 
     def test_gens_above_closure_guard(self, capsys):
         code, out, err = run(capsys, "gens", "-n", "12", "-Y", "1,3,5,7,9,11")
@@ -176,10 +201,12 @@ class TestErrors:
         assert code == 2
         assert "guard" in err
 
-    def test_rank_constructed_rejects_degenerate(self, capsys):
-        code, _, err = run(capsys, "rank", "-n", "4", "-Y", "2",
-                           "--method", "constructed")
+    def test_complete_rejects_non_integer_points(self, capsys):
+        code, out, err = run(capsys, "complete", "-n", "3", "-Y", "1,2",
+                             "--theta", '{"domain":[1.5],"images":[1]}')
         assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "1.5" in err
 
     def test_verify_needs_target(self, capsys):
         code, _, err = run(capsys, "verify", "-n", "3")

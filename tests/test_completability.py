@@ -114,6 +114,13 @@ class TestExtensions:
                     assert count_extensions(theta, Y) == \
                         len(complete_extensions(theta, Y)), (theta, Y)
 
+    def test_builder_gives_the_least_extension(self):
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                for theta in all_partial_maps(n, Y):
+                    assert build_extension(theta, Y) == \
+                        complete_extensions(theta, Y)[0], (theta, Y)
+
     def test_count_rejects_image_outside_range(self, y13):
         with pytest.raises(DomainError):
             count_extensions(PartialMap(3, (1,), (2,)), y13)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import brute_force_closure, range_sets
+from conftest import brute_force_closure, brute_force_maps, range_sets
 from ordrange import (
     ChainMap,
     DomainError,
@@ -10,6 +10,7 @@ from ordrange import (
     RangeSet,
     captive_set,
     ceiling_retraction,
+    corank_one_generator,
     compose,
     count_maps,
     enumerate_elements,
@@ -252,20 +253,25 @@ class TestMinimumGeneratingSet:
             "ceiling_retraction": ceiling_retraction,
             "prefix_shift": prefix_shift_generator,
             "suffix_shift": suffix_shift_generator,
+            "corank_one": corank_one_generator,
         }
         for n in range(3, 7):
-            for Y in range_sets(n, smallest=2, largest=n - 1):
+            for Y in range_sets(n, smallest=2):
                 for g in minimum_generating_set(n, Y, check=False).members:
                     if g.kind == "full_image":
                         assert image(g.element) == Y
                     else:
                         assert g.element == builders[g.kind](n, Y, g.index)
 
-    def test_degenerate_sizes_rejected(self):
-        with pytest.raises(DomainError):
-            minimum_generating_set(4, RangeSet(4, (2,)))
-        with pytest.raises(DomainError):
-            minimum_generating_set(4, RangeSet(4, (1, 2, 3, 4)))
+    def test_degenerate_sizes_answered(self):
+        gens = minimum_generating_set(4, RangeSet(4, (2,)))
+        assert [g.element.images for g in gens.members] == [(2, 2, 2, 2)]
+        for n in range(1, 6):
+            Y = RangeSet(n, tuple(range(1, n + 1)))
+            gens = minimum_generating_set(n, Y)  # closure checked inside
+            assert len(gens) == rank_by_formula(n, Y)
+            assert brute_force_closure([g.element.images for g in gens.members]) \
+                == set(brute_force_maps(n, Y.members))
 
 
 class TestGenerates:
