@@ -50,7 +50,7 @@ class ChainMap:
                 f"expected {self.n} images, got {len(self.images)}")
         prev = 1
         for v in self.images:
-            if not isinstance(v, int) or not 1 <= v <= self.n:
+            if type(v) is not int or not 1 <= v <= self.n:
                 raise DomainError(f"image {v!r} outside 1..{self.n}")
             if v < prev:
                 raise DomainError(
@@ -100,7 +100,7 @@ class PartialMap:
                 f"{len(self.images)} images")
         prev = 0
         for a in self.domain:
-            if not isinstance(a, int) or not 1 <= a <= self.n:
+            if type(a) is not int or not 1 <= a <= self.n:
                 raise DomainError(f"domain point {a!r} outside 1..{self.n}")
             if a <= prev:
                 raise DomainError(
@@ -108,7 +108,7 @@ class PartialMap:
             prev = a
         prev = 1
         for b in self.images:
-            if not isinstance(b, int) or not 1 <= b <= self.n:
+            if type(b) is not int or not 1 <= b <= self.n:
                 raise DomainError(f"image {b!r} outside 1..{self.n}")
             if b < prev:
                 raise DomainError(
@@ -176,7 +176,7 @@ class RangeSet:
             raise DomainError("range set must be nonempty")
         prev = 0
         for y in self.members:
-            if not isinstance(y, int) or not 1 <= y <= self.n:
+            if type(y) is not int or not 1 <= y <= self.n:
                 raise DomainError(f"member {y!r} outside 1..{self.n}")
             if y <= prev:
                 raise DomainError(

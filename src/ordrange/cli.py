@@ -130,10 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="run every oracle-vs-characterization "
                                        "cross-check")
     s.add_argument("-n", type=int, required=True)
-    s.add_argument("-Y", default=None,
-                   help="restrict to a single range set")
-    s.add_argument("--all", action="store_true",
-                   help="sweep every nonempty range set of the chain")
+    target = s.add_mutually_exclusive_group(required=True)
+    target.add_argument("-Y", default=None,
+                        help="restrict to a single range set")
+    target.add_argument("--all", action="store_true",
+                        help="sweep every nonempty range set of the chain")
     s.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
     s.add_argument("--seedless", action="store_true")
@@ -279,12 +280,7 @@ def _cmd_iso(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    if args.all:
-        sets = None
-    elif args.Y is not None:
-        sets = [_parse_Y(args.Y, args.n)]
-    else:
-        raise DomainError("verify needs --all or -Y")
+    sets = None if args.all else [_parse_Y(args.Y, args.n)]
     report = verify_mod.run_all(args.n, sets)
     for line in report["lines"]:
         print(line)

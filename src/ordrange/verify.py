@@ -1,16 +1,17 @@
 """Cross-validation battery: every characterization against its oracle.
 
-Each check sweeps the requested range sets and reports one ok/FAIL line.
-Checks whose cost explodes with the chain size are skipped (with a note)
-beyond the sizes they are meant for; a skip is not a failure.
+One pass over the requested range sets builds each set's table once and
+hands it to every check; each check is a per-set sweep of failure details
+and reports one ok/FAIL line, with the first failure it met.  Checks whose
+cost explodes with the chain size are skipped (with a note) beyond the
+sizes they are meant for; a skip is not a failure.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable
 
-from .chain import PartialMap, RangeSet, image, kernel
+from .chain import DomainError, PartialMap, RangeSet, image, kernel
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
@@ -18,7 +19,7 @@ from .completability import (
     is_bicompletable,
     is_completable,
 )
-from .enumeration import count_maps, enumerate_elements, enumerate_semigroup, search_guard
+from .enumeration import count_maps, enumerate_semigroup, search_guard
 from .generators import (
     captive_set,
     generates,
@@ -60,172 +61,160 @@ def _partial_maps_into(n: int, Y: RangeSet):
 
 
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
+    if n < 1:
+        raise DomainError(f"chain size must be positive, got {n}")
     Ys = _all_range_sets(n) if sets is None else sets
-    results: list[tuple[str, bool, str]] = []
+    brute_cap = min(BRUTE_RANK_LIMIT, search_guard())
 
-    def record(name: str, failures: Iterable[str] = (), passed: str = "") -> None:
-        """Run a lazy sweep up to its first failure, whose detail is kept;
-        a sweep that yields nothing passes with the ``passed`` note."""
-        detail = next(iter(failures), None)
-        results.append((name, detail is None, passed if detail is None else detail))
+    def searchable(Y: RangeSet) -> bool:
+        return 1 < len(Y) < n and count_maps(n, len(Y)) <= brute_cap
 
-    def cardinality():
-        for Y in Ys:
-            if len(enumerate_elements(n, Y)) != count_maps(n, len(Y)):
-                yield f"wrong count for {Y!r}"
+    def cardinality(Y, table):
+        if len(table) != count_maps(n, len(Y)):
+            yield f"wrong count for {Y!r}"
 
-    def regularity():
-        for Y in Ys:
-            where = f"Y={list(Y.members)}"
-            table = enumerate_semigroup(n, Y)
-            for f in table.elements:
-                if is_regular(f, Y) != is_regular_by_search(f, table):
-                    yield f"{f!r} in {where}"
-            reg = [table.id_of(f) for f in regular_elements(n, Y)]
-            reg_set = set(reg)
+    def regularity(Y, table):
+        where = f"Y={list(Y.members)}"
+        for f in table.elements:
+            if is_regular(f, Y) != is_regular_by_search(f, table):
+                yield f"{f!r} in {where}"
+        reg = [table.id_of(f) for f in regular_elements(n, Y)]
+        reg_set = set(reg)
 
-            def keeps_regular(right_factors) -> bool:
-                """a * b is regular for every regular a and given b."""
-                columns, _ = table.columns_of(right_factors)
-                return all(reg_set.issuperset(map(col.__getitem__, reg))
-                           for col in columns)
+        def keeps_regular(right_factors) -> bool:
+            """a * b is regular for every regular a and given b."""
+            columns, _ = table.columns_of(right_factors)
+            return all(reg_set.issuperset(map(col.__getitem__, reg))
+                       for col in columns)
 
-            if not keeps_regular(reg):
-                yield f"closure breaks in {where}"
-            if is_semigroup_regular(n, Y) != (len(reg) == len(table)):
-                yield f"trichotomy wrong for {where}"
-            if not keeps_regular(range(len(table))):
-                yield f"right ideal breaks in {where}"
-            if any(regularity_conditions(f) != (True, True, True)
-                   for f in table.elements):
-                yield f"order conditions fail in {where}"
+        if not keeps_regular(reg):
+            yield f"closure breaks in {where}"
+        if is_semigroup_regular(n, Y) != (len(reg) == len(table)):
+            yield f"trichotomy wrong for {where}"
+        if not keeps_regular(range(len(table))):
+            yield f"right ideal breaks in {where}"
+        if any(regularity_conditions(f) != (True, True, True)
+               for f in table.elements):
+            yield f"order conditions fail in {where}"
 
-    def green():
-        for Y in green_sets:
-            where = f"Y={list(Y.members)}"
-            table = enumerate_semigroup(n, Y)
-            chars, oracle = {}, {}
-            for rel in RELATIONS:
-                chars[rel] = green_classes(rel, table, Y)
-                oracle[rel] = green_classes_by_ideals(rel, table).as_sets()
-                if chars[rel].as_sets() != oracle[rel]:
-                    yield f"{rel} differs for {where}"
-            if any(len(c) != 1 for c in chars["H"].classes):
-                yield f"H not trivial for {where}"
-            if oracle["D"] != oracle["J"]:
-                yield f"D != J for {where}"
+    def green(Y, table):
+        if len(table) > GREEN_LIMIT:
+            return
+        where = f"Y={list(Y.members)}"
+        chars, oracle = {}, {}
+        for rel in RELATIONS:
+            chars[rel] = green_classes(rel, table, Y)
+            oracle[rel] = green_classes_by_ideals(rel, table).as_sets()
+            if chars[rel].as_sets() != oracle[rel]:
+                yield f"{rel} differs for {where}"
+        if any(len(c) != 1 for c in chars["H"].classes):
+            yield f"H not trivial for {where}"
+        if oracle["D"] != oracle["J"]:
+            yield f"D != J for {where}"
 
-    def completability():
-        for Y in Ys:
-            for theta in _partial_maps_into(n, Y):
-                verdict = is_completable(theta, Y)
-                exts = complete_extensions(theta, Y)
-                witness = build_extension(theta, Y)
-                if verdict != bool(exts) or verdict != (witness is not None):
-                    yield f"{theta!r} into Y={list(Y.members)}"
-                if not verdict:
-                    yield f"finite chain refused {theta!r}"
+    def completability(Y, table):
+        for theta in _partial_maps_into(n, Y):
+            verdict = is_completable(theta, Y)
+            exts = complete_extensions(theta, Y)
+            witness = build_extension(theta, Y)
+            if verdict != bool(exts) or verdict != (witness is not None):
+                yield f"{theta!r} into Y={list(Y.members)}"
+            if not verdict:
+                yield f"finite chain refused {theta!r}"
 
-    def rank_constructed():
-        for Y in Ys:
-            r = len(Y)
-            if not 1 < r < n:
+    def rank_constructed(Y, table):
+        where = f"Y={list(Y.members)}"
+        gens = minimum_generating_set(n, Y, check=False)
+        if len(gens) != rank_by_formula(n, Y):
+            yield f"size mismatch for {where}"
+        if not generates(gens.elements(), table):
+            yield f"constructed set fails to generate {where}"
+        # for Y = {1} or {n} the captive set is nonempty, yet the constant
+        # alone generates: the criterion holds for 1 < r < n only
+        if 1 < len(Y) < n and (not captive_set(n, Y)) != generates(
+                [g.element for g in gens.members if g.kind == "full_image"],
+                table):
+            yield f"captive-empty criterion fails for {where}"
+
+    def rank_search(Y, table):
+        if searchable(Y) and rank_by_search(n, Y) != rank_by_formula(n, Y):
+            yield f"search disagrees for Y={list(Y.members)}"
+
+    def words(Y, table):
+        r = len(Y)
+        if not 1 < r < n:
+            return
+        gens = minimum_generating_set(n, Y, check=False)
+        for f in table.elements:
+            if len(image(f)) == r:
                 continue
-            gens = minimum_generating_set(n, Y)
-            if len(gens) != rank_by_formula(n, Y):
-                yield f"size mismatch for Y={list(Y.members)}"
-            if (not captive_set(n, Y)) != generates(
-                    [g.element for g in gens.members
-                     if g.kind == "full_image"],
-                    enumerate_semigroup(n, Y)):
-                yield f"captive-empty criterion fails for Y={list(Y.members)}"
+            try:
+                express_in_generators(f, gens)
+            except AssertionError as exc:
+                yield f"{f!r} in Y={list(Y.members)}: {exc}"
 
-    def rank_search():
-        for Y in search_sets:
-            if rank_by_search(n, Y) != rank_by_formula(n, Y):
-                yield f"search disagrees for Y={list(Y.members)}"
+    def canonical(Y, table):
+        by_kernel: dict = {}
+        for f in table.elements:
+            by_kernel.setdefault(kernel(f).boundaries, []).append(f)
+        for group in by_kernel.values():
+            for f in group:
+                for g in group:
+                    theta = canonical_order_isomorphism(f, g)
+                    if any(theta(f(x)) != g(x) for x in range(1, n + 1)):
+                        yield f"roundtrip fails in Y={list(Y.members)}"
 
-    def words():
-        for Y in Ys:
-            r = len(Y)
-            if not 1 < r < n:
-                continue
-            gens = minimum_generating_set(n, Y, check=False)
-            for f in enumerate_elements(n, Y):
-                if len(image(f)) == r:
-                    continue
-                try:
-                    express_in_generators(f, gens)
-                except AssertionError as exc:
-                    yield f"{f!r} in Y={list(Y.members)}: {exc}"
+    def bicompletability(Y, table):
+        for k in range(1, len(Y) + 1):
+            for dom in combinations(Y.members, k):
+                for img in combinations(Y.members, k):
+                    theta = PartialMap(n, dom, img)
+                    if not is_bicompletable(theta, Y):
+                        yield f"{theta!r} in Y={list(Y.members)}"
 
-    def canonical():
-        for Y in Ys:
-            by_kernel: dict = {}
-            for f in enumerate_elements(n, Y):
-                by_kernel.setdefault(kernel(f).boundaries, []).append(f)
-            for group in by_kernel.values():
-                for f in group:
-                    for g in group:
-                        theta = canonical_order_isomorphism(f, g)
-                        if any(theta(f(x)) != g(x) for x in range(1, n + 1)):
-                            yield f"roundtrip fails in Y={list(Y.members)}"
+    def isomorphism(Y, table):
+        for Z, T in pairs:
+            expected = are_isomorphic(n, Y, n, Z)
+            if expected != (find_isomorphism(table, T) is not None):
+                yield f"Y={list(Y.members)} Z={list(Z.members)}"
 
-    def bicompletability():
-        for Y in Ys:
-            for k in range(1, len(Y) + 1):
-                for dom in combinations(Y.members, k):
-                    for img in combinations(Y.members, k):
-                        theta = PartialMap(n, dom, img)
-                        if not is_bicompletable(theta, Y):
-                            yield f"{theta!r} in Y={list(Y.members)}"
+    def capped(name, sweep, limit):
+        if n <= limit:
+            return name, sweep, ""
+        return name, None, f"skipped for n > {limit}"
 
-    def isomorphism():
-        all_sets = _all_range_sets(n)
-        tables = [enumerate_semigroup(n, Y) for Y in all_sets]
-        for Y, S in zip(all_sets, tables):
-            for Z, T in zip(all_sets, tables):
-                expected = are_isomorphic(n, Y, n, Z)
-                if expected != (find_isomorphism(S, T) is not None):
-                    yield f"Y={list(Y.members)} Z={list(Z.members)}"
+    oversize = sum(count_maps(n, len(Y)) > GREEN_LIMIT for Y in Ys)
+    checks = [
+        ("cardinality", cardinality, f"{len(Ys)} sets"),
+        ("regularity-oracle-equivalence", regularity, ""),
+        ("green-oracle-equivalence", green,
+         f"skipped {oversize} oversize sets" if oversize else ""),
+        capped("completability-criterion", completability, COMPLETABILITY_LIMIT),
+        ("rank-constructed", rank_constructed, ""),
+        ("rank-search", rank_search,
+         f"{sum(map(searchable, Ys))} sets within guard"),
+        capped("word-reconstruction", words, WORDS_LIMIT),
+        ("canonical-order-isomorphism", canonical, ""),
+        capped("bicompletability", bicompletability, COMPLETABILITY_LIMIT),
+    ]
+    pairs = ((Y, enumerate_semigroup(n, Y)) for Y in Ys)
+    if sets is None:
+        checks.append(capped("isomorphism-classification", isomorphism, ISO_LIMIT))
+        if n <= ISO_LIMIT:
+            pairs = list(pairs)  # the pairwise check reads every table
 
-    green_sets = [Y for Y in Ys if count_maps(n, len(Y)) <= GREEN_LIMIT]
-    oversize = len(Ys) - len(green_sets)
-    search_sets = [
-        Y for Y in Ys if 1 < len(Y) < n
-        and count_maps(n, len(Y)) <= min(BRUTE_RANK_LIMIT, search_guard())]
-
-    record("cardinality", cardinality(), f"{len(Ys)} sets")
-    record("regularity-oracle-equivalence", regularity())
-    record("green-oracle-equivalence", green(),
-           f"skipped {oversize} oversize sets" if oversize else "")
-    if n <= COMPLETABILITY_LIMIT:
-        record("completability-criterion", completability())
-    else:
-        record("completability-criterion",
-               passed=f"skipped for n > {COMPLETABILITY_LIMIT}")
-    record("rank-constructed", rank_constructed())
-    record("rank-search", rank_search(), f"{len(search_sets)} sets within guard")
-    if n <= WORDS_LIMIT:
-        record("word-reconstruction", words())
-    else:
-        record("word-reconstruction", passed=f"skipped for n > {WORDS_LIMIT}")
-    record("canonical-order-isomorphism", canonical())
-    if n <= COMPLETABILITY_LIMIT:
-        record("bicompletability", bicompletability())
-    else:
-        record("bicompletability", passed=f"skipped for n > {COMPLETABILITY_LIMIT}")
-    if n <= ISO_LIMIT and sets is None:
-        record("isomorphism-classification", isomorphism())
-    elif sets is None:
-        record("isomorphism-classification", passed=f"skipped for n > {ISO_LIMIT}")
+    first_failure: dict[str, str] = {}
+    for Y, table in pairs:
+        for name, sweep, _ in checks:
+            if sweep is not None and name not in first_failure:
+                detail = next(sweep(Y, table), None)
+                if detail is not None:
+                    first_failure[name] = detail
 
     lines = []
-    failures = 0
-    for name, ok, detail in results:
-        tag = "ok  " if ok else "FAIL"
-        if not ok:
-            failures += 1
+    for name, _, note in checks:
+        detail = first_failure.get(name, note)
+        tag = "FAIL" if name in first_failure else "ok  "
         suffix = f"  ({detail})" if detail else ""
         lines.append(f"{tag} {name}{suffix}")
-    return {"lines": lines, "checks": len(results), "failures": failures}
+    return {"lines": lines, "checks": len(checks), "failures": len(first_failure)}

@@ -83,6 +83,16 @@ class TestConstruction:
         with pytest.raises(DomainError):
             RangeSet(3, (1, 2.0))
 
+    def test_rejects_bool_points(self):
+        with pytest.raises(DomainError):
+            ChainMap(2, (True, 2))
+        with pytest.raises(DomainError):
+            PartialMap(3, (True,), (1,))
+        with pytest.raises(DomainError):
+            PartialMap(3, (1,), (True,))
+        with pytest.raises(DomainError):
+            RangeSet(3, (True, 3))
+
     def test_partition_must_end_at_n(self):
         with pytest.raises(DomainError):
             ConvexPartition(4, (2, 3))

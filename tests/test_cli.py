@@ -208,9 +208,28 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and "1.5" in err
 
+    def test_complete_rejects_bool_points(self, capsys):
+        code, out, err = run(capsys, "complete", "-n", "3", "-Y", "1,3",
+                             "--theta", '{"domain":[true],"images":[1]}')
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "True" in err
+
     def test_verify_needs_target(self, capsys):
         code, _, err = run(capsys, "verify", "-n", "3")
         assert code == 2
+
+    def test_verify_takes_one_target(self, capsys):
+        code, out, _ = run(capsys, "verify", "-n", "3", "-Y", "1,3", "--all")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_verify_rejects_empty_chain(self, capsys, n):
+        code, out, err = run(capsys, "verify", "-n", n, "--all")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestGuardVariable:

@@ -1,6 +1,9 @@
 """The battery's report, pinned line by line."""
 
-from ordrange import RangeSet
+import pytest
+
+from ordrange import ChainMap, DomainError, RangeSet, verify
+from ordrange.generators import GeneratingSet, TaggedGenerator
 from ordrange.verify import run_all
 
 
@@ -31,3 +34,54 @@ def test_run_all_one_set_report():
         "ok   canonical-order-isomorphism",
         "ok   bicompletability",
     ]
+
+
+def test_run_all_oversize_and_capped_notes():
+    assert run_all(6, [RangeSet(6, (1, 2, 3, 4, 5))])["lines"] == [
+        "ok   cardinality  (1 sets)",
+        "ok   regularity-oracle-equivalence",
+        "ok   green-oracle-equivalence  (skipped 1 oversize sets)",
+        "ok   completability-criterion  (skipped for n > 5)",
+        "ok   rank-constructed",
+        "ok   rank-search  (0 sets within guard)",
+        "ok   word-reconstruction  (skipped for n > 5)",
+        "ok   canonical-order-isomorphism",
+        "ok   bicompletability  (skipped for n > 5)",
+    ]
+
+
+def test_one_table_per_range_set(monkeypatch):
+    calls = []
+    build = verify.enumerate_semigroup
+
+    def counted(n, Y, **kw):
+        calls.append(Y)
+        return build(n, Y, **kw)
+
+    monkeypatch.setattr(verify, "enumerate_semigroup", counted)
+    assert run_all(4)["failures"] == 0
+    assert calls == verify._all_range_sets(4)
+
+
+def test_rank_constructed_checks_closure(monkeypatch):
+    """A set of the right size that fails to generate is reported."""
+    build = verify.minimum_generating_set
+
+    def broken(n, Y, **kw):
+        gens = build(n, Y, check=False)
+        last = gens.members[-1]
+        swapped = TaggedGenerator(ChainMap(n, (Y.members[0],) * n),
+                                  last.kind, last.index)
+        return GeneratingSet(n, Y, gens.members[:-1] + (swapped,))
+
+    monkeypatch.setattr(verify, "minimum_generating_set", broken)
+    report = run_all(6, [RangeSet(6, (1, 2, 4))])
+    assert report["failures"] == 1
+    assert ("FAIL rank-constructed  (constructed set fails to generate "
+            "Y=[1, 2, 4])") in report["lines"]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_run_all_rejects_empty_chain(n):
+    with pytest.raises(DomainError):
+        run_all(n)
