@@ -27,25 +27,20 @@ from .chain import (
     kernel,
     maps_into,
     reflect,
-    reflect_partial,
     reflect_set,
-    restrict,
 )
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
     complete_extensions,
     count_extensions,
-    is_bicompletable,
     is_completable,
-    order_ideals,
 )
 from .enumeration import (
     SemigroupTable,
     count_maps,
     enumerate_elements,
     enumerate_semigroup,
-    maps_with_image_size,
 )
 from .generators import (
     GeneratingSet,
@@ -90,7 +85,6 @@ from .regularity import (
     is_regular_by_search,
     is_semigroup_regular,
     regular_elements,
-    regularity_conditions,
 )
 from .words import express_in_generators, product_of
 

@@ -144,18 +144,6 @@ class PartialMap:
                 out += [choose(lo, hi)] * (b - a - 1)
         return ChainMap(self.n, tuple(out))
 
-    def is_total(self) -> bool:
-        return len(self.domain) == self.n
-
-    def is_injective(self) -> bool:
-        return all(a < b for a, b in zip(self.images, self.images[1:]))
-
-    def inverse(self) -> "PartialMap":
-        """Inverse of an injective map (domain and images swap roles)."""
-        if not self.is_injective():
-            raise DomainError("only injective partial maps can be inverted")
-        return PartialMap(self.n, self.images, self.domain)
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a}->{b}" for a, b in zip(self.domain, self.images))
         return f"PartialMap({pairs})"
@@ -183,14 +171,6 @@ class RangeSet:
                     f"members {list(self.members)} are not strictly increasing")
             prev = y
 
-    @classmethod
-    def of(cls, n: int, members: Iterable[int]) -> "RangeSet":
-        return cls(n, tuple(members))
-
-    @property
-    def r(self) -> int:
-        return len(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -200,13 +180,6 @@ class RangeSet:
     def __contains__(self, y: int) -> bool:
         i = bisect_left(self.members, y)
         return i < len(self.members) and self.members[i] == y
-
-    def position(self, y: int) -> int:
-        """1-based position of ``y`` among the sorted members."""
-        i = bisect_left(self.members, y)
-        if i == len(self.members) or self.members[i] != y:
-            raise DomainError(f"{y} is not a member of {list(self.members)}")
-        return i + 1
 
     def without(self, i: int) -> tuple[int, ...]:
         """Members minus the i-th one (1-based)."""
@@ -262,13 +235,6 @@ class ConvexPartition:
         if not 1 <= x <= self.n:
             raise DomainError(f"point {x} outside 1..{self.n}")
         return bisect_left(self.boundaries, x) + 1
-
-    def refines(self, other: "ConvexPartition") -> bool:
-        """True iff every block of ``self`` sits inside a block of ``other``."""
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} != {other.n}")
-        mine = set(self.boundaries)
-        return all(b in mine for b in other.boundaries)
 
     def split_block(self, t: int) -> "ConvexPartition":
         """Split off the first point of block ``t`` (1-based) as its own block."""
@@ -330,14 +296,6 @@ def fixed_points(f: ChainMap) -> frozenset[int]:
     return frozenset(x for x in range(1, f.n + 1) if f.images[x - 1] == x)
 
 
-def restrict(f: ChainMap, points: Iterable[int]) -> PartialMap:
-    """The restriction of ``f`` to a nonempty set of points."""
-    dom = tuple(sorted(set(points)))
-    if not dom:
-        raise DomainError("cannot restrict to an empty set")
-    return PartialMap(f.n, dom, tuple(f.images[a - 1] for a in dom))
-
-
 def floor_extension(theta: PartialMap) -> ChainMap:
     """Total extension sending each gap point to its nearest lower neighbour.
 
@@ -364,14 +322,6 @@ def reflect(f: ChainMap) -> ChainMap:
     """
     n = f.n
     return ChainMap(n, tuple(n + 1 - f.images[n - x] for x in range(1, n + 1)))
-
-
-def reflect_partial(theta: PartialMap) -> PartialMap:
-    """Reflection conjugate of a partial map; swaps floor/ceiling extensions."""
-    n = theta.n
-    dom = tuple(n + 1 - a for a in reversed(theta.domain))
-    img = tuple(n + 1 - b for b in reversed(theta.images))
-    return PartialMap(n, dom, img)
 
 
 def reflect_set(Y: RangeSet) -> RangeSet:

@@ -212,8 +212,15 @@ def _cmd_complete(args) -> dict:
 
 def _generating_set(n: int, Y: RangeSet):
     """The constructed minimum generating set, closure-checked within the
-    closure guard; above it only the formula check runs, noted on stderr."""
+    closure guard; above it only the formula check runs, noted on stderr.
+    A set with more members than the closure guard is refused before
+    any map is built."""
     total, guard = count_maps(n, len(Y)), closure_guard()
+    rank = rank_by_formula(n, Y)
+    if rank > guard:
+        raise GuardExceeded(
+            f"generating set has {rank} members, above the closure guard "
+            f"{guard}")
     if total > guard:
         print(f"note: closure check skipped: {total} elements above the "
               f"closure guard {guard}; generator count checked against the "
@@ -231,7 +238,9 @@ def _cmd_rank(args) -> dict:
     value = methods[args.method]()
     payload = {"rank": value}
     if args.check:
-        names = ["formula", "constructed"]
+        names = ["formula"]
+        if rank_by_formula(args.n, Y) <= closure_guard():
+            names.append("constructed")
         if count_maps(args.n, len(Y)) <= search_guard():
             names.append("brute")
         others = {name: value if name == args.method else methods[name]()

@@ -13,20 +13,10 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Iterable
 
 from .chain import ChainMap, DomainError, PartialMap, RangeSet, kernel
 # unused here; bench/tracer.py reads and wraps this binding
 from .enumeration import enumerate_elements  # noqa: F401
-
-
-def order_ideals(points: Iterable[int]) -> list[frozenset[int]]:
-    """All downward-closed subsets of a chain of points: every prefix.
-
-    The empty set counts; a k-point chain has k+1 order ideals.
-    """
-    pts = tuple(sorted(set(points)))
-    return [frozenset(pts[:t]) for t in range(len(pts) + 1)]
 
 
 def _partial_into(theta: PartialMap, Y: RangeSet) -> None:
@@ -116,18 +106,3 @@ def canonical_order_isomorphism(alpha: ChainMap, beta: ChainMap) -> PartialMap:
         dom.append(alpha(start))
         img.append(beta(start))
     return PartialMap(alpha.n, tuple(dom), tuple(img))
-
-
-def is_bicompletable(theta: PartialMap, Y: RangeSet) -> bool:
-    """Both the map and its inverse admit total extensions into Y.
-
-    Requires an injective map whose domain also lies in Y, so that the
-    inverse is again a partial map into Y.
-    """
-    if not theta.is_injective():
-        raise DomainError("bicompletability needs an injective map")
-    for a in theta.domain:
-        if a not in Y:
-            raise DomainError(
-                f"domain point {a} is outside {list(Y.members)}")
-    return is_completable(theta, Y) and is_completable(theta.inverse(), Y)

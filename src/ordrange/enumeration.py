@@ -19,7 +19,6 @@ from .chain import (
     GuardExceeded,
     RangeSet,
     identity,
-    image,
 )
 
 DEFAULT_SEARCH_GUARD = 60
@@ -212,22 +211,11 @@ def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
             for seq in combinations_with_replacement(Y.members, n)]
 
 
-def enumerate_semigroup(n: int, Y: RangeSet, *, guard: int | None = None) -> SemigroupTable:
+def enumerate_semigroup(n: int, Y: RangeSet) -> SemigroupTable:
     """SemigroupTable of all monotone maps into Y, with stable element ids."""
-    limit = closure_guard() if guard is None else guard
+    limit = closure_guard()
     total = count_maps(n, len(Y))
     if total > limit:
         raise GuardExceeded(
             f"semigroup has {total} elements, above the guard {limit}")
     return SemigroupTable(enumerate_elements(n, Y))
-
-
-def maps_with_image_size(n: int, Y: RangeSet, k: int) -> list[ChainMap]:
-    """The elements whose image has exactly k values.
-
-    There are C(n-1, k-1) * C(r, k) of them: a convex kernel of weight k
-    paired with a k-subset of Y.
-    """
-    if not 1 <= k <= len(Y):
-        raise DomainError(f"image size {k} outside 1..{len(Y)}")
-    return [f for f in enumerate_elements(n, Y) if len(image(f)) == k]

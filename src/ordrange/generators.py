@@ -480,20 +480,11 @@ def generates(elements, table: SemigroupTable) -> bool:
     return len(table.closure(ids)) == len(table)
 
 
-def corank_one_class(table: SemigroupTable, Y: RangeSet, j: int) -> frozenset[int]:
-    """Ids of all elements whose image is Y minus its j-th member."""
-    want = Y.without(j)
-    return frozenset(
-        i for i, el in enumerate(table.elements)
-        if image(el).members == want)
-
-
 # ---------------------------------------------------------------------------
 # minimality oracle
 
 
-def minimal_generating_sets(n: int, Y: RangeSet, *, max_elements: int | None = None,
-                            witness_limit: int | None = None,
+def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = None,
                             restrict: bool | None = None,
                             ) -> tuple[int, list[frozenset[int]]]:
     """Search for a least-size generating set; returns (size, witnesses).
@@ -507,12 +498,13 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, max_elements: int | None = N
     collection stops at ``witness_limit`` sets; minimality is never
     affected because every smaller size is fully exhausted first.
     """
-    guard = search_guard() if max_elements is None else max_elements
+    guard = search_guard()
     total = count_maps(n, len(Y))
     if total > guard:
         raise GuardExceeded(
             f"semigroup has {total} elements, above the guard {guard}")
-    table = enumerate_semigroup(n, Y, guard=max(total, guard))
+    # the search guard never exceeds the closure guard
+    table = enumerate_semigroup(n, Y)
     size = len(table)
     if restrict is None:
         restrict = size > 16
@@ -546,8 +538,7 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, max_elements: int | None = N
     raise AssertionError("the whole semigroup failed to generate itself")
 
 
-def rank_by_search(n: int, Y: RangeSet, *, max_elements: int | None = None) -> int:
+def rank_by_search(n: int, Y: RangeSet) -> int:
     """Minimum cardinality of a generating set, by exhaustive search."""
-    rank, _ = minimal_generating_sets(
-        n, Y, max_elements=max_elements, witness_limit=1)
+    rank, _ = minimal_generating_sets(n, Y, witness_limit=1)
     return rank

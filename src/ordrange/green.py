@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chain import ChainMap, DomainError, RangeSet, image, kernel
+from .chain import ChainMap, DomainError, RangeSet, image, kernel, maps_into
 from .enumeration import SemigroupTable
 from .regularity import is_regular
 
@@ -25,8 +25,12 @@ def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
 
     L: the image for a regular map, the map itself otherwise; R: the
     kernel; H: the map itself (H-trivial); D and J: the image size for a
-    regular map, the kernel otherwise.
+    regular map, the kernel otherwise.  For every relation a map that
+    does not map into Y raises DomainError (DimensionMismatch when it
+    lives on another chain).
     """
+    if not maps_into(alpha, Y):
+        raise DomainError(f"{alpha!r} does not map into {list(Y.members)}")
     if relation == "H":
         return ("el", alpha.images)
     if relation == "R":
@@ -53,8 +57,6 @@ def l_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
 
 def r_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     """Same principal right ideal: equal kernels."""
-    if Y.n != alpha.n or Y.n != beta.n:
-        raise DomainError("mismatched chain sizes")
     return _related("R", alpha, beta, Y)
 
 

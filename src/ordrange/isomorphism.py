@@ -74,8 +74,7 @@ def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) ->
     return True
 
 
-def find_isomorphism(S: SemigroupTable, T: SemigroupTable,
-                     *, max_elements: int | None = None) -> dict[int, int] | None:
+def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | None:
     """Search for an isomorphism S -> T; None when there is none.
 
     Generator images are tried in ascending id order among elements with
@@ -84,7 +83,7 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable,
     expressions and certified against the whole table, so the first hit
     is deterministic and correct.
     """
-    guard = search_guard() if max_elements is None else max_elements
+    guard = search_guard()
     if len(S) > guard or len(T) > guard:
         raise GuardExceeded(
             f"tables of sizes {len(S)}, {len(T)} above the guard {guard}")

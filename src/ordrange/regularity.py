@@ -46,45 +46,3 @@ def is_semigroup_regular(n: int, Y: RangeSet) -> bool:
         or len(Y) == 1
         or Y.members == (1, n)
     )
-
-
-def regularity_conditions(alpha: ChainMap) -> tuple[bool, bool, bool]:
-    """Evaluate, literally, the three order-theoretic regularity conditions.
-
-    1. if the image has an upper bound, it has a maximum;
-    2. if the image has a lower bound, it has a minimum;
-    3. every point outside the image that is neither an upper nor a lower
-       bound of the image has a nearest image value on at least one side.
-
-    On a finite chain each condition holds for every map; the point of
-    evaluating them literally is to confirm exactly that.
-    """
-    points = range(1, alpha.n + 1)
-    im = sorted(set(alpha.images))
-
-    has_upper = any(all(a <= x for a in im) for x in points)
-    has_max = any(all(a <= m for a in im) for m in im)
-    cond1 = (not has_upper) or has_max
-
-    has_lower = any(all(x <= a for a in im) for x in points)
-    has_min = any(all(m <= a for a in im) for m in im)
-    cond2 = (not has_lower) or has_min
-
-    cond3 = True
-    for x in points:
-        if x in im:
-            continue
-        if all(a <= x for a in im) or all(x <= a for a in im):
-            continue
-        below = [a for a in im if a < x]
-        above = [a for a in im if x < a]
-        if not below and not above:
-            cond3 = False
-            break
-        # max of a nonempty finite set always exists; evaluate anyway
-        ok_below = bool(below) and max(below) in below
-        ok_above = bool(above) and min(above) in above
-        if not (ok_below or ok_above):
-            cond3 = False
-            break
-    return (cond1, cond2, cond3)

@@ -1,15 +1,17 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and test helpers.
 
 The oracles here deliberately avoid the library's own enumeration and
 closure code paths: maps are generated as raw tuples and filtered by
 definition, so expected values in the tests come from a second route.
+The helpers build inputs and read results for the tests; the library
+itself has no use for them.
 """
 
 from itertools import combinations, product
 
 import pytest
 
-from ordrange import RangeSet
+from ordrange import PartialMap, RangeSet, enumerate_elements, image
 
 
 def brute_force_maps(n, members):
@@ -42,6 +44,37 @@ def range_sets(n, smallest=1, largest=None):
     for size in range(smallest, largest + 1):
         for members in combinations(range(1, n + 1), size):
             yield RangeSet(n, members)
+
+
+def restrict(f, points):
+    """The restriction of a total map to a nonempty set of points."""
+    dom = tuple(sorted(set(points)))
+    return PartialMap(f.n, dom, tuple(f.images[a - 1] for a in dom))
+
+
+def reflect_partial(theta):
+    """Conjugate of a partial map by the reflection x -> n+1-x."""
+    n = theta.n
+    dom = tuple(n + 1 - a for a in reversed(theta.domain))
+    img = tuple(n + 1 - b for b in reversed(theta.images))
+    return PartialMap(n, dom, img)
+
+
+def refines(fine, coarse):
+    """Every block of one convex partition sits inside a block of another."""
+    return set(coarse.boundaries) <= set(fine.boundaries)
+
+
+def maps_with_image_size(n, Y, k):
+    """The maps into Y whose image has exactly k values."""
+    return [f for f in enumerate_elements(n, Y) if len(image(f)) == k]
+
+
+def corank_one_class(table, Y, j):
+    """Ids of the table's elements whose image is Y minus its j-th member."""
+    want = Y.without(j)
+    return frozenset(i for i, el in enumerate(table.elements)
+                     if image(el).members == want)
 
 
 @pytest.fixture

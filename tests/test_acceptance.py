@@ -11,7 +11,7 @@ regularity sweep up to n=6 and the rank searches at n=5.
 import math
 from itertools import combinations, combinations_with_replacement
 
-from conftest import range_sets
+from conftest import corank_one_class, range_sets
 from ordrange import (
     ChainMap,
     PartialMap,
@@ -49,7 +49,6 @@ from ordrange import (
     regular_elements,
     slide_to_missing_index,
 )
-from ordrange.generators import corank_one_class
 
 
 def report(criterion, text):

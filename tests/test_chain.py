@@ -3,6 +3,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reflect_partial, refines, restrict
 from ordrange import (
     ChainMap,
     ConvexPartition,
@@ -20,9 +21,7 @@ from ordrange import (
     kernel,
     maps_into,
     reflect,
-    reflect_partial,
     reflect_set,
-    restrict,
 )
 
 cm = ChainMap.from_images
@@ -140,7 +139,7 @@ class TestCompose:
     @given(chain_map_pairs())
     def test_kernel_refines(self, fg):
         f, g = fg
-        assert kernel(f).refines(kernel(compose(f, g)))
+        assert refines(kernel(f), kernel(compose(f, g)))
 
 
 class TestImageKernelFix:
@@ -167,21 +166,10 @@ class TestImageKernelFix:
 
 
 class TestRestrict:
-    def test_simple(self):
-        theta = restrict(cm([1, 1, 3]), {1, 3})
-        assert theta.domain == (1, 3) and theta.images == (1, 3)
-
     def test_recovers_seed_of_extension(self):
-        hat = ChainMap(9, (1, 1, 1, 1, 3, 5, 5, 7, 7))
-        theta = restrict(hat, {2, 5, 6, 8})
-        assert theta == PartialMap(9, (2, 5, 6, 8), (1, 3, 5, 7))
-
-    def test_singleton(self):
-        assert restrict(cm([2, 2, 2]), {1}) == PartialMap(3, (1,), (2,))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            restrict(cm([1, 2, 3]), set())
+        theta = PartialMap(9, (2, 5, 6, 8), (1, 3, 5, 7))
+        for extension in (floor_extension, ceiling_extension):
+            assert restrict(extension(theta), theta.domain) == theta
 
 
 class TestCanonicalExtensions:

@@ -135,6 +135,26 @@ class TestGolden:
         assert len(err.splitlines()) == 1
         assert "closure check skipped" in err and "6188" in err
 
+    def test_generating_set_above_closure_guard_refused(self, capsys,
+                                                         monkeypatch):
+        # rank 6442 above the 5000 guard: refused before any map is built
+        argv = ["gens", "-n", "16", "-Y", "1,2,3,4,5,6,7,8"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "6442" in err
+        code, _, _ = run(capsys, "rank", *argv[1:], "--method", "constructed")
+        assert code == 2
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "7000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["size"] == 6442
+
+    def test_rank_check_above_closure_guard(self, capsys):
+        Y = ",".join(map(str, range(1, 16)))
+        code, out, _ = run(capsys, "rank", "-n", "30", "-Y", Y, "--check")
+        assert code == 0
+        assert out.strip() == '{"rank":77558774,"checked":["formula"]}'
+
     def test_rank_check(self, capsys):
         code, out, _ = run(capsys, "rank", "-n", "4", "-Y", "1,3", "--check")
         assert code == 0

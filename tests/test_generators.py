@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from conftest import brute_force_closure, brute_force_maps, range_sets
+from conftest import (
+    brute_force_closure,
+    brute_force_maps,
+    corank_one_class,
+    range_sets,
+)
 from ordrange import (
     ChainMap,
     DomainError,
@@ -32,7 +37,7 @@ from ordrange import (
     slide_to_missing_index,
     suffix_shift_generator,
 )
-from ordrange.generators import corank_one_class, first_missing_point, tail_anchor
+from ordrange.generators import first_missing_point, tail_anchor
 
 cm = ChainMap.from_images
 
@@ -332,9 +337,10 @@ class TestRankSearch:
                         if y in captive_set(n, Y):
                             assert w & corank_one_class(table, Y, pos)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "50")
         with pytest.raises(GuardExceeded):
-            rank_by_search(6, RangeSet(6, (1, 2, 3, 4)), max_elements=50)
+            rank_by_search(6, RangeSet(6, (1, 2, 3, 4)))
 
     def test_env_override(self, monkeypatch):
         Y = RangeSet(3, (1, 3))

@@ -5,6 +5,7 @@ import pytest
 from conftest import range_sets
 from ordrange import (
     ChainMap,
+    DomainError,
     RangeSet,
     SemigroupTable,
     constant,
@@ -101,6 +102,14 @@ class TestPredicates:
         for a, b, ys in cases:
             assert j_related(a, b, ys) == d_related(a, b, ys)
         assert not j_related(cm([2, 2, 2, 3]), cm([2, 3, 3, 3]), Y)
+
+    @pytest.mark.parametrize(
+        "related", [l_related, r_related, h_related, d_related, j_related])
+    @pytest.mark.parametrize("beta", [cm([2, 2, 2]), cm([1, 1])])
+    def test_maps_outside_y_rejected(self, related, beta):
+        # a map with a value outside Y, or one on another chain size
+        with pytest.raises(DomainError):
+            related(cm([1, 1, 1]), beta, RangeSet(3, (1,)))
 
 
 class TestOracleEggBox:

@@ -75,10 +75,11 @@ class TestSearch:
         T = enumerate_semigroup(4, RangeSet(4, (3, 4)))
         assert find_isomorphism(S, T) == find_isomorphism(S, T)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         S = enumerate_semigroup(4, RangeSet(4, (1, 2, 3, 4)))
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "10")
         with pytest.raises(GuardExceeded):
-            find_isomorphism(S, S, max_elements=10)
+            find_isomorphism(S, S)
 
     def test_matches_classification_n3(self):
         for n in (2, 3):

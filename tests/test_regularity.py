@@ -12,7 +12,6 @@ from ordrange import (
     is_regular_by_search,
     is_semigroup_regular,
     regular_elements,
-    regularity_conditions,
 )
 
 cm = ChainMap.from_images
@@ -98,15 +97,3 @@ class TestTrichotomy:
             for Y in range_sets(n):
                 expected = len(regular_elements(n, Y)) == count_maps(n, len(Y))
                 assert is_semigroup_regular(n, Y) == expected
-
-
-class TestOrderConditions:
-    def test_always_true_on_finite_chains(self):
-        for Y in range_sets(4):
-            table = enumerate_semigroup(4, Y)
-            for f in table.elements:
-                assert regularity_conditions(f) == (True, True, True)
-
-    def test_specific_maps(self):
-        assert regularity_conditions(cm([1, 1, 3])) == (True, True, True)
-        assert regularity_conditions(ChainMap(3, (1, 2, 3))) == (True, True, True)

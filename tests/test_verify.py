@@ -2,7 +2,7 @@
 
 import pytest
 
-from ordrange import ChainMap, DomainError, RangeSet, verify
+from ordrange import ChainMap, DomainError, RangeSet, constant, verify
 from ordrange.generators import GeneratingSet, TaggedGenerator
 from ordrange.verify import run_all
 
@@ -17,7 +17,6 @@ def test_run_all_n4_report():
         "ok   rank-search  (10 sets within guard)",
         "ok   word-reconstruction",
         "ok   canonical-order-isomorphism",
-        "ok   bicompletability",
         "ok   isomorphism-classification",
     ]
 
@@ -32,7 +31,6 @@ def test_run_all_one_set_report():
         "ok   rank-search  (1 sets within guard)",
         "ok   word-reconstruction",
         "ok   canonical-order-isomorphism",
-        "ok   bicompletability",
     ]
 
 
@@ -46,7 +44,6 @@ def test_run_all_oversize_and_capped_notes():
         "ok   rank-search  (0 sets within guard)",
         "ok   word-reconstruction  (skipped for n > 5)",
         "ok   canonical-order-isomorphism",
-        "ok   bicompletability  (skipped for n > 5)",
     ]
 
 
@@ -79,6 +76,42 @@ def test_rank_constructed_checks_closure(monkeypatch):
     assert report["failures"] == 1
     assert ("FAIL rank-constructed  (constructed set fails to generate "
             "Y=[1, 2, 4])") in report["lines"]
+
+
+@pytest.mark.parametrize("value", [1, 2])
+def test_canonical_certificate_checks_the_product(monkeypatch, value):
+    """An extension that does not carry a to its kernel representative,
+    inside Y (1) or outside it (2), fails the certificate."""
+    monkeypatch.setattr(verify, "build_extension",
+                        lambda theta, Y: constant(theta.n, value))
+    report = run_all(5, [RangeSet(5, (1, 3, 5))])
+    assert ("FAIL canonical-order-isomorphism  (roundtrip fails in "
+            "Y=[1, 3, 5])") in report["lines"]
+
+
+def test_canonical_certificate_is_linear(monkeypatch):
+    """Two bijections per element: to its kernel representative and back."""
+    calls = []
+    build = verify.canonical_order_isomorphism
+
+    def counted(alpha, beta):
+        calls.append(1)
+        return build(alpha, beta)
+
+    monkeypatch.setattr(verify, "canonical_order_isomorphism", counted)
+    assert run_all(6)["failures"] == 0
+    assert len(calls) == 7306
+
+
+@pytest.mark.parametrize("name,patch", [
+    ("count_extensions", lambda theta, Y: 1),
+    ("build_extension", lambda theta, Y: constant(theta.n, Y.members[0])),
+])
+def test_completability_checks_witness_and_count(monkeypatch, name, patch):
+    monkeypatch.setattr(verify, name, patch)
+    report = run_all(4, [RangeSet(4, (1, 3))])
+    assert any(line.startswith("FAIL completability-criterion")
+               for line in report["lines"])
 
 
 @pytest.mark.parametrize("n", [0, -1])
