@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n2", type=int, default=None,
                    help="chain size for Z (defaults to -n)")
     s.add_argument("--search", action="store_true",
-                   help="also run the brute-force search and report a mapping")
+                   help="also run the certified isomorphism search and report "
+                        "a mapping")
 
     s = subs.add_parser("verify", help="run every oracle-vs-characterization "
                                        "cross-check")
@@ -280,7 +281,7 @@ def _cmd_iso(args) -> dict:
         phi = find_isomorphism(S, T)
         if (phi is not None) != (cond is not None):
             raise _CheckFailure(
-                "classification and brute-force search disagree")
+                "classification and isomorphism search disagree")
         if phi is not None:
             payload["mapping"] = [[a, phi[a]] for a in sorted(phi)]
             theta = induced_range_bijection(phi, S, T, Y, Z)

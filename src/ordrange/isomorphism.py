@@ -3,13 +3,19 @@
 The classification over finite chains is a trichotomy: the range sets
 are both singletons (trivial semigroups), or the chains have equal size
 and the range sets are equal, or equal size and mirror images of each
-other under the chain reflection.  The brute-force search is kept fully
-independent: it assigns images to a generating set, extends through
-recorded product expressions, and verifies the whole multiplication
-table, so a successful answer is a certified isomorphism.
+other under the chain reflection.  The search is kept fully independent
+of that classification: it individualizes and refines element colourings
+over the two product tables (McKay and Piperno, "Practical graph
+isomorphism, II", 2014; Araújo, von Bünau, Mitchell and Neunhöffer,
+"Computing automorphisms of semigroups", 2010), returns the
+lexicographically least isomorphism among those that keep a few element
+invariants, and verifies it against the whole multiplication table, so a
+successful answer is a certified isomorphism.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .chain import (
     DomainError,
@@ -50,18 +56,6 @@ def _profile(table: SemigroupTable, i: int) -> tuple:
     return (idem, table.is_regular_id(i), len(image(el)), len(fixed_points(el)))
 
 
-def _greedy_generators(table: SemigroupTable) -> list[int]:
-    gens: list[int] = []
-    have: frozenset[int] = frozenset()
-    for i in range(len(table)):
-        if i not in have:
-            gens.append(i)
-            have = table.closure(gens)
-            if len(have) == len(table):
-                break
-    return gens
-
-
 def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) -> bool:
     """Full multiplication-table check of a candidate bijection."""
     if len(phi) != len(S) or len(set(phi.values())) != len(S) or len(S) != len(T):
@@ -74,14 +68,53 @@ def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) ->
     return True
 
 
+def _product_table(table: SemigroupTable) -> tuple[list, list[list[int]]]:
+    """Rows (a*b over b) and columns (b*a over b) of every element a."""
+    columns, slots = table.columns_of(range(len(table)))
+    cols = [columns[s] for s in slots]
+    return list(zip(*cols)), cols
+
+
+def _refine(tables, colours):
+    """Refine the colourings of S and T together until they are stable.
+
+    The new colour of a is its old colour with the multiset over b of
+    (colour b, colour a*b, colour b*a); one naming dict serves both
+    tables, so equal names mean equal keys.  None when the two colour
+    multisets part ways: no isomorphism respects the colourings.
+    """
+    count = len(set(colours[0]))
+    while True:
+        names: dict = {}
+        refined = []
+        for (rows, cols), c in zip(tables, colours):
+            paint = c.__getitem__
+            refined.append([names.setdefault((c[a], tuple(sorted(zip(
+                c, map(paint, rows[a]), map(paint, cols[a]))))), len(names))
+                for a in range(len(c))])
+        colours = refined
+        if sorted(colours[0]) != sorted(colours[1]):
+            return None
+        if len(names) == count:
+            return colours
+        count = len(names)
+
+
 def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | None:
     """Search for an isomorphism S -> T; None when there is none.
 
-    Generator images are tried in ascending id order among elements with
-    a matching invariant profile (idempotency, regularity, image size,
-    fixed-point count), each full assignment is extended through product
-    expressions and certified against the whole table, so the first hit
-    is deterministic and correct.
+    Individualize and refine over the two product tables.  Elements start
+    coloured by an invariant profile (idempotency, regularity, image size,
+    fixed-point count), and the colourings are refined by how colours
+    multiply until stable.  The search then branches on the lowest id of
+    S whose colour class is not a single element, trying the T elements
+    of that colour in ascending id order; both get one fresh colour and
+    the colourings are refined again.  A discrete colouring fixes the
+    map, which is certified against the whole table.  Every element below
+    the branch point already has a forced image and pruning uses only
+    isomorphism invariants, so maps are tried in lexicographic order of
+    (phi(0), ..., phi(N-1)): the answer is the lexicographically least
+    isomorphism that keeps the profile.
     """
     guard = search_guard()
     if len(S) > guard or len(T) > guard:
@@ -89,50 +122,34 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
             f"tables of sizes {len(S)}, {len(T)} above the guard {guard}")
     if len(S) != len(T):
         return None
-    prof_s = [_profile(S, i) for i in range(len(S))]
-    prof_t = [_profile(T, i) for i in range(len(T))]
-    if sorted(prof_s) != sorted(prof_t):
+    names: dict = {}
+    start = [[names.setdefault(_profile(X, i), len(names)) for i in range(len(X))]
+             for X in (S, T)]
+    if sorted(start[0]) != sorted(start[1]):
         return None
-    gens = _greedy_generators(S)
-    order = S.expressions(gens)
-    candidates = [
-        [t for t in range(len(T)) if prof_t[t] == prof_s[g]] for g in gens
-    ]
-
-    def extend(assign: list[int]) -> dict[int, int] | None:
-        phi = {g: v for g, v in zip(gens, assign)}
-        if len(set(assign)) != len(assign):
-            return None
-        for entry in order:
-            if len(entry) == 1:
-                continue
-            p, x, g = entry
-            v = T.product(phi[x], phi[g])
-            if p in phi:
-                if phi[p] != v:
-                    return None
-            else:
-                phi[p] = v
-        if is_isomorphism(phi, S, T):
-            return phi
-        return None
-
-    def dfs(k: int, assign: list[int], used: set[int]) -> dict[int, int] | None:
-        if k == len(gens):
-            return extend(assign)
-        for t in candidates[k]:
-            if t in used:
-                continue
-            assign.append(t)
-            used.add(t)
-            got = dfs(k + 1, assign, used)
-            if got is not None:
-                return got
-            assign.pop()
-            used.remove(t)
-        return None
-
-    return dfs(0, [], set())
+    tables = [_product_table(S), _product_table(T)]
+    stack = [start]
+    while stack:
+        colours = _refine(tables, stack.pop())
+        if colours is None:
+            continue
+        cs, ct = colours
+        sizes = Counter(cs)
+        v = next((a for a, c in enumerate(cs) if sizes[c] > 1), None)
+        if v is None:
+            where = {c: t for t, c in enumerate(ct)}
+            phi = {a: where[c] for a, c in enumerate(cs)}
+            if is_isomorphism(phi, S, T):
+                return phi
+            continue
+        fresh = len(sizes)
+        branches = []
+        for t, c in enumerate(ct):
+            if c == cs[v]:
+                branches.append([cs[:v] + [fresh] + cs[v + 1:],
+                                 ct[:t] + [fresh] + ct[t + 1:]])
+        stack.extend(reversed(branches))  # pop the lowest t first
+    return None
 
 
 def induced_range_bijection(phi: dict[int, int], S: SemigroupTable,

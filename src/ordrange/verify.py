@@ -9,7 +9,9 @@ semigroup: each element a and the first element c of its kernel class
 are joined by the extension s of the fiber-matching bijection, and the
 table product a * s must give c (and back), a witness that a R c.
 Checks whose cost explodes with the chain size are skipped (with a note)
-beyond the sizes they are meant for; a skip is not a failure.
+beyond the sizes they are meant for; a skip is not a failure.  The
+pairwise isomorphism sweep covers every range set whose table is inside
+the search guard.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .words import express_in_generators
 GREEN_LIMIT = 130          # largest table the green-oracle sweep covers
 COMPLETABILITY_LIMIT = 5   # chain size cap for the partial-map sweep
 WORDS_LIMIT = 5            # chain size cap for full word reconstruction
-ISO_LIMIT = 4              # chain size cap for the pairwise search sweep
 BRUTE_RANK_LIMIT = 21      # table size cap for the subset-search oracle here
 
 
@@ -68,7 +69,8 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     if n < 1:
         raise DomainError(f"chain size must be positive, got {n}")
     Ys = _all_range_sets(n) if sets is None else sets
-    brute_cap = min(BRUTE_RANK_LIMIT, search_guard())
+    guard = search_guard()
+    brute_cap = min(BRUTE_RANK_LIMIT, guard)
 
     def searchable(Y: RangeSet) -> bool:
         return 1 < len(Y) < n and count_maps(n, len(Y)) <= brute_cap
@@ -169,7 +171,9 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                     yield f"roundtrip fails in Y={list(Y.members)}"
 
     def isomorphism(Y, table):
-        for Z, T in pairs:
+        if Y.members not in small:
+            return
+        for Z, T in small.values():
             expected = are_isomorphic(n, Y, n, Z)
             if expected != (find_isomorphism(table, T) is not None):
                 yield f"Y={list(Y.members)} Z={list(Z.members)}"
@@ -192,11 +196,15 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         capped("word-reconstruction", words, WORDS_LIMIT),
         ("canonical-order-isomorphism", canonical, ""),
     ]
-    pairs = ((Y, enumerate_semigroup(n, Y)) for Y in Ys)
+    small: dict = {}  # the tables the pairwise search sweep reads
     if sets is None:
-        checks.append(capped("isomorphism-classification", isomorphism, ISO_LIMIT))
-        if n <= ISO_LIMIT:
-            pairs = list(pairs)  # the pairwise check reads every table
+        small = {Y.members: (Y, enumerate_semigroup(n, Y)) for Y in Ys
+                 if count_maps(n, len(Y)) <= guard}
+        above = len(Ys) - len(small)
+        checks.append(("isomorphism-classification", isomorphism,
+                       f"skipped {above} sets above the search guard"
+                       if above else ""))
+    pairs = (small.get(Y.members) or (Y, enumerate_semigroup(n, Y)) for Y in Ys)
 
     first_failure: dict[str, str] = {}
     for Y, table in pairs:

@@ -86,6 +86,20 @@ class TestGolden:
         assert payload["mapping"] is not None
         assert payload["induced_theta"] is not None
 
+    @pytest.mark.parametrize("n,Y,Z", [("6", "1,2,4", "3,5,6"),
+                                       ("7", "1,2,3", "5,6,7")])
+    def test_iso_search_ends_on_mirror_pairs(self, capsys, n, Y, Z):
+        code, out, _ = run(capsys, "iso", "-n", n, "-Y", Y, "-Z", Z, "--search")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["condition"] == 3
+        S = ordrange.enumerate_semigroup(int(n), ordrange.RangeSet(
+            int(n), tuple(map(int, Y.split(",")))))
+        T = ordrange.enumerate_semigroup(int(n), ordrange.RangeSet(
+            int(n), tuple(map(int, Z.split(",")))))
+        phi = dict(payload["mapping"])
+        assert ordrange.is_isomorphism(phi, S, T)
+
     def test_iso_negative(self, capsys):
         code, out, _ = run(capsys, "iso", "-n", "4", "-Y", "1,2", "-Z", "1,3",
                            "--search")

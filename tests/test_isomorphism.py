@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+import ordrange.isomorphism as search_module
 from conftest import range_sets
 from ordrange import (
     GuardExceeded,
@@ -13,7 +17,9 @@ from ordrange import (
     is_isomorphism,
     isomorphism_condition,
     reflect,
+    reflect_set,
 )
+from ordrange.enumeration import count_maps, search_guard
 
 
 class TestClassification:
@@ -90,6 +96,54 @@ class TestSearch:
                     expected = are_isomorphic(n, Y, n, Z)
                     got = find_isomorphism(tables[Y.members], tables[Z.members])
                     assert (got is not None) == expected
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_self_and_mirror_pairs_certified(self, n):
+        """Every self and mirror pair inside the search guard ends with a
+        certified map."""
+        for Y in range_sets(n):
+            if count_maps(n, len(Y)) > search_guard():
+                continue
+            S = enumerate_semigroup(n, Y)
+            for Z in (Y, reflect_set(Y)):
+                T = enumerate_semigroup(n, Z)
+                phi = find_isomorphism(S, T)
+                assert phi is not None and is_isomorphism(phi, S, T)
+
+    def test_same_maps_as_the_generator_search_n4(self):
+        """The 225 answers at n = 4, pinned from the earlier search over
+        generator images: the least isomorphism is unchanged."""
+        sets = list(range_sets(4))
+        tables = {Y.members: enumerate_semigroup(4, Y) for Y in sets}
+        lines = []
+        for Y in sets:
+            for Z in sets:
+                phi = find_isomorphism(tables[Y.members], tables[Z.members])
+                lines.append(json.dumps([
+                    list(Y.members), list(Z.members),
+                    None if phi is None else [phi[a] for a in range(len(phi))]]))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("0d7377264e018a70c92c5973d252821066c5fd2ff8bc7534"
+                          "bac735e5c4df625f")
+
+    def test_least_map_with_many_automorphisms(self):
+        S = enumerate_semigroup(9, RangeSet(9, (1, 5)))
+        T = enumerate_semigroup(9, RangeSet(9, (5, 9)))
+        phi = find_isomorphism(S, T)
+        assert [phi[a] for a in range(len(S))] == [9, 5, 6, 7, 8, 1, 2, 3, 4, 0]
+
+    def test_every_answer_is_certified(self, monkeypatch):
+        """Only maps the full-table check accepts are returned, and the
+        check is looked up on the module, where the bench tracer wraps it."""
+        monkeypatch.setattr(search_module, "is_isomorphism",
+                            lambda phi, S, T: False)
+        S = enumerate_semigroup(4, RangeSet(4, (1, 2)))
+        T = enumerate_semigroup(4, RangeSet(4, (3, 4)))
+        assert find_isomorphism(S, T) is None
+
+    def test_self_map_is_the_identity(self):
+        S = enumerate_semigroup(6, RangeSet(6, (1, 6)))
+        assert find_isomorphism(S, S) == {a: a for a in range(len(S))}
 
 
 class TestInducedBijection:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ordrange import ChainMap, DomainError, RangeSet, constant, verify
+from ordrange import ChainMap, DomainError, RangeSet, constant, reflect, verify
 from ordrange.generators import GeneratingSet, TaggedGenerator
 from ordrange.verify import run_all
 
@@ -45,6 +45,39 @@ def test_run_all_oversize_and_capped_notes():
         "ok   word-reconstruction  (skipped for n > 5)",
         "ok   canonical-order-isomorphism",
     ]
+
+
+def test_run_all_n5_report():
+    """Lines captured before the isomorphism sweep reached n = 5; only its
+    note is new."""
+    assert run_all(5)["lines"] == [
+        "ok   cardinality  (31 sets)",
+        "ok   regularity-oracle-equivalence",
+        "ok   green-oracle-equivalence",
+        "ok   completability-criterion",
+        "ok   rank-constructed",
+        "ok   rank-search  (20 sets within guard)",
+        "ok   word-reconstruction",
+        "ok   canonical-order-isomorphism",
+        "ok   isomorphism-classification  (skipped 1 sets above the search guard)",
+    ]
+
+
+def test_isomorphism_sweep_checks_mirror_pairs(monkeypatch):
+    """A search that misses every mirror isomorphism fails the sweep."""
+    search = verify.find_isomorphism
+
+    def blind(S, T):
+        mirrored = {reflect(f).images for f in S.elements}
+        if S is not T and mirrored == set(T.index):
+            return None
+        return search(S, T)
+
+    monkeypatch.setattr(verify, "find_isomorphism", blind)
+    report = run_all(5)
+    assert report["failures"] == 1
+    assert ("FAIL isomorphism-classification  (Y=[1] Z=[5])"
+            in report["lines"])
 
 
 def test_one_table_per_range_set(monkeypatch):

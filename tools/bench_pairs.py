@@ -1,0 +1,107 @@
+"""Paired benchmark runs: a parent commit against the working tree.
+
+    python3 tools/bench_pairs.py --workload cli_queries --pairs 10 \\
+        --seed 1 --seconds 25 --parent HEAD --tag 7
+
+Runs ``bench/run.py`` for one workload ``--pairs`` times on each side:
+the parent's committed files, extracted with ``git archive`` into a
+temporary directory, and the working tree.  Pair i uses seed
+``--seed + i`` on both sides, and the side that runs first alternates
+from pair to pair, so a slow spell of the machine does not fall on one
+side only.  Writes ``BENCH_<tag>.json`` at the repository root with
+every result line, each side's median and quartiles per end-to-end
+metric of ``BENCHMARK.json``, and the number of pairs the change won
+(strictly better than the parent in the same pair).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    details, result = proc.stdout.strip().splitlines()[-2:]
+    return {**json.loads(details), **json.loads(result)}
+
+
+def _extract(rev: str, into: Path) -> str:
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return commit
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--parent", default="HEAD", help="git revision to compare with")
+    p.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp)
+        commit = _extract(args.parent, parent)
+        for i in range(args.pairs):
+            seed = args.seed + i
+            sides = [("parent", parent), ("change", ROOT)]
+            if i % 2:
+                sides.reverse()
+            for order, (side, checkout) in enumerate(sides):
+                run = _run(checkout, args.workload, seed, args.seconds)
+                runs.append({"pair": i, "seed": seed, "side": side,
+                             "order": order, "run": run})
+                value = run["metrics"]["wall_s"]["value"]
+                print(f"pair {i} seed {seed} {side}: wall_s {value:.3f}",
+                      file=sys.stderr)
+
+    summary = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        value = {(r["pair"], r["side"]): r["run"]["metrics"][name]["value"]
+                 for r in runs}
+        per_side = {side: [value[i, side] for i in range(args.pairs)]
+                    for side in ("parent", "change")}
+        wins = sum((c < q) if lower else (c > q)
+                   for q, c in zip(per_side["parent"], per_side["change"]))
+        summary[name] = {"better": metric["better"], "wins": wins,
+                         **{side: _spread(v) for side, v in per_side.items()}}
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps({
+        "workload": args.workload, "parent": commit, "pairs": args.pairs,
+        "seconds": args.seconds, "summary": summary, "runs": runs,
+    }, indent=1) + "\n")
+    print(json.dumps({name: {"wins": s["wins"],
+                             "parent": s["parent"]["median"],
+                             "change": s["change"]["median"]}
+                      for name, s in summary.items()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
