@@ -1,9 +1,11 @@
-"""Enumeration of the semigroup of monotone self-maps with restricted range.
+"""Enumeration of O(n, Y), the monotone self-maps with range in Y.
 
 For a chain of size n and a range set Y, the semigroup consists of all
 weakly increasing length-n sequences over the members of Y; there are
 C(n+r-1, r-1) of them for r = |Y|.  Enumeration order is fixed as
 lexicographic on image sequences so element ids are stable across runs.
+``SemigroupTable(n, Y)`` is the one table built on it: O(n, Y) and no
+other set of maps.
 """
 
 from __future__ import annotations
@@ -11,15 +13,9 @@ from __future__ import annotations
 import math
 import os
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .chain import (
-    ChainMap,
-    DomainError,
-    GuardExceeded,
-    RangeSet,
-    identity,
-)
+from .chain import ChainMap, DomainError, GuardExceeded, RangeSet
 
 DEFAULT_SEARCH_GUARD = 60
 DEFAULT_CLOSURE_GUARD = 5000
@@ -63,46 +59,30 @@ def count_maps(n: int, r: int) -> int:
 
 
 class SemigroupTable:
-    """An enumerated finite semigroup of ChainMaps with id-based products.
+    """The semigroup O(n, Y) of all monotone maps on {1..n} into Y, with
+    id-based products.
 
-    Elements are pairwise distinct and the set must be closed under
-    composition.  Every element takes its values in U, the union of all
-    their values, so the product f*g reads g only through its
-    restriction to U: elements with equal restrictions share one product
-    column, and there are at most C(2|U|-1, |U|-1) columns.  A column is
-    filled on first use.  N distinct maps into U with N = C(n+|U|-1, |U|-1)
-    are all of them, hence closed; any other element list has every
-    column filled at construction, which is its closure check.
+    Element ids follow the lexicographic order of image sequences.  The
+    product f*g reads g only through its restriction to Y, a monotone
+    self-map of Y, so elements with equal restrictions share one product
+    column: there are C(2r-1, r-1) columns for r = |Y|, each filled on
+    first use.
     """
 
-    def __init__(self, elements: Sequence[ChainMap]):
-        self.elements: tuple[ChainMap, ...] = tuple(elements)
-        if not self.elements:
-            raise DomainError("a semigroup table needs at least one element")
-        self.n = self.elements[0].n
-        self.index: dict[tuple[int, ...], int] = {}
-        for i, el in enumerate(self.elements):
-            if el.n != self.n:
-                raise DomainError("mixed chain sizes in one table")
-            if el.images in self.index:
-                raise DomainError(f"duplicate element {el!r}")
-            self.index[el.images] = i
-        ident = identity(self.n).images
-        self.has_identity = ident in self.index
-        values = sorted({v for el in self.elements for v in el.images})
+    def __init__(self, n: int, Y: RangeSet):
+        self.n = n
+        self.elements: tuple[ChainMap, ...] = tuple(enumerate_elements(n, Y))
+        self.index = {el.images: i for i, el in enumerate(self.elements)}
         keys: dict[tuple[int, ...], int] = {}
         self._col_of: list[int] = []  # column id of each element
         self._rep: list[int] = []  # one element id per column
         for i, el in enumerate(self.elements):
-            key = tuple(el.images[u - 1] for u in values)
+            key = tuple(el.images[y - 1] for y in Y.members)
             if key not in keys:
                 keys[key] = len(self._rep)
                 self._rep.append(i)
             self._col_of.append(keys[key])
         self._cols: list[list[int] | None] = [None] * len(self._rep)
-        if len(self.elements) != count_maps(self.n, len(values)):
-            for c in range(len(self._cols)):
-                self._column(c)  # raises if any product escapes
 
     def _column(self, c: int) -> list[int]:
         """Ids of f * g over all f, for the elements g of column c."""
@@ -110,20 +90,12 @@ class SemigroupTable:
         if col is None:
             pick = (0,) + self.elements[self._rep[c]].images  # 1-based
             index = self.index
-            try:
-                col = [index[tuple(map(pick.__getitem__, f.images))]
-                       for f in self.elements]
-            except KeyError:
-                raise DomainError(
-                    "a product escapes the table; not closed") from None
-            self._cols[c] = col
+            col = self._cols[c] = [index[tuple(map(pick.__getitem__, f.images))]
+                                   for f in self.elements]
         return col
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def id_of(self, el: ChainMap) -> int:
         try:
@@ -156,11 +128,6 @@ class SemigroupTable:
             slots.append(position[c])
         return columns, slots
 
-    def identity_id(self) -> int | None:
-        if not self.has_identity:
-            return None
-        return self.index[identity(self.n).images]
-
     def is_regular_id(self, a: int) -> bool:
         """Regularity by definition: a*b*a == a for some element b.
 
@@ -171,36 +138,25 @@ class SemigroupTable:
         return any(col_a[(col or self._column(c))[a]] == a  # None: not filled yet
                    for c, col in enumerate(self._cols))
 
-    def expressions(self, generator_ids: Iterable[int]) -> list[tuple[int, ...]]:
-        """Breadth-first closure of the generators, in discovery order.
+    def closure(self, generator_ids: Iterable[int]) -> frozenset[int]:
+        """Ids of all products of the given generators (any length >= 1).
 
-        Each entry is (g,) for a generator, in ascending id order, or
-        (p, x, g) for an element p first reached as x * g, where x
-        appears earlier in the order and g is a generator.
+        A breadth-first search that multiplies each element reached on
+        the right by the distinct columns of the generators.
         """
-        gens = sorted(set(generator_ids))
-        for g in gens:
+        reached = set(generator_ids)
+        for g in reached:
             if not 0 <= g < len(self.elements):
                 raise DomainError(f"generator id {g} out of range")
-        order: list[tuple[int, ...]] = [(g,) for g in gens]
-        right = [(g, self._column(self._col_of[g])) for g in gens]
-        seen = set(gens)
-        frontier = gens
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g, col in right:
-                    p = col[x]
-                    if p not in seen:
-                        seen.add(p)
-                        order.append((p, x, g))
-                        fresh.append(p)
-            frontier = fresh
-        return order
-
-    def closure(self, generator_ids: Iterable[int]) -> frozenset[int]:
-        """Ids of all products of the given generators (any length >= 1)."""
-        return frozenset(entry[0] for entry in self.expressions(generator_ids))
+        columns, _ = self.columns_of(reached)
+        todo = list(reached)
+        for x in todo:  # grows while it is read
+            for col in columns:
+                p = col[x]
+                if p not in reached:
+                    reached.add(p)
+                    todo.append(p)
+        return frozenset(reached)
 
 
 def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
@@ -211,11 +167,17 @@ def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
             for seq in combinations_with_replacement(Y.members, n)]
 
 
-def enumerate_semigroup(n: int, Y: RangeSet) -> SemigroupTable:
-    """SemigroupTable of all monotone maps into Y, with stable element ids."""
+def check_closure_guard(n: int, r: int) -> None:
+    """Refuse, before any work, a table of maps into an r-element set
+    that is larger than the closure guard."""
     limit = closure_guard()
-    total = count_maps(n, len(Y))
+    total = count_maps(n, r)
     if total > limit:
         raise GuardExceeded(
             f"semigroup has {total} elements, above the guard {limit}")
-    return SemigroupTable(enumerate_elements(n, Y))
+
+
+def enumerate_semigroup(n: int, Y: RangeSet) -> SemigroupTable:
+    """The table of O(n, Y) with stable element ids, inside the closure guard."""
+    check_closure_guard(n, len(Y))
+    return SemigroupTable(n, Y)

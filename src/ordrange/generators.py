@@ -33,6 +33,8 @@ from .chain import (
     image,
     kernel,
     maps_into,
+    reflect,
+    reflect_set,
 )
 from .enumeration import (
     SemigroupTable,
@@ -168,15 +170,13 @@ def suffix_shift_generator(n: int, Y: RangeSet, j: int) -> ChainMap:
     """Mirror of the prefix shift for a top-end run; misses y_r.
 
     Defined for 2 <= j <= r-1: members up to y_{j-1} stay fixed, the
-    tail from y_{j+1} on shifts down one slot; floor extension.
+    tail from y_{j+1} on shifts down one slot.  It is the reflection of
+    the prefix shift of the mirrored set at index r+2-j.
     """
     r = len(Y)
     if not 2 <= j <= r - 1:
         raise DomainError(f"index {j} outside 2..{r - 1}")
-    ys = Y.members
-    dom = ys[: j - 1] + ys[j:]
-    img = ys[: j - 1] + ys[j - 1: r - 1]
-    return floor_extension(PartialMap(n, dom, img))
+    return reflect(prefix_shift_generator(n, reflect_set(Y), r + 2 - j))
 
 
 def corank_one_generator(n: int, Y: RangeSet, t: int) -> ChainMap:
@@ -382,17 +382,9 @@ def tail_anchor(n: int, Y: RangeSet) -> int:
     """Position j such that Y holds exactly the run n-r+j..n at its top.
 
     Equals r+1 when n is outside Y, and 1 when Y is one solid run
-    ending at n.
+    ending at n.  Read off the least point missing from the mirrored set.
     """
-    r = len(Y)
-    if n not in Y:
-        return r + 1
-    run = 1
-    while run < r and (n - run) in Y:
-        run += 1
-    if (n - run) in Y:  # run == r and still inside: solid run
-        raise DomainError("the range set covers the whole chain")
-    return r + 1 - run
+    return len(Y) + 2 - first_missing_point(n, reflect_set(Y))
 
 
 def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True

@@ -8,9 +8,8 @@ of that classification: it individualizes and refines element colourings
 over the two product tables (McKay and Piperno, "Practical graph
 isomorphism, II", 2014; Araújo, von Bünau, Mitchell and Neunhöffer,
 "Computing automorphisms of semigroups", 2010), returns the
-lexicographically least isomorphism among those that keep a few element
-invariants, and verifies it against the whole multiplication table, so a
-successful answer is a certified isomorphism.
+lexicographically least isomorphism, and verifies it against the whole
+multiplication table, so a successful answer is a certified isomorphism.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .chain import (
     GuardExceeded,
     RangeSet,
     constant,
-    fixed_points,
-    image,
     reflect_set,
 )
 from .enumeration import SemigroupTable, search_guard
@@ -48,12 +45,6 @@ def isomorphism_condition(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> int | N
 
 def are_isomorphic(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> bool:
     return isomorphism_condition(n1, Y, n2, Z) is not None
-
-
-def _profile(table: SemigroupTable, i: int) -> tuple:
-    el = table.elements[i]
-    idem = table.product(i, i) == i
-    return (idem, table.is_regular_id(i), len(image(el)), len(fixed_points(el)))
 
 
 def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) -> bool:
@@ -104,8 +95,7 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
     """Search for an isomorphism S -> T; None when there is none.
 
     Individualize and refine over the two product tables.  Elements start
-    coloured by an invariant profile (idempotency, regularity, image size,
-    fixed-point count), and the colourings are refined by how colours
+    coloured by idempotency, and the colourings are refined by how colours
     multiply until stable.  The search then branches on the lowest id of
     S whose colour class is not a single element, trying the T elements
     of that colour in ascending id order; both get one fresh colour and
@@ -113,8 +103,8 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
     map, which is certified against the whole table.  Every element below
     the branch point already has a forced image and pruning uses only
     isomorphism invariants, so maps are tried in lexicographic order of
-    (phi(0), ..., phi(N-1)): the answer is the lexicographically least
-    isomorphism that keeps the profile.
+    (phi(0), ..., phi(N-1)).  Every isomorphism preserves idempotency, so
+    the answer is the lexicographically least isomorphism.
     """
     guard = search_guard()
     if len(S) > guard or len(T) > guard:
@@ -122,9 +112,7 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
             f"tables of sizes {len(S)}, {len(T)} above the guard {guard}")
     if len(S) != len(T):
         return None
-    names: dict = {}
-    start = [[names.setdefault(_profile(X, i), len(names)) for i in range(len(X))]
-             for X in (S, T)]
+    start = [[int(X.product(i, i) == i) for i in range(len(X))] for X in (S, T)]
     if sorted(start[0]) != sorted(start[1]):
         return None
     tables = [_product_table(S), _product_table(T)]

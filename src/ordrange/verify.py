@@ -11,7 +11,9 @@ table product a * s must give c (and back), a witness that a R c.
 Checks whose cost explodes with the chain size are skipped (with a note)
 beyond the sizes they are meant for; a skip is not a failure.  The
 pairwise isomorphism sweep covers every range set whose table is inside
-the search guard.
+the search guard.  The closure guard is applied to the largest requested
+set before any work starts; for a sweep of every set that is the whole
+chain.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ from .completability import (
     count_extensions,
     is_completable,
 )
-from .enumeration import count_maps, enumerate_semigroup, search_guard
+from .enumeration import (
+    check_closure_guard,
+    count_maps,
+    enumerate_semigroup,
+    search_guard,
+)
 from .generators import (
     captive_set,
     generates,
@@ -68,6 +75,7 @@ def _partial_maps_into(n: int, Y: RangeSet):
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     if n < 1:
         raise DomainError(f"chain size must be positive, got {n}")
+    check_closure_guard(n, n if sets is None else max(map(len, sets), default=1))
     Ys = _all_range_sets(n) if sets is None else sets
     guard = search_guard()
     brute_cap = min(BRUTE_RANK_LIMIT, guard)

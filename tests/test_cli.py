@@ -292,6 +292,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "-n", "4", "-Y", "1,3")
         assert code == 0
 
+    def test_whole_chain_above_the_closure_guard(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "8", "--all")
+        assert code == 2
+        assert out == ""
+        assert err == "error: semigroup has 6435 elements, above the guard 5000\n"
+
 
 class TestModuleEntry:
     @staticmethod

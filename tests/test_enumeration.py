@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from conftest import brute_force_maps, maps_with_image_size, range_sets
+from conftest import (
+    brute_force_closure,
+    brute_force_maps,
+    maps_with_image_size,
+    range_sets,
+)
 from ordrange import (
     ChainMap,
     DomainError,
@@ -13,9 +18,8 @@ from ordrange import (
     count_maps,
     enumerate_elements,
     enumerate_semigroup,
-    identity,
-    image,
-    regular_elements,
+    full_image_maps,
+    minimum_generating_set,
 )
 
 
@@ -107,53 +111,61 @@ class TestTable:
                 assert table.elements[table.product(i, j)] == compose(f, g)
 
     def test_lazy_columns_match_compose(self):
-        # all maps into Y: closed by count, columns filled on first use
+        # columns filled on first use
         table = enumerate_semigroup(5, RangeSet(5, (1, 2, 4)))
         for i, f in enumerate(table.elements):
             for j, g in enumerate(table.elements):
                 assert table.elements[table.product(i, j)] == compose(f, g)
 
-    def test_closed_subset_fills_every_column(self):
-        # a proper closed subset is checked by filling every column
-        table = SemigroupTable(regular_elements(4, RangeSet(4, (2, 3))))
-        assert len(table) == 3
-        for i, f in enumerate(table.elements):
-            for j, g in enumerate(table.elements):
-                assert table.elements[table.product(i, j)] == compose(f, g)
-
     def test_columns_of_lists_each_distinct_column_once(self):
-        # restriction to Y = {1, 3, 4} is onto O_3, so 10 distinct columns
+        # one column per monotone self-map of Y: C(2r-1, r-1) of them
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                table = enumerate_semigroup(n, Y)
+                ids = range(len(table))
+                columns, slot = table.columns_of(ids)
+                r = len(Y)
+                assert len({tuple(col) for col in columns}) == len(columns) \
+                    == math.comb(2 * r - 1, r - 1), (n, Y)
+                for j in ids:
+                    assert columns[slot[j]] == [table.product(i, j) for i in ids]
         table = enumerate_semigroup(4, RangeSet(4, (1, 3, 4)))
-        ids = range(len(table))
-        columns, slot = table.columns_of(ids)
-        assert len({tuple(col) for col in columns}) == len(columns) == 10
-        for j in ids:
-            assert columns[slot[j]] == [table.product(i, j) for i in ids]
+        columns, slot = table.columns_of(range(len(table)))
         assert table.columns_of([7, 7]) == ([columns[slot[7]]], [0, 0])
 
-    def test_identity_flag(self):
-        full = enumerate_semigroup(3, RangeSet(3, (1, 2, 3)))
-        assert full.has_identity
-        assert full.elements[full.identity_id()] == identity(3)
-        small = enumerate_semigroup(3, RangeSet(3, (1, 3)))
-        assert not small.has_identity
-        assert small.identity_id() is None
-
-    def test_rejects_non_closed(self):
-        f = ChainMap(3, (2, 2, 3))  # f*f = (2,2,3)? no: f(f(x)) hits 2,3 only
-        g = ChainMap(3, (1, 2, 2))
+    def test_constructor_is_the_enumeration(self):
+        Y = RangeSet(4, (1, 3))
+        table = SemigroupTable(4, Y)
+        assert table.elements == tuple(enumerate_elements(4, Y))
+        assert [table.id_of(f) for f in table.elements] == list(range(len(table)))
         with pytest.raises(DomainError):
-            SemigroupTable([f, g])
-
-    def test_rejects_duplicates(self):
-        f = ChainMap(3, (1, 1, 1))
-        with pytest.raises(DomainError):
-            SemigroupTable([f, f])
+            SemigroupTable(5, Y)
 
     def test_closure_method(self, y13):
         table = enumerate_semigroup(3, y13)
         everything = table.closure(range(len(table)))
         assert everything == frozenset(range(len(table)))
+
+    def test_closure_of_generators_sharing_a_column(self):
+        # full-image maps with one restriction to Y share a column; the
+        # full-image class alone misses the captive corank-one classes
+        shared = 0
+        for Y in range_sets(5, smallest=2, largest=4):
+            table = enumerate_semigroup(5, Y)
+            for seed in (full_image_maps(5, Y),
+                         minimum_generating_set(5, Y, check=False).elements()):
+                ids = [table.id_of(f) for f in seed]
+                columns, _ = table.columns_of(ids)
+                shared += len(columns) < len(ids)
+                got = {table.elements[i].images for i in table.closure(ids)}
+                assert got == brute_force_closure([f.images for f in seed]), Y
+        assert shared == 44  # of 50 seeds
+
+    def test_closure_rejects_out_of_range_ids(self, y13):
+        table = enumerate_semigroup(3, y13)
+        for bad in (-1, len(table)):
+            with pytest.raises(DomainError):
+                table.closure([0, bad])
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from ordrange import (
     count_maps,
     enumerate_elements,
     enumerate_semigroup,
+    express_in_generators,
     factor_raising_rank,
     factor_through_full_image,
     floor_retraction,
@@ -277,6 +279,24 @@ class TestMinimumGeneratingSet:
             assert len(gens) == rank_by_formula(n, Y)
             assert brute_force_closure([g.element.images for g in gens.members]) \
                 == set(brute_force_maps(n, Y.members))
+
+    def test_sets_and_words_pinned(self):
+        """Every generating set with n <= 9 and every word with n <= 6."""
+        digest, words = hashlib.sha256(), 0
+        for n in range(1, 10):
+            for Y in range_sets(n):
+                gens = minimum_generating_set(n, Y, check=False)
+                digest.update(repr([g.as_dict() for g in gens.members]).encode())
+                if n > 6 or not 1 < len(Y) < n:
+                    continue
+                for f in enumerate_elements(n, Y):
+                    if len(image(f)) < len(Y):
+                        word = express_in_generators(f, gens)
+                        digest.update(repr([w.images for w in word]).encode())
+                        words += 1
+        assert words == 3226
+        assert digest.hexdigest() == (
+            "f760cc4d5fe7820c9183b029a24f13cea1ee94be1b754586357a3f6f14638d89")
 
 
 class TestGenerates:

@@ -2,7 +2,15 @@
 
 import pytest
 
-from ordrange import ChainMap, DomainError, RangeSet, constant, reflect, verify
+from ordrange import (
+    ChainMap,
+    DomainError,
+    GuardExceeded,
+    RangeSet,
+    constant,
+    reflect,
+    verify,
+)
 from ordrange.generators import GeneratingSet, TaggedGenerator
 from ordrange.verify import run_all
 
@@ -91,6 +99,22 @@ def test_one_table_per_range_set(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_semigroup", counted)
     assert run_all(4)["failures"] == 0
     assert calls == verify._all_range_sets(4)
+
+
+@pytest.mark.parametrize("n, sets", [
+    (8, None),
+    (40, None),
+    (8, [RangeSet(8, (1, 3)), RangeSet(8, tuple(range(1, 9)))]),
+])
+def test_closure_guard_refuses_before_any_work(monkeypatch, n, sets):
+    """The largest requested set is above the guard: no set is built,
+    and a sweep of every set lists none."""
+    calls = []
+    monkeypatch.setattr(verify, "enumerate_semigroup",
+                        lambda n, Y: calls.append(Y))
+    with pytest.raises(GuardExceeded, match="above the guard 5000"):
+        run_all(n, sets)
+    assert calls == []
 
 
 def test_rank_constructed_checks_closure(monkeypatch):

@@ -1,17 +1,18 @@
 """Paired benchmark runs: a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --workload cli_queries --pairs 10 \\
-        --seed 1 --seconds 25 --parent HEAD --tag 7
+    python3 tools/bench_pairs.py --workload verify_battery cli_queries \\
+        --pairs 10 --seed 1 --seconds 25 --parent HEAD --tag 8
 
-Runs ``bench/run.py`` for one workload ``--pairs`` times on each side:
+Runs ``bench/run.py`` for each workload ``--pairs`` times on each side:
 the parent's committed files, extracted with ``git archive`` into a
 temporary directory, and the working tree.  Pair i uses seed
-``--seed + i`` on both sides, and the side that runs first alternates
-from pair to pair, so a slow spell of the machine does not fall on one
-side only.  Writes ``BENCH_<tag>.json`` at the repository root with
-every result line, each side's median and quartiles per end-to-end
-metric of ``BENCHMARK.json``, and the number of pairs the change won
-(strictly better than the parent in the same pair).
+``--seed + i`` on both sides and runs every workload in turn; the side
+that runs first alternates from pair to pair, so a slow spell of the
+machine does not fall on one side only.  Writes ``BENCH_<tag>.json`` at
+the repository root with every result line and, per workload, each
+side's median and quartiles per end-to-end metric of ``BENCHMARK.json``
+and the number of pairs the change won (strictly better than the parent
+in the same pair).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _spread(values: list[float]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, nargs="+")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--seconds", type=float, default=25)
@@ -72,34 +73,38 @@ def main(argv: list[str] | None = None) -> int:
             sides = [("parent", parent), ("change", ROOT)]
             if i % 2:
                 sides.reverse()
-            for order, (side, checkout) in enumerate(sides):
-                run = _run(checkout, args.workload, seed, args.seconds)
-                runs.append({"pair": i, "seed": seed, "side": side,
-                             "order": order, "run": run})
-                value = run["metrics"]["wall_s"]["value"]
-                print(f"pair {i} seed {seed} {side}: wall_s {value:.3f}",
-                      file=sys.stderr)
+            for workload in args.workload:
+                for order, (side, checkout) in enumerate(sides):
+                    run = _run(checkout, workload, seed, args.seconds)
+                    runs.append({"workload": workload, "pair": i, "seed": seed,
+                                 "side": side, "order": order, "run": run})
+                    value = run["metrics"]["wall_s"]["value"]
+                    print(f"pair {i} seed {seed} {workload} {side}: "
+                          f"wall_s {value:.3f}", file=sys.stderr)
 
-    summary = {}
+    summary: dict = {workload: {} for workload in args.workload}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        value = {(r["pair"], r["side"]): r["run"]["metrics"][name]["value"]
-                 for r in runs}
-        per_side = {side: [value[i, side] for i in range(args.pairs)]
-                    for side in ("parent", "change")}
-        wins = sum((c < q) if lower else (c > q)
-                   for q, c in zip(per_side["parent"], per_side["change"]))
-        summary[name] = {"better": metric["better"], "wins": wins,
-                         **{side: _spread(v) for side, v in per_side.items()}}
+        value = {(r["workload"], r["pair"], r["side"]):
+                 r["run"]["metrics"][name]["value"] for r in runs}
+        for workload, table in summary.items():
+            per_side = {side: [value[workload, i, side]
+                               for i in range(args.pairs)]
+                        for side in ("parent", "change")}
+            wins = sum((c < q) if lower else (c > q)
+                       for q, c in zip(per_side["parent"], per_side["change"]))
+            table[name] = {"better": metric["better"], "wins": wins,
+                           **{side: _spread(v) for side, v in per_side.items()}}
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({
-        "workload": args.workload, "parent": commit, "pairs": args.pairs,
+        "workloads": args.workload, "parent": commit, "pairs": args.pairs,
         "seconds": args.seconds, "summary": summary, "runs": runs,
     }, indent=1) + "\n")
-    print(json.dumps({name: {"wins": s["wins"],
-                             "parent": s["parent"]["median"],
-                             "change": s["change"]["median"]}
-                      for name, s in summary.items()}))
+    print(json.dumps({workload: {name: {"wins": s["wins"],
+                                        "parent": s["parent"]["median"],
+                                        "change": s["change"]["median"]}
+                                 for name, s in table.items()}
+                      for workload, table in summary.items()}))
     return 0
 
 
