@@ -58,6 +58,18 @@ class ChainMap:
             prev = v
 
     @classmethod
+    def _unchecked(cls, n: int, images: tuple[int, ...]) -> "ChainMap":
+        """A map built without the checks of ``__post_init__``, for data
+        valid by construction: ``images`` is a weakly increasing tuple of
+        n values in 1..n."""
+        f = object.__new__(cls)
+        # as the dataclass __init__ does; writing through f.__dict__ would
+        # give each map its own dict and slow every later attribute read
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "images", images)
+        return f
+
+    @classmethod
     def from_images(cls, images: Iterable[int]) -> "ChainMap":
         images = tuple(images)
         return cls(len(images), images)
@@ -271,7 +283,7 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.n != g.n:
         raise DimensionMismatch(f"cannot compose maps on chains {f.n} and {g.n}")
     gi = g.images
-    return ChainMap(f.n, tuple(gi[v - 1] for v in f.images))
+    return ChainMap._unchecked(f.n, tuple(gi[v - 1] for v in f.images))
 
 
 def image(f: ChainMap) -> RangeSet:

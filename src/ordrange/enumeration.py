@@ -5,14 +5,16 @@ weakly increasing length-n sequences over the members of Y; there are
 C(n+r-1, r-1) of them for r = |Y|.  Enumeration order is fixed as
 lexicographic on image sequences so element ids are stable across runs.
 ``SemigroupTable(n, Y)`` is the one table built on it: O(n, Y) and no
-other set of maps.
+other set of maps.  Its ids are lexicographic ranks computed as sums of
+per-position weights, and each product column is filled by suffix sums
+over the lexicographic trie of the elements, with no lookup per element.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterable
 
 from .chain import ChainMap, DomainError, GuardExceeded, RangeSet
@@ -62,49 +64,88 @@ class SemigroupTable:
     """The semigroup O(n, Y) of all monotone maps on {1..n} into Y, with
     id-based products.
 
-    Element ids follow the lexicographic order of image sequences.  The
-    product f*g reads g only through its restriction to Y, a monotone
-    self-map of Y, so elements with equal restrictions share one product
-    column: there are C(2r-1, r-1) columns for r = |Y|, each filled on
-    first use.
+    Element ids follow the lexicographic order of image sequences, and an
+    id is computed, not looked up: it is the rank of the sequence in the
+    combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3).  For image
+    indices a_0 <= ... <= a_{n-1} into Y = {y_0 < ... < y_{r-1}} the rank
+    is sum_i Q[i][a_i], with Q[i][v] = P_i(v) - P_{i+1}(v), where
+    P_i(v) = sum_{w<v} C(n-i-1 + r-1-w, n-i-1) counts the weakly
+    increasing index sequences on positions i..n-1 that start below v,
+    and P_n = 0.
+
+    The product f*g reads g only through its restriction to Y, a monotone
+    self-map b of the indices of Y, so elements with equal restrictions
+    share one product column: there are C(2r-1, r-1) columns, each filled
+    on first use.  The id of f*g is sum_i Q[i][b[a_i]], so a column is
+    filled by walking the lex trie of the elements from the last position
+    to the first, keeping for each value v the suffix sums of the
+    sequences that start at v or above, in lexicographic order.
     """
 
     def __init__(self, n: int, Y: RangeSet):
         self.n = n
         self.elements: tuple[ChainMap, ...] = tuple(enumerate_elements(n, Y))
-        self.index = {el.images: i for i, el in enumerate(self.elements)}
-        keys: dict[tuple[int, ...], int] = {}
-        self._col_of: list[int] = []  # column id of each element
-        self._rep: list[int] = []  # one element id per column
-        for i, el in enumerate(self.elements):
-            key = tuple(el.images[y - 1] for y in Y.members)
-            if key not in keys:
-                keys[key] = len(self._rep)
-                self._rep.append(i)
-            self._col_of.append(keys[key])
-        self._cols: list[list[int] | None] = [None] * len(self._rep)
+        members, r = Y.members, len(Y)
+        prefix = [list(accumulate((math.comb(n - i - 1 + r - 1 - w, n - i - 1)
+                                   for w in range(r - 1)), initial=0))
+                  for i in range(n)] + [[0] * r]
+        self._q = [[p - p1 for p, p1 in zip(prefix[i], prefix[i + 1])]
+                   for i in range(n)]
+        self._weights = [dict(zip(members, row)) for row in self._q]
+        self._ids = list(range(len(self.elements)))  # one int object per id
+        pos = {y: v for v, y in enumerate(members)}
+        columns: dict[tuple[int, ...], int] = {}  # restriction -> column id
+        self._col_of = [columns.setdefault(
+            tuple([pos[f.images[y - 1]] for y in members]), len(columns))
+            for f in self.elements]
+        self._restriction = list(columns)  # b of each column, as indices
+        self._cols: list[list[int] | None] = [None] * len(columns)
 
     def _column(self, c: int) -> list[int]:
         """Ids of f * g over all f, for the elements g of column c."""
         col = self._cols[c]
         if col is None:
-            pick = (0,) + self.elements[self._rep[c]].images  # 1-based
-            index = self.index
-            col = self._cols[c] = [index[tuple(map(pick.__getitem__, f.images))]
-                                   for f in self.elements]
+            b = self._restriction[c]
+            r = len(b)
+            # below[v]: the suffix sums, in lex order, of the suffixes
+            # after position i whose first value is v or above
+            below: list[list[int]] = [[0]] * r
+            for q in reversed(self._q[1:]):
+                acc: list[int] = []
+                level = []
+                for v in range(r - 1, -1, -1):
+                    k = q[b[v]]
+                    acc = [k + s for s in below[v]] + acc
+                    level.append(acc)
+                below = level[::-1]
+            q, ids = self._q[0], self._ids
+            col = []
+            for v in range(r):
+                k = q[b[v]]
+                col += [ids[k + s] for s in below[v]]
+            self._cols[c] = col
         return col
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def id_of(self, el: ChainMap) -> int:
-        try:
-            return self.index[el.images]
-        except KeyError:
-            raise DomainError(f"{el!r} is not an element of this table") from None
+        if el.n == self.n:
+            try:
+                return sum(map(dict.__getitem__, self._weights, el.images))
+            except KeyError:
+                pass
+        raise DomainError(f"{el!r} is not an element of this table")
+
+    def _check_id(self, i: int) -> None:
+        if not 0 <= i < len(self._ids):
+            raise DomainError(f"element id {i} outside 0..{len(self._ids) - 1}")
 
     def product(self, i: int, j: int) -> int:
         """Id of elements[i] followed by elements[j]."""
+        size = len(self._ids)
+        if not (0 <= i < size and 0 <= j < size):
+            raise DomainError(f"element ids {i}, {j}: not both in 0..{size - 1}")
         col = self._cols[self._col_of[j]]
         if col is None:
             col = self._column(self._col_of[j])
@@ -121,6 +162,7 @@ class SemigroupTable:
         columns: list[list[int]] = []
         slots = []
         for g in ids:
+            self._check_id(g)
             c = self._col_of[g]
             if c not in position:
                 position[c] = len(columns)
@@ -134,6 +176,7 @@ class SemigroupTable:
         a*b depends on b only through its column, so one b per column
         covers every element.
         """
+        self._check_id(a)
         col_a = self._column(self._col_of[a])
         return any(col_a[(col or self._column(c))[a]] == a  # None: not filled yet
                    for c, col in enumerate(self._cols))
@@ -145,9 +188,6 @@ class SemigroupTable:
         the right by the distinct columns of the generators.
         """
         reached = set(generator_ids)
-        for g in reached:
-            if not 0 <= g < len(self.elements):
-                raise DomainError(f"generator id {g} out of range")
         columns, _ = self.columns_of(reached)
         todo = list(reached)
         for x in todo:  # grows while it is read
@@ -163,8 +203,8 @@ def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
     """All monotone maps on {1..n} with values in Y, in lexicographic order."""
     if Y.n != n:
         raise DomainError(f"range set lives on chain {Y.n}, not {n}")
-    return [ChainMap(n, seq)
-            for seq in combinations_with_replacement(Y.members, n)]
+    new = ChainMap._unchecked  # Y is a checked RangeSet on this chain
+    return [new(n, seq) for seq in combinations_with_replacement(Y.members, n)]
 
 
 def check_closure_guard(n: int, r: int) -> None:

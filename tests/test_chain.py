@@ -14,6 +14,7 @@ from ordrange import (
     ceiling_extension,
     compose,
     constant,
+    enumerate_elements,
     fixed_points,
     floor_extension,
     identity,
@@ -122,6 +123,21 @@ class TestCompose:
                 fg = compose(f, g)
                 for h in maps:
                     assert compose(fg, h) == compose(f, compose(g, h))
+
+    def test_results_equal_checked_maps(self):
+        # compose and the enumeration build maps without re-checking them
+        for n in range(1, 5):
+            maps = [ChainMap(n, seq) for seq in
+                    combinations_with_replacement(range(1, n + 1), n)]
+            built = [compose(f, g) for f in maps for g in maps]
+            built += [f for size in range(1, n + 1)
+                      for members in combinations(range(1, n + 1), size)
+                      for f in enumerate_elements(n, RangeSet(n, members))]
+            for f in built:
+                checked = ChainMap(n, f.images)
+                assert type(f.images) is tuple
+                assert f == checked and hash(f) == hash(checked)
+                assert repr(f) == repr(checked)
 
     @given(chain_map_pairs())
     def test_composition_stays_monotone(self, fg):

@@ -167,6 +167,44 @@ class TestTable:
             with pytest.raises(DomainError):
                 table.closure([0, bad])
 
+    def test_rejects_out_of_range_ids(self, y13):
+        table = enumerate_semigroup(3, y13)
+        for bad in (-1, len(table)):
+            for call in (lambda: table.product(bad, 0),
+                         lambda: table.product(0, bad),
+                         lambda: table.columns_of([0, bad]),
+                         lambda: table.is_regular_id(bad)):
+                with pytest.raises(DomainError):
+                    call()
+
+    def test_id_of_is_the_position(self):
+        for n in range(1, 7):
+            for Y in range_sets(n):
+                table = enumerate_semigroup(n, Y)
+                assert [table.id_of(f) for f in table.elements] \
+                    == list(range(len(table))), Y
+        table = enumerate_semigroup(12, RangeSet(12, (2, 5, 6, 7, 12)))
+        assert [table.id_of(f) for f in table.elements[::7]] \
+            == list(range(0, len(table), 7))
+
+    def test_id_of_rejects_other_maps(self):
+        table = enumerate_semigroup(4, RangeSet(4, (1, 3, 4)))
+        for f in (ChainMap(4, (1, 2, 3, 4)),  # 2 is not in Y
+                  ChainMap(3, (1, 3, 3)), ChainMap(5, (1, 3, 4, 4, 4))):
+            with pytest.raises(DomainError):
+                table.id_of(f)
+
+    def test_every_column_matches_compose(self):
+        for n, members, step in ((6, (1, 2, 3, 4, 5, 6), 1),
+                                 (12, (2, 5, 6, 7, 12), 181)):
+            table = enumerate_semigroup(n, RangeSet(n, members))
+            els = table.elements
+            for j in range(0, len(table), step):
+                g = els[j]
+                columns, _ = table.columns_of([j])
+                assert [els[p] for p in columns[0]] \
+                    == [compose(f, g) for f in els], (n, j)
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_semigroup(9, RangeSet(9, tuple(range(1, 10))))
