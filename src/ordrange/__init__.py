@@ -64,8 +64,8 @@ from .generators import (
     suffix_shift_generator,
 )
 from .green import (
-    EggBox,
     d_related,
+    egg_box,
     green_classes,
     green_classes_by_ideals,
     h_related,

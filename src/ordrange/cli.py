@@ -21,13 +21,13 @@ from .completability import (
 )
 from .enumeration import closure_guard, count_maps, enumerate_semigroup, search_guard
 from .generators import minimum_generating_set, rank_by_formula, rank_by_search
-from .green import RELATIONS, green_classes, green_classes_by_ideals
+from .green import RELATIONS, egg_box, green_classes, green_classes_by_ideals
 from .isomorphism import (
     find_isomorphism,
     induced_range_bijection,
     isomorphism_condition,
 )
-from .regularity import is_semigroup_regular, regular_elements
+from .regularity import is_regular, is_semigroup_regular, regular_elements
 
 
 def _parse_Y(raw: str, n: int) -> RangeSet:
@@ -176,20 +176,20 @@ def _cmd_regular(args) -> dict:
 def _cmd_green(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
     table = enumerate_semigroup(args.n, Y)
-    box = (green_classes_by_ideals(args.relation, table) if args.oracle
-           else green_classes(args.relation, table, Y))
+    if args.oracle:
+        classes = green_classes_by_ideals(args.relation, table)
+        regular = [table.is_regular_id(a) for a in range(len(table))]
+    else:
+        classes = green_classes(args.relation, table, Y)
+        regular = [is_regular(f, Y) for f in table.elements]
     if args.check:
         other = (green_classes(args.relation, table, Y) if args.oracle
                  else green_classes_by_ideals(args.relation, table))
-        if box.as_sets() != other.as_sets():
+        if classes != other:
             raise _CheckFailure(
                 f"relation {args.relation}: characterized and oracle "
                 "partitions differ")
-    return {
-        "relation": box.relation,
-        "classes": [list(c) for c in box.classes],
-        "meta": list(box.meta),
-    }
+    return egg_box(args.relation, table, classes, regular)
 
 
 def _cmd_complete(args) -> dict:

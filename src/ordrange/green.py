@@ -4,13 +4,14 @@ Two code paths are kept deliberately separate: characterized predicates
 that decide each relation from images, kernels and regularity, and a
 definition-based oracle that partitions an enumerated table into the
 strongly connected components of its Cayley graphs, whose reachability
-is principal-ideal containment.  The egg-box report is the common
-output format.
+is principal-ideal containment.  Both return a partition as a plain
+value, one list of element ids per class: classes in order of least id,
+ids ascending inside each, so two partitions are equal iff the lists
+are.  ``egg_box`` turns a partition into the printed report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .chain import ChainMap, DomainError, RangeSet, image, kernel, maps_into
@@ -75,65 +76,41 @@ def j_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
     return _related("J", alpha, beta, Y)
 
 
-@dataclass(frozen=True)
-class EggBox:
-    """Partition of a semigroup under one Green's relation.
+def egg_box(relation: str, table: SemigroupTable, classes: list[list[int]],
+            regular: Sequence[bool]) -> dict:
+    """The egg-box report of a partition of ``table``.
 
-    Classes are tuples of element ids, sorted by (image size descending,
-    least id); ``meta`` carries one record per class: size, image size,
-    regularity flag, plus the shared image (or kernel boundaries) when
-    the class has one.
+    ``regular`` holds one regularity flag per element.  Classes are
+    sorted by (image size descending, least id); ``meta`` carries one
+    record per class: size, image size, regularity flag, plus the shared
+    image (or kernel boundaries) when the class has one.
     """
-
-    relation: str
-    classes: tuple[tuple[int, ...], ...]
-    meta: tuple[dict, ...]
-
-    def class_of(self, i: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if i in cls:
-                return cls
-        raise DomainError(f"element id {i} not in any class")
-
-    def as_sets(self) -> set[frozenset[int]]:
-        return {frozenset(c) for c in self.classes}
-
-
-def _finish(relation: str, table: SemigroupTable, Y: RangeSet | None,
-            groups: list[list[int]]) -> EggBox:
-    if Y is not None:
-        regular_flags = [is_regular(el, Y) for el in table.elements]
-    else:
-        # definition-based, for oracle egg-boxes
-        regular_flags = [table.is_regular_id(a) for a in range(len(table))]
-    packed = []
-    for ids in groups:
-        ids = tuple(sorted(ids))
+    rows = []
+    for ids in classes:
         ims = {image(table.elements[i]).members for i in ids}
         kers = {kernel(table.elements[i]).boundaries for i in ids}
-        size_im = max(len(t) for t in ims)
-        meta = {
+        rows.append((ids, {
             "size": len(ids),
-            "image_size": size_im,
+            "image_size": max(map(len, ims)),
             "image": list(next(iter(ims))) if len(ims) == 1 else None,
             "kernel": list(next(iter(kers))) if len(kers) == 1 else None,
-            "regular": all(regular_flags[i] for i in ids),
-        }
-        packed.append((ids, meta))
-    packed.sort(key=lambda pair: (-pair[1]["image_size"], pair[0][0]))
-    return EggBox(
-        relation,
-        tuple(ids for ids, _ in packed),
-        tuple(meta for _, meta in packed),
-    )
+            "regular": all(regular[i] for i in ids),
+        }))
+    rows.sort(key=lambda row: (-row[1]["image_size"], row[0][0]))
+    return {
+        "relation": relation,
+        "classes": [ids for ids, _ in rows],
+        "meta": [meta for _, meta in rows],
+    }
 
 
-def green_classes(relation: str, table: SemigroupTable, Y: RangeSet) -> EggBox:
+def green_classes(relation: str, table: SemigroupTable,
+                  Y: RangeSet) -> list[list[int]]:
     """Partition by the characterized form of one relation (L/R/H/D/J)."""
     keys: dict[tuple, list[int]] = {}
     for i, el in enumerate(table.elements):
         keys.setdefault(green_key(relation, el, Y), []).append(i)
-    return _finish(relation, table, Y, list(keys.values()))
+    return list(keys.values())
 
 
 def _scc_labels(adj: list[Sequence[int]]) -> list[int]:
@@ -180,7 +157,8 @@ def _scc_labels(adj: list[Sequence[int]]) -> list[int]:
     return label
 
 
-def green_classes_by_ideals(relation: str, table: SemigroupTable) -> EggBox:
+def green_classes_by_ideals(relation: str,
+                            table: SemigroupTable) -> list[list[int]]:
     """Definition-based oracle partition, from the Cayley graphs of the table.
 
     b lies in the principal right ideal aS^1 iff b is reachable from a
@@ -232,4 +210,4 @@ def green_classes_by_ideals(relation: str, table: SemigroupTable) -> EggBox:
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    return _finish(relation, table, None, list(groups.values()))
+    return list(groups.values())

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import ordrange
+from ordrange import cli
 from ordrange.cli import main
 
 
@@ -189,6 +192,40 @@ class TestDeterminism:
         b = run(capsys, "green", "-n", "4", "-Y", "1,3", "--relation", "D")
         assert a[0] == b[0] == 0
         assert json.loads(a[1])["classes"] == json.loads(b[1])["classes"]
+
+
+class TestGreenReport:
+    def test_report_bytes_pinned(self, capsys):
+        """Every JSON egg-box report with n <= 5, both routes, hashed."""
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for size in range(1, n + 1):
+                for Y in combinations(range(1, n + 1), size):
+                    for rel in "LRHDJ":
+                        for route in ([], ["--oracle"]):
+                            code, out, _ = run(
+                                capsys, "green", "-n", str(n),
+                                "-Y", ",".join(map(str, Y)),
+                                "--relation", rel, *route)
+                            assert code == 0
+                            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "6098738e1735200e4195decdf05884932f8fcb3acda0b03ff54fedddd345cb8e")
+
+    @pytest.mark.parametrize("route", [[], ["--oracle"]])
+    def test_check_fails_on_differing_partitions(self, capsys, monkeypatch,
+                                                 route):
+        oracle = cli.green_classes_by_ideals
+
+        def merged(relation, table):
+            first, second, *rest = oracle(relation, table)
+            return [sorted(first + second), *rest]
+
+        monkeypatch.setattr(cli, "green_classes_by_ideals", merged)
+        code, out, err = run(capsys, "green", "-n", "4", "-Y", "1,3",
+                             "--relation", "D", "--check", *route)
+        assert code == 1 and out == ""
+        assert "characterized and oracle partitions differ" in err
 
 
 class TestFormats:

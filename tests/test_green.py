@@ -9,6 +9,7 @@ from ordrange import (
     RangeSet,
     constant,
     d_related,
+    egg_box,
     enumerate_semigroup,
     green_classes,
     green_classes_by_ideals,
@@ -19,14 +20,13 @@ from ordrange import (
     l_related,
     r_related,
 )
-from ordrange.green import _finish
 
 cm = ChainMap.from_images
 RELATIONS = ("L", "R", "H", "D", "J")
 
 
 def ideal_oracle(relation, table):
-    """Reference egg-box from principal ideals, by definition.
+    """Reference partition from principal ideals, by definition.
 
     L compares S^1 a, R compares a S^1, J compares S^1 a S^1, H
     intersects L and R, and D joins L and R by saturation.  Quadratic
@@ -60,7 +60,7 @@ def ideal_oracle(relation, table):
     groups = {}
     for a, key in enumerate(keys):
         groups.setdefault(key, []).append(a)
-    return _finish(relation, table, None, list(groups.values()))
+    return list(groups.values())
 
 
 class TestPredicates:
@@ -112,21 +112,34 @@ class TestPredicates:
 class TestOracleEggBox:
     def test_l_classes_y13(self, y13):
         table = enumerate_semigroup(3, y13)
-        box = green_classes_by_ideals("L", table)
         # elements: 0=[1,1,1] 1=[1,1,3] 2=[1,3,3] 3=[3,3,3]
-        assert box.as_sets() == {
-            frozenset({0}), frozenset({3}), frozenset({1, 2})}
+        assert green_classes_by_ideals("L", table) == [[0], [1, 2], [3]]
 
     def test_h_singletons_y13(self, y13):
         table = enumerate_semigroup(3, y13)
-        box = green_classes_by_ideals("H", table)
-        assert all(len(c) == 1 for c in box.classes)
+        assert green_classes_by_ideals("H", table) == [[0], [1], [2], [3]]
 
     def test_d_equals_j_y13(self, y13):
         table = enumerate_semigroup(3, y13)
-        d = green_classes_by_ideals("D", table)
-        j = green_classes_by_ideals("J", table)
-        assert d.as_sets() == j.as_sets()
+        assert green_classes_by_ideals("D", table) == \
+            green_classes_by_ideals("J", table)
+
+
+class TestCanonicalForm:
+    def test_both_routes_give_sorted_disjoint_covers(self):
+        """Classes ordered by least id, ascending inside, covering range(N)
+        once: two partitions are equal iff the lists are equal."""
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                table = enumerate_semigroup(n, Y)
+                for rel in RELATIONS:
+                    for classes in (green_classes(rel, table, Y),
+                                    green_classes_by_ideals(rel, table)):
+                        assert all(c == sorted(c) for c in classes)
+                        assert [c[0] for c in classes] == \
+                            sorted(c[0] for c in classes)
+                        assert sorted(i for c in classes for i in c) == \
+                            list(range(len(table))), (n, Y, rel)
 
 
 class TestCayleyOracle:
@@ -143,8 +156,8 @@ class TestCayleyOracle:
         table = enumerate_semigroup(6, Y)
         assert len(table) == 462
         for rel in RELATIONS:
-            assert green_classes_by_ideals(rel, table).as_sets() == \
-                green_classes(rel, table, Y).as_sets(), rel
+            assert green_classes_by_ideals(rel, table) == \
+                green_classes(rel, table, Y), rel
 
 
 class TestEquivalenceSweep:
@@ -155,16 +168,15 @@ class TestEquivalenceSweep:
                 for rel in ("L", "R", "H", "D", "J"):
                     chars = green_classes(rel, table, Y)
                     oracle = green_classes_by_ideals(rel, table)
-                    assert chars.as_sets() == oracle.as_sets(), (n, Y, rel)
+                    assert chars == oracle, (n, Y, rel)
 
     def test_r_class_count(self):
         for n in range(1, 5):
             for Y in range_sets(n):
                 table = enumerate_semigroup(n, Y)
-                box = green_classes("R", table, Y)
                 expected = sum(math.comb(n - 1, k - 1)
                                for k in range(1, len(Y) + 1))
-                assert len(box.classes) == expected
+                assert len(green_classes("R", table, Y)) == expected
 
     def test_regular_pairs_general_form(self):
         # among regular elements: L iff equal images, D iff equal image sizes
@@ -177,35 +189,37 @@ class TestEquivalenceSweep:
                     assert d_related(f, g, Y) == (len(image(f)) == len(image(g)))
 
 
+def report(relation, table, Y):
+    regular = [is_regular(f, Y) for f in table.elements]
+    return egg_box(relation, table, green_classes(relation, table, Y), regular)
+
+
 class TestEggBoxShape:
     def test_sorted_by_rank_then_id(self, y13):
         table = enumerate_semigroup(3, y13)
-        box = green_classes("D", table, y13)
-        ranks = [m["image_size"] for m in box.meta]
+        box = report("D", table, y13)
+        assert box["relation"] == "D"
+        assert sorted(box["classes"]) == green_classes("D", table, y13)
+        ranks = [m["image_size"] for m in box["meta"]]
         assert ranks == sorted(ranks, reverse=True)
-        heads = [c[0] for c in box.classes]
+        heads = [c[0] for c in box["classes"]]
         for (ra, a), (rb, b) in zip(zip(ranks, heads), zip(ranks[1:], heads[1:])):
             if ra == rb:
                 assert a < b
 
     def test_meta_fields(self, y13):
         table = enumerate_semigroup(3, y13)
-        box = green_classes("L", table, y13)
-        for cls, meta in zip(box.classes, box.meta):
+        box = report("L", table, y13)
+        for cls, meta in zip(box["classes"], box["meta"]):
             assert meta["size"] == len(cls)
             assert set(meta) == {"size", "image_size", "image", "kernel", "regular"}
-
-    def test_class_of(self, y13):
-        table = enumerate_semigroup(3, y13)
-        box = green_classes("L", table, y13)
-        assert box.class_of(1) == box.class_of(2)
 
     def test_refinement_tower(self):
         # H refines both L and R, which refine D, which equals J
         def refines(fine, coarse):
             return all(
-                any(set(c) <= set(d) for d in coarse.classes)
-                for c in fine.classes)
+                any(set(c) <= set(d) for d in coarse)
+                for c in fine)
 
         for Y in range_sets(4):
             table = enumerate_semigroup(4, Y)

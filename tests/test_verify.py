@@ -135,6 +135,39 @@ def test_rank_constructed_checks_closure(monkeypatch):
             "Y=[1, 2, 4])") in report["lines"]
 
 
+def test_green_sweep_compares_the_partitions(monkeypatch):
+    """A characterized partition with two classes merged is reported."""
+    characterized = verify.green_classes
+
+    def merged(relation, table, Y):
+        first, second, *rest = characterized(relation, table, Y)
+        return [sorted(first + second), *rest]
+
+    monkeypatch.setattr(verify, "green_classes", merged)
+    report = run_all(4, [RangeSet(4, (1, 3))])
+    assert report["failures"] == 1
+    assert ("FAIL green-oracle-equivalence  (L differs for Y=[1, 3])"
+            in report["lines"])
+
+
+def test_green_sweep_checks_h_triviality(monkeypatch):
+    """Both routes merging two H-classes agree, and H-triviality fails."""
+    def merge_h(route):
+        def merged(relation, *args):
+            classes = route(relation, *args)
+            if relation != "H":
+                return classes
+            first, second, *rest = classes
+            return [sorted(first + second), *rest]
+        return merged
+
+    for name in ("green_classes", "green_classes_by_ideals"):
+        monkeypatch.setattr(verify, name, merge_h(getattr(verify, name)))
+    report = run_all(4, [RangeSet(4, (1, 3))])
+    assert ("FAIL green-oracle-equivalence  (H not trivial for Y=[1, 3])"
+            in report["lines"])
+
+
 @pytest.mark.parametrize("value", [1, 2])
 def test_canonical_certificate_checks_the_product(monkeypatch, value):
     """An extension that does not carry a to its kernel representative,
