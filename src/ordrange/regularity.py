@@ -10,13 +10,8 @@ roles.
 
 from __future__ import annotations
 
-from .chain import ChainMap, DomainError, RangeSet, image, maps_into
+from .chain import ChainMap, DomainError, RangeSet, maps_into
 from .enumeration import SemigroupTable, enumerate_elements
-
-
-def range_image(alpha: ChainMap, Y: RangeSet) -> frozenset[int]:
-    """The set of values alpha takes on the points of Y."""
-    return frozenset(alpha(y) for y in Y)
 
 
 def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
@@ -24,7 +19,7 @@ def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
     if not maps_into(alpha, Y):
         raise DomainError(
             f"{alpha!r} does not map into {list(Y.members)}")
-    return range_image(alpha, Y) == frozenset(image(alpha).members)
+    return {alpha.images[y - 1] for y in Y.members} == set(alpha.images)
 
 
 def is_regular_by_search(alpha: ChainMap, table: SemigroupTable) -> bool:

@@ -18,13 +18,13 @@ chain.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+import math
+from itertools import combinations
 
 from .chain import DomainError, PartialMap, RangeSet, image, kernel, maps_into
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
-    complete_extensions,
     count_extensions,
     is_completable,
 )
@@ -60,13 +60,6 @@ def _all_range_sets(n: int) -> list[RangeSet]:
     return out
 
 
-def _partial_maps_into(n: int, Y: RangeSet):
-    for k in range(1, n + 1):
-        for dom in combinations(range(1, n + 1), k):
-            for img in combinations_with_replacement(Y.members, k):
-                yield PartialMap(n, dom, img)
-
-
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     if n < 1:
         raise DomainError(f"chain size must be positive, got {n}")
@@ -88,20 +81,12 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         for f, flag in zip(table.elements, flags):
             if flag != is_regular_by_search(f, table):
                 yield f"{f!r} in {where}"
-        reg = [a for a, flag in enumerate(flags) if flag]
-        reg_set = set(reg)
-
-        def keeps_regular(right_factors) -> bool:
-            """a * b is regular for every regular a and given b."""
-            columns, _ = table.columns_of(right_factors)
-            return all(reg_set.issuperset(map(col.__getitem__, reg))
-                       for col in columns)
-
-        if not keeps_regular(reg):
-            yield f"closure breaks in {where}"
-        if is_semigroup_regular(n, Y) != (len(reg) == len(table)):
+        if is_semigroup_regular(n, Y) != all(flags):
             yield f"trichotomy wrong for {where}"
-        if not keeps_regular(range(len(table))):
+        # a right ideal of regular elements is also closed under products
+        reg = [a for a, flag in enumerate(flags) if flag]
+        columns, _ = table.columns_of(range(len(table)))
+        if not all(flags[col[a]] for col in columns for a in reg):
             yield f"right ideal breaks in {where}"
 
     def green(Y, table):
@@ -119,16 +104,23 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
             yield f"D != J for {where}"
 
     def completability(Y, table):
-        for theta in _partial_maps_into(n, Y):
-            verdict = is_completable(theta, Y)
-            exts = complete_extensions(theta, Y)
-            witness = build_extension(theta, Y)
-            if (verdict != bool(exts) or verdict != (witness is not None)
-                    or verdict != (witness in exts)
-                    or count_extensions(theta, Y) != len(exts)):
-                yield f"{theta!r} into Y={list(Y.members)}"
-            if not verdict:
-                yield f"finite chain refused {theta!r}"
+        # grouped by their images on a domain, the elements are the
+        # extension lists of the partial maps on it, in id order
+        for k in range(1, n + 1):
+            for dom in combinations(range(1, n + 1), k):
+                exts: dict = {}  # images on dom -> elements with them
+                for f in table.elements:
+                    exts.setdefault(tuple([f.images[d - 1] for d in dom]),
+                                    []).append(f)
+                if len(exts) < math.comb(k + len(Y) - 1, k):
+                    yield (f"finite chain refused a map on {list(dom)} "
+                           f"into Y={list(Y.members)}")
+                for img, group in exts.items():
+                    theta = PartialMap(n, dom, img)
+                    if (not is_completable(theta, Y)
+                            or build_extension(theta, Y) not in group
+                            or count_extensions(theta, Y) != len(group)):
+                        yield f"{theta!r} into Y={list(Y.members)}"
 
     def rank_constructed(Y, table):
         where = f"Y={list(Y.members)}"

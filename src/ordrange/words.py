@@ -79,9 +79,9 @@ def _lema_theta(n: int, Y: RangeSet, k: int) -> ChainMap:
 def _lemb_word(n: int, Y: RangeSet, k: int) -> list[ChainMap]:
     """The k-th floor retraction as a product of two full-image maps.
 
-    Requires a gap just below y_k and room above it (y_k < n-r+k); the
-    least chain point above y_k missing from the tail of Y is woven
-    through both factors.
+    Requires a gap just below y_k, y_{k+1} = y_k + 1 and room above it
+    (y_k < n-r+k); the least chain point above y_k missing from the tail
+    of Y, which lies above y_{k+1}, is woven through both factors.
     """
     m = Y.members
     tail = set(m[k - 1:])
@@ -90,9 +90,6 @@ def _lemb_word(n: int, Y: RangeSet, k: int) -> list[ChainMap]:
         raise DomainError(f"no spare point above {m[k - 1]}")
     y = spare[0]
     ell = bisect_left(m, y)  # y_ell < y < y_{ell+1}, 1-based ell
-    if ell == k:
-        th = _lema_theta(n, Y, k)
-        return [th, th]
     dom1 = m[: k - 1] + m[k: ell] + (y,) + m[ell:]
     th1 = floor_extension(PartialMap(n, dom1, m))
     dom2 = m[: k - 1] + (m[k - 1] - 1, m[k - 1]) + m[k: ell - 1] + m[ell:]

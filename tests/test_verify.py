@@ -7,6 +7,7 @@ from ordrange import (
     DomainError,
     GuardExceeded,
     RangeSet,
+    completability,
     constant,
     reflect,
     verify,
@@ -202,6 +203,51 @@ def test_completability_checks_witness_and_count(monkeypatch, name, patch):
     report = run_all(4, [RangeSet(4, (1, 3))])
     assert any(line.startswith("FAIL completability-criterion")
                for line in report["lines"])
+
+
+def test_regularity_sweep_checks_the_right_ideal(monkeypatch):
+    """Both routes calling one non-regular element regular agree, but a
+    product of it leaves the regular part."""
+    wrong = ChainMap(5, (2, 2, 2, 2, 3))
+    for name in ("is_regular", "is_regular_by_search"):
+        route = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda f, arg, route=route: f == wrong or route(f, arg))
+    report = run_all(5, [RangeSet(5, (2, 3, 4))])
+    assert report["failures"] == 1
+    assert ("FAIL regularity-oracle-equivalence  (right ideal breaks in "
+            "Y=[2, 3, 4])") in report["lines"]
+
+
+def test_regularity_sweep_checks_the_trichotomy(monkeypatch):
+    monkeypatch.setattr(verify, "is_semigroup_regular", lambda n, Y: False)
+    report = run_all(4, [RangeSet(4, (1, 4))])
+    assert ("FAIL regularity-oracle-equivalence  (trichotomy wrong for "
+            "Y=[1, 4])") in report["lines"]
+
+
+def test_completability_checks_the_criterion(monkeypatch):
+    """A criterion that refuses maps with extensions is reported."""
+    monkeypatch.setattr(verify, "is_completable", lambda theta, Y: False)
+    report = run_all(4, [RangeSet(4, (1, 3))])
+    assert report["failures"] == 1
+    assert ("FAIL completability-criterion  (PartialMap(1->1) into "
+            "Y=[1, 3])") in report["lines"]
+
+
+def test_completability_reads_extensions_off_the_table(monkeypatch):
+    """The sweep groups the table's elements; it never enumerates the
+    extensions of a partial map."""
+    calls = []
+    oracle = completability.complete_extensions
+
+    def counted(theta, Y):
+        calls.append(1)
+        return oracle(theta, Y)
+
+    monkeypatch.setattr(completability, "complete_extensions", counted)
+    assert run_all(5)["failures"] == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [0, -1])

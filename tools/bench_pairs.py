@@ -12,7 +12,8 @@ machine does not fall on one side only.  Writes ``BENCH_<tag>.json`` at
 the repository root with every result line and, per workload, each
 side's median and quartiles per end-to-end metric of ``BENCHMARK.json``
 and the number of pairs the change won (strictly better than the parent
-in the same pair).
+in the same pair), and the net change of lines under ``src/`` against
+the parent (``git diff --numstat``), which the last stdout line repeats.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ def _extract(rev: str, into: Path) -> str:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return commit
+
+
+def _src_loc(commit: str) -> dict:
+    """Lines added and deleted under src/ from the commit to the tree."""
+    numstat = subprocess.run(["git", "diff", "--numstat", commit, "--", "src"],
+                             cwd=ROOT, check=True, capture_output=True,
+                             text=True).stdout
+    added = deleted = 0
+    for line in numstat.splitlines():
+        plus, minus, _ = line.split("\t", 2)
+        added += int(plus)
+        deleted += int(minus)
+    return {"added": added, "deleted": deleted, "net": added - deleted}
 
 
 def _spread(values: list[float]) -> dict:
@@ -95,16 +109,19 @@ def main(argv: list[str] | None = None) -> int:
                        for q, c in zip(per_side["parent"], per_side["change"]))
             table[name] = {"better": metric["better"], "wins": wins,
                            **{side: _spread(v) for side, v in per_side.items()}}
+    src_loc = _src_loc(commit)
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({
         "workloads": args.workload, "parent": commit, "pairs": args.pairs,
-        "seconds": args.seconds, "summary": summary, "runs": runs,
+        "seconds": args.seconds, "src_loc": src_loc, "summary": summary,
+        "runs": runs,
     }, indent=1) + "\n")
-    print(json.dumps({workload: {name: {"wins": s["wins"],
-                                        "parent": s["parent"]["median"],
-                                        "change": s["change"]["median"]}
-                                 for name, s in table.items()}
-                      for workload, table in summary.items()}))
+    print(json.dumps({"src_loc": src_loc,
+                      **{workload: {name: {"wins": s["wins"],
+                                           "parent": s["parent"]["median"],
+                                           "change": s["change"]["median"]}
+                                    for name, s in table.items()}
+                         for workload, table in summary.items()}}))
     return 0
 
 
