@@ -19,7 +19,12 @@ from .completability import (
     count_extensions,
     is_completable,
 )
-from .enumeration import closure_guard, count_maps, enumerate_semigroup
+from .enumeration import (
+    check_closure_guard,
+    closure_guard,
+    count_maps,
+    enumerate_semigroup,
+)
 from .generators import minimum_generating_set, rank_by_formula, rank_by_search
 from .green import RELATIONS, egg_box, green_classes, green_classes_by_ideals
 from .isomorphism import (
@@ -65,11 +70,10 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _add_common(sub: argparse.ArgumentParser, with_Y: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-n", type=int, required=True, help="chain size")
-    if with_Y:
-        sub.add_argument("-Y", required=True,
-                         help="range set, strictly increasing comma list")
+    sub.add_argument("-Y", required=True,
+                     help="range set, strictly increasing comma list")
     sub.add_argument("--format", choices=("json", "csv", "table"),
                      default="json")
     sub.add_argument("--seedless", action="store_true",
@@ -160,6 +164,7 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_regular(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
+    check_closure_guard(args.n, len(Y))
     reg = regular_elements(args.n, Y)
     payload = {
         "n": args.n,

@@ -10,9 +10,13 @@ maps whose image is all of Y.
 
 The constructive machinery mirrors that picture: factorizations that
 raise image size, retractions that shuttle the missing value of a
-corank-one regular element up or down, and the case analysis that
-assembles a minimum generating set.  A definition-based subset search
-provides the independent minimality oracle.
+corank-one regular element up or down, and one rule that assembles a
+minimum generating set: a retraction per captive member, ceiling below
+the least missing chain point and floor above it, with a shift in place
+of the end retraction when Y opens on a run from 1, or closes on a run
+to n, of two or more points and has members beyond that run.  A
+definition-based subset search provides the independent minimality
+oracle.
 """
 
 from __future__ import annotations
@@ -231,58 +235,28 @@ def factor_through_full_image(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, C
 def factor_raising_rank(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMap]:
     """Split a map of image size k < r-1 into two factors of image size k+1.
 
-    Two values u < v of Y missing from the image are woven in: the left
-    factor splits the first non-singleton kernel block and exposes u or
-    v, the right factor (a floor extension) folds it back.  The case
-    split depends on where the split block sits relative to the gaps
-    holding u and v.
+    Let a_1 < ... < a_k be the values of alpha, u < v the two least
+    members of Y missing from them, and j the first non-singleton kernel
+    block.  Take x, y = u, v when a_j < v and x, y = v, u otherwise.  The
+    left factor splits block j at its least point and takes the values
+    a_1..a_k with x woven in; the right factor is the floor extension
+    sending those values, less that of the split-off block j+1, to
+    a_1..a_k in order, and y to itself.
     """
     if not maps_into(alpha, Y):
         raise DomainError(f"{alpha!r} does not map into {list(Y.members)}")
-    r = len(Y)
     blocks, a = _blocks_and_values(alpha)
     k = len(a)
-    if k >= r - 1:
-        raise DomainError(f"image size {k} is not below {r - 1}")
-    missing = [y for y in Y if y not in set(a)]
-    u, v = missing[0], missing[1]
-    ell = sum(1 for t in a if t < u)
-    m = sum(1 for t in a if t < v)
-    sizes = [e - s + 1 for s, e in blocks]
-    j = next(t for t, size in enumerate(sizes, start=1) if size >= 2)
-    part = kernel(alpha).split_block(j)
+    if k >= len(Y) - 1:
+        raise DomainError(f"image size {k} is not below {len(Y) - 1}")
+    u, v = [y for y in Y if y not in a][:2]
+    j = next(t for t, (s, e) in enumerate(blocks, start=1) if e > s)
+    x, y = (u, v) if a[j - 1] < v else (v, u)
+    bv = sorted(a + [x])
     n = alpha.n
-
-    if j <= ell:
-        if j == ell:
-            bv = a[: ell - 1] + [a[ell - 1], u] + a[ell:]
-            dom = a[:m] + [v] + a[m:]
-            img = list(dom)
-        else:
-            bv = a[: j - 1] + [a[j - 1], a[j]] + a[j + 1: ell] + [u] + a[ell:]
-            dom = a[:j] + a[j + 1: ell] + [u] + a[ell: m] + [v] + a[m:]
-            img = a[:m] + [v] + a[m:]
-    elif j <= m:
-        if j == ell + 1:
-            bv = a[: ell] + [u, a[ell]] + a[ell + 1:]
-            dom = a[: ell] + [u] + a[ell + 1: m] + [v] + a[m:]
-            img = a[: ell] + [a[ell]] + a[ell + 1: m] + [v] + a[m:]
-        else:
-            bv = a[: ell] + [u] + a[ell: j - 2] + [a[j - 2], a[j - 1]] + a[j:]
-            dom = a[: ell] + [u] + a[ell: j - 1] + a[j: m] + [v] + a[m:]
-            img = a[: ell] + [a[ell]] + a[ell + 1: j] + a[j: m] + [v] + a[m:]
-    else:
-        if j == m + 1:
-            bv = a[:m] + [v, a[m]] + a[m + 1:]
-            dom = a[: ell] + [u] + a[ell: m] + [v] + a[m + 1:]
-            img = a[: ell] + [u] + a[ell: m] + [a[m]] + a[m + 1:]
-        else:
-            bv = a[:m] + [v] + a[m: j - 2] + [a[j - 2], a[j - 1]] + a[j:]
-            dom = a[: ell] + [u] + a[ell: m] + [v] + a[m: j - 1] + a[j:]
-            img = a[: ell] + [u] + a[ell: m] + [a[m]] + a[m + 1: j] + a[j:]
-
-    beta = _map_from_blocks(n, list(part.blocks()), bv)
-    gamma = floor_extension(PartialMap(n, tuple(dom), tuple(img)))
+    beta = _map_from_blocks(n, list(kernel(alpha).split_block(j).blocks()), bv)
+    dom, img = zip(*sorted([*zip(bv[:j] + bv[j + 1:], a), (y, y)]))
+    gamma = floor_extension(PartialMap(n, dom, img))
     assert compose(beta, gamma) == alpha
     assert len(image(beta)) == k + 1 and len(image(gamma)) == k + 1
     return beta, gamma
@@ -391,15 +365,18 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
                            ) -> GeneratingSet:
     """A generating set of the minimum size :func:`rank_by_formula`.
 
-    All full-image maps are always needed.  For 1 < r < n the extra
-    generators are one retraction (or shift) per captive member, chosen
-    by a case analysis on where the least missing chain point i and the
-    top run anchor j fall.  Retractions whose index is not captive are
-    dropped: those lie in the closure of the full-image maps.  A
-    one-point Y needs its constant map alone; the whole chain needs the
-    identity and the n maps of :func:`corank_one_generator`.  With
-    ``check`` the closure is computed and compared against the full
-    semigroup (mandatory everywhere the guard allows).
+    All full-image maps are always needed.  For 1 < r < n there is one
+    extra generator per captive member y_t, with i the least missing
+    chain point and j the top run anchor.  A captive y_t < i gives the
+    ceiling retraction t, except that the prefix shift i stands in for
+    t = 1 when 3 <= i <= r.  A captive y_t > i gives the floor
+    retraction t, except that the suffix shift j stands in for t = r
+    when 2 <= j < r.  Retractions whose index is not captive lie in the
+    closure of the full-image maps.  A one-point Y needs its constant
+    map alone; the whole chain needs the identity and the n maps of
+    :func:`corank_one_generator`.  With ``check`` the closure is computed
+    and compared against the full semigroup (mandatory everywhere the
+    guard allows).
     """
     r = len(Y)
     if Y.n != n:
@@ -411,35 +388,16 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
         i = first_missing_point(n, Y)
         j = tail_anchor(n, Y)
         captive = set(captive_set(n, Y))
-        if i == r + 1:
-            eps = [(CEILING, t) for t in range(1, r)]
+        low = [t for t, y in enumerate(Y, start=1) if y in captive and y < i]
+        high = [t for t, y in enumerate(Y, start=1) if y in captive and y > i]
+        if 3 <= i <= r:
+            eps = [(PREFIX_SHIFT, i)] + [(CEILING, t) for t in low if t > 1]
         else:
-            if i == 1:
-                tilde: list[int] = []
-                shift_low = None
-                hats = set(range(2, r + 1))
-            elif i == 2:
-                tilde = [1]
-                shift_low = None
-                hats = set(range(2, r + 1))
-            else:
-                tilde = list(range(2, i - 1))
-                shift_low = i
-                hats = set(range(i, r + 1))
-            shift_high = None
-            if j == r + 1:
-                hats.discard(r)
-            elif 2 <= j <= r - 1:
-                hats.discard(j)
-                hats.discard(r)
-                shift_high = j
-            hats = {t for t in hats if Y.members[t - 1] in captive}
-            if shift_low is not None:
-                eps.append((PREFIX_SHIFT, shift_low))
-            eps.extend((CEILING, t) for t in tilde)
-            eps.extend((FLOOR, t) for t in sorted(hats))
-            if shift_high is not None:
-                eps.append((SUFFIX_SHIFT, shift_high))
+            eps = [(CEILING, t) for t in low]
+        if 2 <= j < r:
+            eps += [(FLOOR, t) for t in high if t < r] + [(SUFFIX_SHIFT, j)]
+        else:
+            eps += [(FLOOR, t) for t in high]
 
     members = [
         TaggedGenerator(f, FULL_IMAGE) for f in full_image_maps(n, Y)

@@ -167,7 +167,9 @@ def green_classes_by_ideals(relation: str,
     graph (a -> s*a), J-classes those of both edge sets together.  The
     empty path stands for the adjoined identity, so no identity is
     needed in the table.  H intersects L and R, and D is the transitive
-    closure of L union R with no commutation assumption.
+    closure of L union R with no commutation assumption: the components
+    of the graph joining each element, both ways, to a hub node for its
+    L-class and one for its R-class.
 
     a*s depends on s only through its product column, so one s per
     column gives every right edge.  The left edges of a are the entries
@@ -191,22 +193,16 @@ def green_classes_by_ideals(relation: str,
         keys = components([r + e for r, e in zip(right, left)] + left[size:])
     elif relation == "H":
         keys = list(zip(components(left), components(right)))
-    else:  # D: transitive closure of L | R via union-find
-        parent = list(range(size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for labels in (components(left), components(right)):
-            first: dict[int, int] = {}
+    else:  # D: L- and R-classes joined through one hub node per class
+        hubs: dict[tuple, list[int]] = {}
+        for side, labels in enumerate((components(left), components(right))):
             for i, lab in enumerate(labels):
-                rx, ry = find(first.setdefault(lab, i)), find(i)
-                if rx != ry:
-                    parent[ry] = rx
-        keys = [find(i) for i in range(size)]
+                hubs.setdefault((side, lab), []).append(i)
+        adj: list[list[int]] = [[] for _ in range(size)]
+        for hub, members in enumerate(hubs.values(), start=size):
+            for i in members:
+                adj[i].append(hub)
+        keys = components(adj + list(hubs.values()))
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)

@@ -135,8 +135,11 @@ def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
     part = kernel(beta)
     p0 = part.block_of(i) - 1
     lab = p0 + 1 if p0 + 1 <= i - 1 else p0 + 2
+    if lab not in (i - 2, i - 1, i + 1):
+        raise AssertionError(f"point {i} sits in block {lab}, expected "
+                             f"{i - 2}, {i - 1} or {i + 1}")
+    left = full_image_map(part.split_block(p0 + 1), Y)
     if lab == i + 1:
-        left = full_image_map(part.split_block(p0 + 1), Y)
         dom = m[: i - 1] + (i, m[i - 1]) + m[i + 1:]
         img = m[: i - 1] + (m[i - 1], m[i]) + m[i + 1:]
         right = floor_extension(PartialMap(n, dom, img))
@@ -144,16 +147,11 @@ def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
         assert product_of(word) == beta
         return word
     if lab == i - 1:
-        left = full_image_map(part.split_block(p0 + 1), Y)
         return [left, (FLOOR, i)]
-    if lab == i - 2:
-        left = full_image_map(part.split_block(p0 + 1), Y)
-        dom = m[: i - 2] + (i,) + m[i - 1:]
-        img = m[: i - 2] + (m[i - 2],) + m[i - 1:]
-        mid = floor_extension(PartialMap(n, dom, img))
-        return [left, mid, (FLOOR, i)]
-    raise AssertionError(f"point {i} sits in block {lab}, expected "
-                         f"{i - 2}, {i - 1} or {i + 1}")
+    dom = m[: i - 2] + (i,) + m[i - 1:]
+    img = m[: i - 2] + (m[i - 2],) + m[i - 1:]
+    mid = floor_extension(PartialMap(n, dom, img))
+    return [left, mid, (FLOOR, i)]
 
 
 class _Rewriter:

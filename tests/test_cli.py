@@ -272,6 +272,19 @@ class TestErrors:
         assert code == 2
         assert "guard" in err
 
+    def test_regular_above_closure_guard(self, capsys, monkeypatch):
+        argv = ["regular", "-n", "8", "-Y", "1,2,3,4,5,6,7,8"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: semigroup has 6435 elements, above the "
+                       "guard 5000\n")
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "7000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regular_count"] == payload["count"] == 6435
+        assert payload["is_regular_semigroup"] is True
+
     def test_complete_rejects_non_integer_points(self, capsys):
         code, out, err = run(capsys, "complete", "-n", "3", "-Y", "1,2",
                              "--theta", '{"domain":[1.5],"images":[1]}')

@@ -298,6 +298,20 @@ class TestMinimumGeneratingSet:
         assert digest.hexdigest() == (
             "f760cc4d5fe7820c9183b029a24f13cea1ee94be1b754586357a3f6f14638d89")
 
+    def test_factor_pairs_pinned(self):
+        """Both factors of every map of image size below r - 1, n <= 7."""
+        digest, pairs = hashlib.sha256(), 0
+        for n in range(1, 8):
+            for Y in range_sets(n, smallest=2, largest=n - 1):
+                for f in enumerate_elements(n, Y):
+                    if len(image(f)) < len(Y) - 1:
+                        beta, gamma = factor_raising_rank(f, Y)
+                        digest.update(repr((beta.images, gamma.images)).encode())
+                        pairs += 1
+        assert pairs == 12574
+        assert digest.hexdigest() == (
+            "1eaad82924b10853154fd993592b42633327f24b52c9300f7c0fb8b0cc70695c")
+
 
 class TestGenerates:
     def test_full_image_alone_fails_for_y13(self, y13):

@@ -12,8 +12,11 @@ machine does not fall on one side only.  Writes ``BENCH_<tag>.json`` at
 the repository root with every result line and, per workload, each
 side's median and quartiles per end-to-end metric of ``BENCHMARK.json``
 and the number of pairs the change won (strictly better than the parent
-in the same pair), and the net change of lines under ``src/`` against
-the parent (``git diff --numstat``), which the last stdout line repeats.
+in the same pair), per workload whether both sides printed the same
+``stdout_sha256`` in every pair (``same_output``), and the net change of
+lines under ``src/`` against the parent (``git diff --numstat``).  The
+last stdout line repeats the medians, wins, ``same_output`` and
+``src_loc``.
 """
 
 from __future__ import annotations
@@ -109,14 +112,20 @@ def main(argv: list[str] | None = None) -> int:
                        for q, c in zip(per_side["parent"], per_side["change"]))
             table[name] = {"better": metric["better"], "wins": wins,
                            **{side: _spread(v) for side, v in per_side.items()}}
+    digest = {(r["workload"], r["pair"], r["side"]):
+              r["run"]["details"]["stdout_sha256"] for r in runs}
+    same_output = {workload: all(digest[workload, i, "parent"]
+                                 == digest[workload, i, "change"]
+                                 for i in range(args.pairs))
+                   for workload in args.workload}
     src_loc = _src_loc(commit)
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({
         "workloads": args.workload, "parent": commit, "pairs": args.pairs,
-        "seconds": args.seconds, "src_loc": src_loc, "summary": summary,
-        "runs": runs,
+        "seconds": args.seconds, "src_loc": src_loc,
+        "same_output": same_output, "summary": summary, "runs": runs,
     }, indent=1) + "\n")
-    print(json.dumps({"src_loc": src_loc,
+    print(json.dumps({"src_loc": src_loc, "same_output": same_output,
                       **{workload: {name: {"wins": s["wins"],
                                            "parent": s["parent"]["median"],
                                            "change": s["change"]["median"]}
