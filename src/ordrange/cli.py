@@ -4,11 +4,14 @@ Every subcommand prints one machine-readable report on stdout; JSON is
 the stable contract, ``csv`` and ``table`` are flat renderings of the
 same payload.  Identical invocations produce byte-identical output.
 Exit codes: 0 success, 2 usage error, 1 internal cross-check failure.
+``main`` may be called repeatedly in one process: the argparse parser
+is built once, on the first call, and holds no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,6 +83,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="assert deterministic output (always on; no-op)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ordrange",

@@ -22,6 +22,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .chain import (
@@ -324,6 +325,15 @@ class TaggedGenerator:
 
 @dataclass(frozen=True)
 class GeneratingSet:
+    """Tagged generators of the monotone maps of {1..n} into a range set.
+
+    Three lookups are computed on first use and kept with the set (they
+    are not fields, so equality, hashing and the constructor ignore
+    them): ``images``, the image tuples of every member; ``full_images``,
+    those of the ``FULL_IMAGE`` members; and ``by_tag``, mapping
+    ``(kind, index)`` to the element of every other member.
+    """
+
     n: int
     range_set: RangeSet
     members: tuple[TaggedGenerator, ...]
@@ -336,6 +346,20 @@ class GeneratingSet:
             seen.add(g.element.images)
             if not maps_into(g.element, self.range_set):
                 raise DomainError(f"{g.element!r} escapes the range set")
+
+    @cached_property
+    def images(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(g.element.images for g in self.members)
+
+    @cached_property
+    def full_images(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(g.element.images for g in self.members
+                         if g.kind == FULL_IMAGE)
+
+    @cached_property
+    def by_tag(self) -> dict[tuple[str, int | None], ChainMap]:
+        return {(g.kind, g.index): g.element
+                for g in self.members if g.kind != FULL_IMAGE}
 
     def elements(self) -> list[ChainMap]:
         return [g.element for g in self.members]

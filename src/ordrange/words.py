@@ -8,6 +8,9 @@ the least missing chain point, where explicit products of full-image
 maps (plus at most one retraction) finish the job.  Retractions that
 were pruned from the generating set are themselves rewritten as words
 over it.  Every step is verified by multiplying the word back out.
+The rewriter and the final membership check read their generator
+lookups (``full_images``, ``by_tag``, ``images``) from the generating
+set, which computes them once per set.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .chain import (
 from .generators import (
     CEILING,
     FLOOR,
-    FULL_IMAGE,
     PREFIX_SHIFT,
     SUFFIX_SHIFT,
     GeneratingSet,
@@ -156,17 +158,11 @@ def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
 
 class _Rewriter:
     def __init__(self, gens: GeneratingSet):
-        self.gens = gens
         self.n = gens.n
         self.Y = gens.range_set
         self.r = len(gens.range_set)
-        self.by_tag = {
-            (g.kind, g.index): g.element
-            for g in gens.members if g.kind != FULL_IMAGE
-        }
-        self.full = {
-            g.element.images for g in gens.members if g.kind == FULL_IMAGE
-        }
+        self.by_tag = gens.by_tag
+        self.full = gens.full_images
         self.i = first_missing_point(self.n, self.Y)
         self.j = tail_anchor(self.n, self.Y)
         self.pivot = self.i if self.i <= self.r else self.r
@@ -253,9 +249,8 @@ def express_in_generators(alpha: ChainMap, gens: GeneratingSet) -> list[ChainMap
         raise DomainError(
             f"{alpha!r} does not map into {list(gens.range_set.members)}")
     word = _Rewriter(gens).express(alpha)
-    allowed = {g.element.images for g in gens.members}
     for w in word:
-        if w.images not in allowed:
+        if w.images not in gens.images:
             raise AssertionError(f"word member {w!r} is not a generator")
     if product_of(word) != alpha:
         raise AssertionError("word product does not reproduce the input")

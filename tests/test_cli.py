@@ -367,3 +367,31 @@ class TestModuleEntry:
         proc = self.run_module("card", "-n", "3", "-Y", "5")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+class TestReentry:
+    SEQUENCE = [
+        ("card", "-n", "x", "-Y", "1"),
+        ("verify", "-n", "2", "-Y", "1", "--all"),
+        ("verify", "-n", "2", "--all"),
+        ("card", "-n", "3", "-Y", "1,3"),
+        ("iso", "-n", "4", "-Y", "1,2", "-Z", "3,4", "--n2", "5"),
+        ("iso", "-n", "4", "-Y", "1,2", "-Z", "3,4"),
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys):
+        together = [run(capsys, *argv)[:2] for argv in self.SEQUENCE]
+        alone = []
+        for argv in self.SEQUENCE:
+            proc = TestModuleEntry.run_module(*argv)
+            alone.append((proc.returncode, proc.stdout))
+        assert together == alone
+        codes = [code for code, _ in together]
+        assert codes == [2, 2, 0, 0, 0, 0]
+        assert together[2][1].startswith("ok")
+        assert together[3][1] == '{"count":4}\n'
+        assert json.loads(together[4][1])["isomorphic"] is False
+        assert json.loads(together[5][1])["isomorphic"] is True

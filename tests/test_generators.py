@@ -39,7 +39,12 @@ from ordrange import (
     slide_to_missing_index,
     suffix_shift_generator,
 )
-from ordrange.generators import first_missing_point, tail_anchor
+from ordrange.generators import (
+    FULL_IMAGE,
+    GeneratingSet,
+    first_missing_point,
+    tail_anchor,
+)
 
 cm = ChainMap.from_images
 
@@ -311,6 +316,39 @@ class TestMinimumGeneratingSet:
         assert pairs == 12574
         assert digest.hexdigest() == (
             "1eaad82924b10853154fd993592b42633327f24b52c9300f7c0fb8b0cc70695c")
+
+
+class TestLookups:
+    def test_lookups_match_their_definitions(self):
+        for n in range(1, 7):
+            for Y in range_sets(n):
+                gens = minimum_generating_set(n, Y, check=False)
+                others = [g for g in gens.members if g.kind != FULL_IMAGE]
+                assert gens.images == {g.element.images for g in gens.members}
+                assert gens.full_images == {
+                    g.element.images for g in gens.members
+                    if g.kind == FULL_IMAGE}
+                assert len(gens.by_tag) == len(others)
+                for g in others:
+                    assert gens.by_tag[g.kind, g.index] == g.element
+
+    def test_lookups_read_once_per_set(self):
+        gens = minimum_generating_set(5, RangeSet(5, (1, 3, 4)), check=False)
+        assert gens.images is gens.images
+        assert gens.full_images is gens.full_images
+        assert gens.by_tag is gens.by_tag
+
+    def test_equality_and_hash_ignore_lookups(self):
+        Y = RangeSet(6, (1, 2, 4, 6))
+        a = minimum_generating_set(6, Y, check=False)
+        b = GeneratingSet(6, RangeSet(6, (1, 2, 4, 6)), tuple(a.members))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        a.images, a.full_images, a.by_tag
+        assert a == b and hash(a) == hash(b)
+        b.by_tag
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestGenerates:

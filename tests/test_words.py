@@ -4,12 +4,14 @@ from conftest import range_sets
 from ordrange import (
     ChainMap,
     DomainError,
+    RangeSet,
     enumerate_elements,
     express_in_generators,
     image,
     minimum_generating_set,
     product_of,
 )
+from ordrange.words import _Rewriter
 
 cm = ChainMap.from_images
 
@@ -59,3 +61,13 @@ def test_low_rank_elements_use_multiple_factors(y13):
         if len(image(alpha)) == 2:
             continue
         assert product_of(word) == alpha
+
+
+def test_rejects_word_member_outside_the_set(monkeypatch):
+    """The word's product is right, but its letter is not a generator."""
+    gens = minimum_generating_set(4, RangeSet(4, (2, 3)), check=False)
+    const = cm([2, 2, 2, 2])
+    assert const.images not in gens.images
+    monkeypatch.setattr(_Rewriter, "express", lambda self, alpha: [const])
+    with pytest.raises(AssertionError, match="is not a generator"):
+        express_in_generators(const, gens)

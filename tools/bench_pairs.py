@@ -12,11 +12,15 @@ machine does not fall on one side only.  Writes ``BENCH_<tag>.json`` at
 the repository root with every result line and, per workload, each
 side's median and quartiles per end-to-end metric of ``BENCHMARK.json``
 and the number of pairs the change won (strictly better than the parent
-in the same pair), per workload whether both sides printed the same
-``stdout_sha256`` in every pair (``same_output``), and the net change of
-lines under ``src/`` against the parent (``git diff --numstat``).  The
-last stdout line repeats the medians, wins, ``same_output`` and
-``src_loc``.
+in the same pair), the change median's relative delta against the
+parent median (``delta``, positive when the value grew) and whether that
+delta is worse than the metric's ``bound`` (``worse``), per workload
+whether both sides printed the same ``stdout_sha256`` in every pair
+(``same_output``), and the net change of lines under ``src/`` against
+the parent (``git diff --numstat``).  The last stdout line repeats the
+medians, wins, deltas, ``worse`` flags, ``same_output`` and ``src_loc``,
+and ``worse`` at its top lists every ``workload.metric`` that got worse
+by more than its bound (empty when none did).
 """
 
 from __future__ import annotations
@@ -68,6 +72,22 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _delta(parent: float, change: float, metric: dict) -> dict:
+    """Relative change of the median and whether it is worse than the bound.
+
+    A zero parent median has no relative change: ``delta`` is None unless
+    the change median is zero too, and any move the wrong way is worse.
+    """
+    sign = 1 if metric["better"] == "lower" else -1
+    if parent:
+        delta = (change - parent) / parent
+        worse = sign * delta > metric["bound"]
+    else:
+        delta = None if change else 0.0
+        worse = sign * change > 0
+    return {"delta": delta, "bound": metric["bound"], "worse": worse}
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, nargs="+")
@@ -110,8 +130,12 @@ def main(argv: list[str] | None = None) -> int:
                         for side in ("parent", "change")}
             wins = sum((c < q) if lower else (c > q)
                        for q, c in zip(per_side["parent"], per_side["change"]))
-            table[name] = {"better": metric["better"], "wins": wins,
-                           **{side: _spread(v) for side, v in per_side.items()}}
+            spread = {side: _spread(v) for side, v in per_side.items()}
+            table[name] = {"better": metric["better"], "wins": wins, **spread,
+                           **_delta(spread["parent"]["median"],
+                                    spread["change"]["median"], metric)}
+    worse = [f"{workload}.{name}" for workload, table in summary.items()
+             for name, s in table.items() if s["worse"]]
     digest = {(r["workload"], r["pair"], r["side"]):
               r["run"]["details"]["stdout_sha256"] for r in runs}
     same_output = {workload: all(digest[workload, i, "parent"]
@@ -123,12 +147,16 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps({
         "workloads": args.workload, "parent": commit, "pairs": args.pairs,
         "seconds": args.seconds, "src_loc": src_loc,
-        "same_output": same_output, "summary": summary, "runs": runs,
+        "same_output": same_output, "worse": worse, "summary": summary,
+        "runs": runs,
     }, indent=1) + "\n")
     print(json.dumps({"src_loc": src_loc, "same_output": same_output,
+                      "worse": worse,
                       **{workload: {name: {"wins": s["wins"],
                                            "parent": s["parent"]["median"],
-                                           "change": s["change"]["median"]}
+                                           "change": s["change"]["median"],
+                                           "delta": s["delta"],
+                                           "worse": s["worse"]}
                                     for name, s in table.items()}
                          for workload, table in summary.items()}}))
     return 0
