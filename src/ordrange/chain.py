@@ -223,10 +223,10 @@ class ConvexPartition:
                 f"boundaries {list(self.boundaries)} must end at {self.n}")
         prev = 0
         for b in self.boundaries:
-            if b <= prev:
+            if type(b) is not int or b <= prev:
                 raise DomainError(
                     f"boundaries {list(self.boundaries)} are not strictly "
-                    "increasing")
+                    "increasing integers")
             prev = b
 
     @property

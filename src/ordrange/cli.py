@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CheckFailure as exc:
+    except (_CheckFailure, AssertionError) as exc:  # a construction's own check
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     print(_render(payload, args.format))

@@ -14,9 +14,12 @@ corank-one regular element up or down, and one rule that assembles a
 minimum generating set: a retraction per captive member, ceiling below
 the least missing chain point and floor above it, with a shift in place
 of the end retraction when Y opens on a run from 1, or closes on a run
-to n, of two or more points and has members beyond that run.  A
-definition-based subset search provides the independent minimality
-oracle.
+to n, of two or more points and has members beyond that run.  The
+minimality oracle is a subset search resting only on two facts of every
+finite semigroup S: a lies in every generating set iff a is not x*y with
+x != a and y != a (the prefix x of a shortest word for a over S - {a} is
+not a, or a shorter word would exist), and a least generating set holds
+nothing that the rest of it generates.
 """
 
 from __future__ import annotations
@@ -459,18 +462,17 @@ def generates(elements, table: SemigroupTable) -> bool:
 
 
 def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = None,
-                            restrict: bool | None = None,
                             ) -> tuple[int, list[frozenset[int]]]:
     """Search for a least-size generating set; returns (size, witnesses).
 
-    With ``restrict`` false the search sweeps every subset in ascending
-    size order: a genuinely assumption-free oracle, kept for small
-    tables.  Otherwise only supersets of the full-image class are tried,
-    which is safe because a full-image element can only factor through
-    full-image elements with its own kernel and image, i.e. through
-    itself, so every generating set contains the whole class.  Witness
-    collection stops at ``witness_limit`` sets; minimality is never
-    affected because every smaller size is fully exhausted first.
+    Two facts of every finite semigroup S restrict the sweep.  The base,
+    the elements a that are not x*y for any x != a and y != a, lies in
+    every generating set: a shortest word for a over S - {a} has a prefix
+    x != a, or a shorter word would exist.  A least generating set holds
+    nothing that the rest of it generates, so it adds to the base only
+    elements outside the closure of the base.  Those supersets are tried
+    in ascending size, so the witnesses are every least generating set,
+    up to ``witness_limit``.
     """
     guard = search_guard()
     total = count_maps(n, len(Y))
@@ -480,10 +482,17 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = 
     # the search guard never exceeds the closure guard
     table = enumerate_semigroup(n, Y)
     size = len(table)
-    if restrict is None:
-        restrict = size > 16
-
-    def sweep(base: list[int], pool: list[int], extra: int) -> list[frozenset[int]]:
+    columns, slots = table.columns_of(range(size))
+    made = set()  # ids that are x*y with x and y both other than the product
+    for y, slot in enumerate(slots):
+        made.update(p for x, p in enumerate(columns[slot]) if p != x and p != y)
+    base = [a for a in range(size) if a not in made]
+    spanned = table.closure(base)
+    # larger images first: witnesses surface sooner; the order never
+    # changes the answer, since every size is swept in full
+    pool = sorted((i for i in range(size) if i not in spanned),
+                  key=lambda i: (-len(image(table.elements[i])), i))
+    for extra in range(len(pool) + 1):
         found: list[frozenset[int]] = []
         for combo in combinations(pool, extra):
             ids = base + list(combo)
@@ -491,24 +500,8 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = 
                 found.append(frozenset(ids))
                 if witness_limit is not None and len(found) >= witness_limit:
                     break
-        return found
-
-    if not restrict:
-        for s in range(1, size + 1):
-            found = sweep([], list(range(size)), s)
-            if found:
-                return s, found
-    else:
-        a_ids = [i for i, el in enumerate(table.elements)
-                 if len(image(el)) == len(Y)]
-        pool = [i for i in range(size) if i not in set(a_ids)]
-        # corank-one elements first: witnesses surface sooner, and any
-        # witness is verified by the closure itself
-        pool.sort(key=lambda i: (-len(image(table.elements[i])), i))
-        for extra in range(0, len(pool) + 1):
-            found = sweep(a_ids, pool, extra)
-            if found:
-                return len(a_ids) + extra, found
+        if found:
+            return len(base) + extra, found
     raise AssertionError("the whole semigroup failed to generate itself")
 
 

@@ -4,7 +4,10 @@ The oracles here deliberately avoid the library's own enumeration and
 closure code paths: maps are generated as raw tuples and filtered by
 definition, so expected values in the tests come from a second route.
 The helpers build inputs and read results for the tests; the library
-itself has no use for them.
+itself has no use for them.  ``least_generating_sets`` is the one
+reference that reads a library table: it tries every subset, so it
+assumes nothing about which elements a generating set needs, and its
+closure is checked against ``brute_force_closure`` elsewhere.
 """
 
 from itertools import combinations, product
@@ -36,6 +39,18 @@ def brute_force_closure(seqs):
         if not fresh:
             return done
         done |= fresh
+
+
+def least_generating_sets(table):
+    """(rank, every least generating set) of a table's semigroup, by
+    sweeping all subsets of its ids in ascending size."""
+    size = len(table)
+    for s in range(1, size + 1):
+        found = [frozenset(ids) for ids in combinations(range(size), s)
+                 if len(table.closure(ids)) == size]
+        if found:
+            return s, found
+    raise AssertionError("the whole semigroup failed to generate itself")
 
 
 def range_sets(n, smallest=1, largest=None):

@@ -146,9 +146,7 @@ def test_criterion_06_rank_exactness():
     for n in (3, 4, 5):
         for Y in range_sets(n, smallest=2, largest=n - 1):
             table = enumerate_semigroup(n, Y)
-            # honest full-subset oracle where feasible, pinned search above
-            restrict = len(table) > 16
-            rank, witnesses = minimal_generating_sets(n, Y, restrict=restrict)
+            rank, witnesses = minimal_generating_sets(n, Y)
             assert rank == rank_by_formula(n, Y), (n, Y.members)
             assert witnesses
             a_ids = frozenset(table.id_of(f) for f in full_image_maps(n, Y))

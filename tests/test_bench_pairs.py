@@ -34,3 +34,24 @@ def test_delta_against_bound(parent, change, metric, delta, worse):
         assert got["delta"] == pytest.approx(delta)
     assert got["worse"] is worse
     assert got["bound"] == metric["bound"]
+
+
+# quartiles 1.0, 1.75, 2.125: a spread of 64% of the median
+NOISY = [1.0, 1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 2.0, 2.5, 2.5]
+STEADY = [2.0] * 9 + [2.4]
+
+
+@pytest.mark.parametrize("parent, change, metric, unresolved", [
+    (NOISY, NOISY, LOWER, True),
+    (NOISY, [x + 2 for x in NOISY], LOWER, True),
+    (NOISY, [0.9] * 10, LOWER, False),           # every run beats the parent
+    (NOISY, [0.9] * 9 + [1.0], LOWER, True),     # one run ties the best
+    (NOISY, [2.6] * 10, HIGHER, False),
+    (NOISY, [2.6] * 9 + [2.5], HIGHER, True),
+    (STEADY, [9.0] * 10, LOWER, False),          # resolved, and worse
+    ([0.0] * 10, [0.1] * 10, LOWER, False),
+    ([0.0] * 9 + [1.0], [0.0] * 10, HIGHER, False),  # quartiles 0, 0
+    ([0.0] * 5 + [1.0] * 5, [0.5] * 10, HIGHER, True),
+])
+def test_unresolved_spread(parent, change, metric, unresolved):
+    assert bench_pairs._unresolved(parent, change, metric) is unresolved

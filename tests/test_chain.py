@@ -97,6 +97,11 @@ class TestConstruction:
         with pytest.raises(DomainError):
             ConvexPartition(4, (2, 3))
 
+    @pytest.mark.parametrize("boundaries", [(1.5, 3), (True, 3), (1, 3.0)])
+    def test_partition_rejects_non_integer_boundaries(self, boundaries):
+        with pytest.raises(DomainError):
+            ConvexPartition(3, boundaries)
+
 
 class TestCompose:
     def test_pointwise(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ordrange
-from ordrange import cli
+from ordrange import cli, generators
 from ordrange.cli import main
 
 
@@ -178,6 +178,18 @@ class TestGolden:
         payload = json.loads(out)
         assert payload["rank"] == 4
         assert payload["checked"] == ["brute", "constructed", "formula"]
+
+    @pytest.mark.parametrize("args", [["gens"], ["rank", "--check"]])
+    def test_short_generating_set_fails_verification(self, capsys,
+                                                     monkeypatch, args):
+        build = generators.full_image_maps
+        monkeypatch.setattr(generators, "full_image_maps",
+                            lambda n, Y: build(n, Y)[1:])
+        code, out, err = run(capsys, args[0], "-n", "5", "-Y", "1,3,4",
+                             *args[1:])
+        assert code == 1 and out == ""
+        assert err == ("verification failure: built 6 generators, "
+                       "formula says 7\n")
 
 
 class TestDeterminism:

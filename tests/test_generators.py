@@ -7,6 +7,7 @@ from conftest import (
     brute_force_closure,
     brute_force_maps,
     corank_one_class,
+    least_generating_sets,
     range_sets,
 )
 from ordrange import (
@@ -27,6 +28,7 @@ from ordrange import (
     floor_retraction,
     full_image_maps,
     generates,
+    generators,
     image,
     is_regular,
     kernel,
@@ -380,21 +382,27 @@ class TestRankSearch:
         assert rank_by_search(4, RangeSet(4, (1, 2))) == 4
         assert rank_by_search(4, RangeSet(4, (2, 3))) == 3
 
-    def test_restricted_and_unrestricted_agree(self):
-        for n in (3, 4):
-            for Y in range_sets(n, smallest=2, largest=n - 1):
-                free, _ = minimal_generating_sets(n, Y, restrict=False,
-                                                  witness_limit=1)
-                pinned, _ = minimal_generating_sets(n, Y, restrict=True,
-                                                    witness_limit=1)
-                assert free == pinned == rank_by_formula(n, Y)
+    def test_search_equals_all_subsets_reference(self):
+        # every table of at most 15 elements on n <= 5; the (5, 3)
+        # tables of 21 take the reference half a minute
+        swept = 0
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                if count_maps(n, len(Y)) > 15:
+                    continue
+                rank, witnesses = least_generating_sets(enumerate_semigroup(n, Y))
+                found, swept_witnesses = minimal_generating_sets(n, Y)
+                assert found == rank == rank_by_formula(n, Y), (n, Y.members)
+                assert set(swept_witnesses) == set(witnesses), (n, Y.members)
+                swept += 1
+        assert swept == 40
 
     def test_every_minimal_set_contains_full_image_class(self):
         for n in (3, 4):
             for Y in range_sets(n, smallest=2, largest=n - 1):
                 table = enumerate_semigroup(n, Y)
                 a_ids = frozenset(table.id_of(f) for f in full_image_maps(n, Y))
-                _, witnesses = minimal_generating_sets(n, Y, restrict=False)
+                _, witnesses = least_generating_sets(table)
                 assert witnesses
                 for w in witnesses:
                     assert a_ids <= w
@@ -403,11 +411,18 @@ class TestRankSearch:
         for n in (3, 4):
             for Y in range_sets(n, smallest=2, largest=n - 1):
                 table = enumerate_semigroup(n, Y)
-                _, witnesses = minimal_generating_sets(n, Y, restrict=False)
+                _, witnesses = least_generating_sets(table)
                 for w in witnesses:
                     for pos, y in enumerate(Y.members, start=1):
                         if y in captive_set(n, Y):
                             assert w & corank_one_class(table, Y, pos)
+
+    def test_search_assumes_nothing_about_images(self, monkeypatch):
+        # with every image reported full, a search that takes the
+        # full-image class as given would start from the whole semigroup
+        Y = RangeSet(5, (1, 3, 5))
+        monkeypatch.setattr(generators, "image", lambda f: Y)
+        assert rank_by_search(5, Y) == rank_by_formula(5, Y) == 8
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "50")

@@ -9,6 +9,7 @@ from ordrange import (
     RangeSet,
     completability,
     constant,
+    generators,
     reflect,
     verify,
 )
@@ -23,7 +24,7 @@ def test_run_all_n4_report():
         "ok   green-oracle-equivalence",
         "ok   completability-criterion",
         "ok   rank-constructed",
-        "ok   rank-search  (10 sets within guard)",
+        "ok   rank-search  (14 sets within guard)",
         "ok   word-reconstruction",
         "ok   canonical-order-isomorphism",
         "ok   isomorphism-classification",
@@ -65,7 +66,7 @@ def test_run_all_n5_report():
         "ok   green-oracle-equivalence",
         "ok   completability-criterion",
         "ok   rank-constructed",
-        "ok   rank-search  (20 sets within guard)",
+        "ok   rank-search  (25 sets within guard)",
         "ok   word-reconstruction",
         "ok   canonical-order-isomorphism",
         "ok   isomorphism-classification  (skipped 1 sets above the search guard)",
@@ -134,6 +135,17 @@ def test_rank_constructed_checks_closure(monkeypatch):
     assert report["failures"] == 1
     assert ("FAIL rank-constructed  (constructed set fails to generate "
             "Y=[1, 2, 4])") in report["lines"]
+
+
+def test_rank_constructed_reports_a_short_set(monkeypatch):
+    """A construction one full-image map short fails its own size check;
+    the battery reports that, with no traceback."""
+    build = generators.full_image_maps
+    monkeypatch.setattr(generators, "full_image_maps",
+                        lambda n, Y: build(n, Y)[1:])
+    report = run_all(5, [RangeSet(5, (1, 3, 4))])
+    assert ("FAIL rank-constructed  (built 6 generators, formula says 7 "
+            "for Y=[1, 3, 4])") in report["lines"]
 
 
 def test_green_sweep_compares_the_partitions(monkeypatch):

@@ -14,13 +14,17 @@ side's median and quartiles per end-to-end metric of ``BENCHMARK.json``
 and the number of pairs the change won (strictly better than the parent
 in the same pair), the change median's relative delta against the
 parent median (``delta``, positive when the value grew) and whether that
-delta is worse than the metric's ``bound`` (``worse``), per workload
-whether both sides printed the same ``stdout_sha256`` in every pair
-(``same_output``), and the net change of lines under ``src/`` against
-the parent (``git diff --numstat``).  The last stdout line repeats the
-medians, wins, deltas, ``worse`` flags, ``same_output`` and ``src_loc``,
-and ``worse`` at its top lists every ``workload.metric`` that got worse
-by more than its bound (empty when none did).
+delta is worse than the metric's ``bound`` (``worse``), whether the
+parent's own interquartile spread, relative to its median, is wider than
+the bound while some change run does not read better than every parent
+run (``unresolved``: the runs cannot tell a move within the bound from
+noise), per workload whether both sides printed the same
+``stdout_sha256`` in every pair (``same_output``), and the net change of
+lines under ``src/`` against the parent (``git diff --numstat``).  The
+last stdout line repeats the medians, wins, deltas, ``worse`` and
+``unresolved`` flags, ``same_output`` and ``src_loc``; ``worse`` and
+``unresolved`` at its top list every ``workload.metric`` so flagged
+(empty when none is).
 """
 
 from __future__ import annotations
@@ -88,6 +92,21 @@ def _delta(parent: float, change: float, metric: dict) -> dict:
     return {"delta": delta, "bound": metric["bound"], "worse": worse}
 
 
+def _unresolved(parent: list[float], change: list[float], metric: dict) -> bool:
+    """The parent's interquartile spread is wider than the bound, relative
+    to its median, and not every change run beats every parent run.
+
+    With a zero parent median any spread at all is too wide.
+    """
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    if metric["better"] == "lower":
+        clear = max(change) < min(parent)
+    else:
+        clear = min(change) > max(parent)
+    wide = q3 - q1 > metric["bound"] * abs(median) if median else q3 > q1
+    return wide and not clear
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, nargs="+")
@@ -133,9 +152,15 @@ def main(argv: list[str] | None = None) -> int:
             spread = {side: _spread(v) for side, v in per_side.items()}
             table[name] = {"better": metric["better"], "wins": wins, **spread,
                            **_delta(spread["parent"]["median"],
-                                    spread["change"]["median"], metric)}
-    worse = [f"{workload}.{name}" for workload, table in summary.items()
-             for name, s in table.items() if s["worse"]]
+                                    spread["change"]["median"], metric),
+                           "unresolved": _unresolved(per_side["parent"],
+                                                     per_side["change"], metric)}
+
+    def flagged(flag: str) -> list[str]:
+        return [f"{workload}.{name}" for workload, table in summary.items()
+                for name, s in table.items() if s[flag]]
+
+    worse, unresolved = flagged("worse"), flagged("unresolved")
     digest = {(r["workload"], r["pair"], r["side"]):
               r["run"]["details"]["stdout_sha256"] for r in runs}
     same_output = {workload: all(digest[workload, i, "parent"]
@@ -147,16 +172,18 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps({
         "workloads": args.workload, "parent": commit, "pairs": args.pairs,
         "seconds": args.seconds, "src_loc": src_loc,
-        "same_output": same_output, "worse": worse, "summary": summary,
+        "same_output": same_output, "worse": worse,
+        "unresolved": unresolved, "summary": summary,
         "runs": runs,
     }, indent=1) + "\n")
     print(json.dumps({"src_loc": src_loc, "same_output": same_output,
-                      "worse": worse,
+                      "worse": worse, "unresolved": unresolved,
                       **{workload: {name: {"wins": s["wins"],
                                            "parent": s["parent"]["median"],
                                            "change": s["change"]["median"],
                                            "delta": s["delta"],
-                                           "worse": s["worse"]}
+                                           "worse": s["worse"],
+                                           "unresolved": s["unresolved"]}
                                     for name, s in table.items()}
                          for workload, table in summary.items()}}))
     return 0
