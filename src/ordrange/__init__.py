@@ -49,7 +49,6 @@ from .generators import (
     ceiling_retraction,
     corank_one_generator,
     factor_raising_rank,
-    factor_through_full_image,
     floor_retraction,
     full_image_map,
     full_image_maps,

@@ -23,7 +23,7 @@ from .completability import (
     is_completable,
 )
 from .enumeration import (
-    check_closure_guard,
+    check_guard,
     closure_guard,
     count_maps,
     enumerate_semigroup,
@@ -168,7 +168,7 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_regular(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    check_closure_guard(args.n, len(Y))
+    check_guard(args.n, len(Y), closure_guard())
     reg = regular_elements(args.n, Y)
     payload = {
         "n": args.n,

@@ -207,10 +207,9 @@ def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
     return [new(n, seq) for seq in combinations_with_replacement(Y.members, n)]
 
 
-def check_closure_guard(n: int, r: int) -> None:
+def check_guard(n: int, r: int, limit: int) -> None:
     """Refuse, before any work, a table of maps into an r-element set
-    that is larger than the closure guard."""
-    limit = closure_guard()
+    that is larger than the given guard."""
     total = count_maps(n, r)
     if total > limit:
         raise GuardExceeded(
@@ -219,5 +218,5 @@ def check_closure_guard(n: int, r: int) -> None:
 
 def enumerate_semigroup(n: int, Y: RangeSet) -> SemigroupTable:
     """The table of O(n, Y) with stable element ids, inside the closure guard."""
-    check_closure_guard(n, len(Y))
+    check_guard(n, len(Y), closure_guard())
     return SemigroupTable(n, Y)

@@ -8,14 +8,15 @@ product when some factor already misses exactly the right value, which
 forces one extra generator per captive member beyond the C(n-1, r-1)
 maps whose image is all of Y.
 
-The constructive machinery mirrors that picture: factorizations that
-raise image size, retractions that shuttle the missing value of a
-corank-one regular element up or down, and one rule that assembles a
-minimum generating set: a retraction per captive member, ceiling below
-the least missing chain point and floor above it, with a shift in place
-of the end retraction when Y opens on a run from 1, or closes on a run
-to n, of two or more points and has members beyond that run.  The
-minimality oracle is a subset search resting only on two facts of every
+The constructive machinery mirrors that picture: one factorization that
+raises image size by one below full image (at corank one its left factor
+has image all of Y and its right factor is regular), retractions that
+shuttle the missing value of a corank-one regular element up or down,
+and one rule that assembles a minimum generating set: a retraction per
+captive member, ceiling below the least missing chain point and floor
+above it, with a shift in place of the end retraction when Y opens on a
+run from 1, or closes on a run to n, of two or more points and has
+members beyond that run.  The minimality oracle is a subset search resting only on two facts of every
 finite semigroup S: a lies in every generating set iff a is not x*y with
 x != a and y != a (the prefix x of a shortest word for a over S - {a} is
 not a, or a shorter word would exist), and a least generating set holds
@@ -24,6 +25,7 @@ nothing that the rest of it generates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -32,7 +34,6 @@ from .chain import (
     ChainMap,
     ConvexPartition,
     DomainError,
-    GuardExceeded,
     PartialMap,
     RangeSet,
     ceiling_extension,
@@ -46,7 +47,7 @@ from .chain import (
 )
 from .enumeration import (
     SemigroupTable,
-    count_maps,
+    check_guard,
     enumerate_semigroup,
     search_guard,
 )
@@ -85,8 +86,6 @@ def rank_by_formula(n: int, Y: RangeSet) -> int:
     the monoid rank n plus the identity, which no product of other
     elements reaches.  This is the rank the subset search computes.
     """
-    import math
-
     r = len(Y)
     if Y.n != n:
         raise DomainError(f"range set lives on chain {Y.n}, not {n}")
@@ -198,6 +197,15 @@ def corank_one_generator(n: int, Y: RangeSet, t: int) -> ChainMap:
     return full_image_map(part, RangeSet(n, Y.without(t)))
 
 
+_BUILDERS = {
+    FLOOR: floor_retraction,
+    CEILING: ceiling_retraction,
+    PREFIX_SHIFT: prefix_shift_generator,
+    SUFFIX_SHIFT: suffix_shift_generator,
+    CORANK_ONE: corank_one_generator,
+}
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 
@@ -212,57 +220,40 @@ def missing_index(alpha: ChainMap, Y: RangeSet) -> int:
     return gone[0]
 
 
-def factor_through_full_image(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMap]:
-    """Split a corank-one map as (full-image map) * (regular corank-one map).
-
-    The left factor splits the first non-singleton kernel block of alpha
-    at its least point; the right factor is the floor extension of the
-    position-wise bijection between Y-minus-one-value sets, hence regular
-    with image size r-1.
-    """
-    if not maps_into(alpha, Y):
-        raise DomainError(f"{alpha!r} does not map into {list(Y.members)}")
-    r = len(Y)
-    miss = missing_index(alpha, Y)
-    part = kernel(alpha)
-    sizes = [e - s + 1 for s, e in part.blocks()]
-    big = next(t for t, size in enumerate(sizes, start=1) if size >= 2)
-    beta = full_image_map(part.split_block(big), Y)
-    theta = PartialMap(alpha.n, Y.without(big + 1), Y.without(miss))
-    gamma = floor_extension(theta)
-    assert compose(beta, gamma) == alpha
-    assert len(image(beta)) == r and len(image(gamma)) == r - 1
-    assert is_regular(gamma, Y)
-    return beta, gamma
-
-
 def factor_raising_rank(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMap]:
-    """Split a map of image size k < r-1 into two factors of image size k+1.
+    """Split a map of image size k < r into a left factor of image size
+    k+1 and a right factor of image size min(k+1, r-1).
 
-    Let a_1 < ... < a_k be the values of alpha, u < v the two least
-    members of Y missing from them, and j the first non-singleton kernel
-    block.  Take x, y = u, v when a_j < v and x, y = v, u otherwise.  The
+    Let a_1 < ... < a_k be the values of alpha, j its first non-singleton
+    kernel block, and take the members of Y missing from those values, at
+    most two: the least u, and v when there is one.  When u is the only
+    one, x = u; otherwise x, y = u, v when a_j < v and x, y = v, u.  The
     left factor splits block j at its least point and takes the values
     a_1..a_k with x woven in; the right factor is the floor extension
     sending those values, less that of the split-off block j+1, to
-    a_1..a_k in order, and y to itself.
+    a_1..a_k in order, and y, if any, to itself.  At k = r-1 only u is
+    missing and nothing is fixed: the left factor has image all of Y, and
+    the right factor, of image size r-1, is regular.
     """
     if not maps_into(alpha, Y):
         raise DomainError(f"{alpha!r} does not map into {list(Y.members)}")
     blocks, a = _blocks_and_values(alpha)
     k = len(a)
-    if k >= len(Y) - 1:
-        raise DomainError(f"image size {k} is not below {len(Y) - 1}")
-    u, v = [y for y in Y if y not in a][:2]
+    if k >= len(Y):
+        raise DomainError(f"image size {k} is not below {len(Y)}")
+    gone = [y for y in Y if y not in a][:2]
     j = next(t for t, (s, e) in enumerate(blocks, start=1) if e > s)
-    x, y = (u, v) if a[j - 1] < v else (v, u)
+    if len(gone) == 2 and a[j - 1] >= gone[1]:
+        gone.reverse()
+    x, *fixed = gone
     bv = sorted(a + [x])
     n = alpha.n
     beta = _map_from_blocks(n, list(kernel(alpha).split_block(j).blocks()), bv)
-    dom, img = zip(*sorted([*zip(bv[:j] + bv[j + 1:], a), (y, y)]))
+    dom, img = zip(*sorted([*zip(bv[:j] + bv[j + 1:], a), *zip(fixed, fixed)]))
     gamma = floor_extension(PartialMap(n, dom, img))
     assert compose(beta, gamma) == alpha
-    assert len(image(beta)) == k + 1 and len(image(gamma)) == k + 1
+    assert len(image(beta)) == k + 1 and len(image(gamma)) == k + len(fixed)
+    assert fixed or is_regular(gamma, Y)
     return beta, gamma
 
 
@@ -330,11 +321,14 @@ class TaggedGenerator:
 class GeneratingSet:
     """Tagged generators of the monotone maps of {1..n} into a range set.
 
-    Three lookups are computed on first use and kept with the set (they
+    Four lookups are computed on first use and kept with the set (they
     are not fields, so equality, hashing and the constructor ignore
     them): ``images``, the image tuples of every member; ``full_images``,
-    those of the ``FULL_IMAGE`` members; and ``by_tag``, mapping
-    ``(kind, index)`` to the element of every other member.
+    those of the ``FULL_IMAGE`` members; ``by_tag``, mapping
+    ``(kind, index)`` to the element of every other member; and
+    ``anchors``, the pair :func:`first_missing_point`,
+    :func:`tail_anchor` of the range set, which raises DomainError on
+    the whole chain.
     """
 
     n: int
@@ -363,6 +357,11 @@ class GeneratingSet:
     def by_tag(self) -> dict[tuple[str, int | None], ChainMap]:
         return {(g.kind, g.index): g.element
                 for g in self.members if g.kind != FULL_IMAGE}
+
+    @cached_property
+    def anchors(self) -> tuple[int, int]:
+        return (first_missing_point(self.n, self.range_set),
+                tail_anchor(self.n, self.range_set))
 
     def elements(self) -> list[ChainMap]:
         return [g.element for g in self.members]
@@ -430,14 +429,7 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
         TaggedGenerator(f, FULL_IMAGE) for f in full_image_maps(n, Y)
     ]
     for kind, idx in eps:
-        builder = {
-            FLOOR: floor_retraction,
-            CEILING: ceiling_retraction,
-            PREFIX_SHIFT: prefix_shift_generator,
-            SUFFIX_SHIFT: suffix_shift_generator,
-            CORANK_ONE: corank_one_generator,
-        }[kind]
-        members.append(TaggedGenerator(builder(n, Y, idx), kind, idx))
+        members.append(TaggedGenerator(_BUILDERS[kind](n, Y, idx), kind, idx))
 
     gens = GeneratingSet(n, Y, tuple(members))
     expected = rank_by_formula(n, Y)
@@ -474,11 +466,7 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = 
     in ascending size, so the witnesses are every least generating set,
     up to ``witness_limit``.
     """
-    guard = search_guard()
-    total = count_maps(n, len(Y))
-    if total > guard:
-        raise GuardExceeded(
-            f"semigroup has {total} elements, above the guard {guard}")
+    check_guard(n, len(Y), search_guard())
     # the search guard never exceeds the closure guard
     table = enumerate_semigroup(n, Y)
     size = len(table)

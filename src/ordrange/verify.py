@@ -29,7 +29,8 @@ from .completability import (
     is_completable,
 )
 from .enumeration import (
-    check_closure_guard,
+    check_guard,
+    closure_guard,
     count_maps,
     enumerate_semigroup,
     search_guard,
@@ -63,7 +64,8 @@ def _all_range_sets(n: int) -> list[RangeSet]:
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     if n < 1:
         raise DomainError(f"chain size must be positive, got {n}")
-    check_closure_guard(n, n if sets is None else max(map(len, sets), default=1))
+    check_guard(n, n if sets is None else max(map(len, sets), default=1),
+                closure_guard())
     Ys = _all_range_sets(n) if sets is None else sets
     guard = search_guard()
     brute_cap = min(BRUTE_RANK_LIMIT, guard)

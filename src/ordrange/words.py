@@ -1,16 +1,17 @@
 """Rewriting semigroup elements as words over a minimum generating set.
 
-The route follows the structure of the rank proof itself: maps of low
-image size are split by :func:`factor_raising_rank` until corank one,
-corank-one maps factor through a full-image map times a regular
-corank-one map, and the regular part slides to the pivot class fixed by
-the least missing chain point, where explicit products of full-image
-maps (plus at most one retraction) finish the job.  Retractions that
-were pruned from the generating set are themselves rewritten as words
-over it.  Every step is verified by multiplying the word back out.
-The rewriter and the final membership check read their generator
-lookups (``full_images``, ``by_tag``, ``images``) from the generating
-set, which computes them once per set.
+The route follows the structure of the rank proof itself: every map
+below full image that is not regular of corank one is split by
+:func:`factor_raising_rank`, which raises image size by one.  Corank-one
+maps split by the same rule, into a full-image map times a regular
+corank-one map.  A regular corank-one map slides to the pivot class
+fixed by the least missing chain point, where explicit products of
+full-image maps (plus at most one retraction) finish the job.
+Retractions that were pruned from the generating set are themselves
+rewritten as words over it.  Every step is verified by multiplying the
+word back out.  The rewriter and the final membership check read their
+generator lookups (``full_images``, ``by_tag``, ``images``, ``anchors``)
+from the generating set, which computes them once per set.
 """
 
 from __future__ import annotations
@@ -40,12 +41,9 @@ from .generators import (
     GeneratingSet,
     ceiling_retraction,
     factor_raising_rank,
-    factor_through_full_image,
-    first_missing_point,
     floor_retraction,
     full_image_map,
     slide_to_missing_index,
-    tail_anchor,
 )
 from .regularity import is_regular
 
@@ -101,36 +99,14 @@ def _lemb_word(n: int, Y: RangeSet, k: int) -> list[ChainMap]:
     return word
 
 
-def _imin_word(beta: ChainMap, Y: RangeSet) -> list[ChainMap]:
-    """A regular map missing y_1, with y_1 > 1, as two full-image maps."""
-    n = beta.n
-    m = Y.members
-    part = kernel(beta)
-    split = part.split_block(1)
-    left = full_image_map(split, Y)
-    dom = (1, m[0]) + m[2:]
-    right = floor_extension(PartialMap(n, dom, m))
-    word = [left, right]
-    assert product_of(word) == beta
-    return word
-
-
-def _imax_word(beta: ChainMap, Y: RangeSet) -> list[ChainMap]:
-    """Mirror of :func:`_imin_word` for a map missing y_r with y_r < n."""
-    Yr = reflect_set(Y)
-    word = _imin_word(reflect(beta), Yr)
-    out = [reflect(w) for w in word]
-    assert product_of(out) == beta
-    return out
-
-
 def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
     """A regular map missing y_i (chain starts 1..i-1, then skips i).
 
     Returns a list whose entries are either full-image ChainMaps or the
     tag (FLOOR, i); the caller resolves the tag against the generating
     set.  Which shape comes out depends on where the chain point i sits
-    among the kernel blocks.
+    among the kernel blocks.  At i = 1 (y_1 > 1) the point 1 always sits
+    in block 2, and the word is two full-image maps.
     """
     n = beta.n
     m = Y.members
@@ -156,6 +132,15 @@ def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
     return [left, mid, (FLOOR, i)]
 
 
+def _imax_word(beta: ChainMap, Y: RangeSet) -> list[ChainMap]:
+    """A regular map missing y_r, with y_r < n, as two full-image maps:
+    the mirror of :func:`_imed_word` at i = 1."""
+    word = _imed_word(reflect(beta), reflect_set(Y), 1)
+    out = [reflect(w) for w in word]
+    assert product_of(out) == beta
+    return out
+
+
 class _Rewriter:
     def __init__(self, gens: GeneratingSet):
         self.n = gens.n
@@ -163,8 +148,7 @@ class _Rewriter:
         self.r = len(gens.range_set)
         self.by_tag = gens.by_tag
         self.full = gens.full_images
-        self.i = first_missing_point(self.n, self.Y)
-        self.j = tail_anchor(self.n, self.Y)
+        self.i, self.j = gens.anchors
         self.pivot = self.i if self.i <= self.r else self.r
 
     def emit_full(self, beta: ChainMap) -> list[ChainMap]:
@@ -212,8 +196,6 @@ class _Rewriter:
         beta, tags = slide_to_missing_index(gamma, self.pivot, self.Y)
         if self.i == self.r + 1:
             head: list = _imax_word(beta, self.Y)
-        elif self.i == 1:
-            head = _imin_word(beta, self.Y)
         else:
             head = _imed_word(beta, self.Y, self.i)
         out: list[ChainMap] = []
@@ -230,13 +212,10 @@ class _Rewriter:
         k = len(image(alpha))
         if k == self.r:
             return self.emit_full(alpha)
-        if k < self.r - 1:
-            left, right = factor_raising_rank(alpha, self.Y)
-            return self.express(left) + self.express(right)
-        if is_regular(alpha, self.Y):
+        if k == self.r - 1 and is_regular(alpha, self.Y):
             return self.express_regular_corank(alpha)
-        left, right = factor_through_full_image(alpha, self.Y)
-        return self.emit_full(left) + self.express_regular_corank(right)
+        left, right = factor_raising_rank(alpha, self.Y)
+        return self.express(left) + self.express(right)
 
 
 def express_in_generators(alpha: ChainMap, gens: GeneratingSet) -> list[ChainMap]:

@@ -26,7 +26,6 @@ from ordrange import (
     enumerate_semigroup,
     express_in_generators,
     factor_raising_rank,
-    factor_through_full_image,
     find_isomorphism,
     fixed_points,
     floor_extension,
@@ -173,18 +172,17 @@ def test_criterion_07_factorization_chains():
                 k = len(image(alpha))
                 if k > r - 1:
                     continue
-                if k == r - 1:
-                    beta, gamma = factor_through_full_image(alpha, Y)
-                    assert compose(beta, gamma) == alpha
-                    assert len(image(beta)) == r and is_regular(gamma, Y)
+                beta, gamma = factor_raising_rank(alpha, Y)
+                assert compose(beta, gamma) == alpha
+                assert len(image(beta)) == k + 1
+                if k < r - 1:
+                    assert len(image(gamma)) == k + 1
+                else:
+                    assert len(image(gamma)) == k and is_regular(gamma, Y)
                     if is_regular(alpha, Y):
                         for target in range(1, r + 1):
                             slid, _ = slide_to_missing_index(alpha, target, Y)
                             assert missing_index(slid, Y) == target
-                else:
-                    beta, gamma = factor_raising_rank(alpha, Y)
-                    assert compose(beta, gamma) == alpha
-                    assert len(image(beta)) == len(image(gamma)) == k + 1
                 word = express_in_generators(alpha, gens)
                 assert product_of(word) == alpha
                 assert all(w.images in allowed for w in word)

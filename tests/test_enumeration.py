@@ -21,6 +21,7 @@ from ordrange import (
     full_image_maps,
     minimum_generating_set,
 )
+from ordrange.enumeration import check_guard
 
 
 class TestCount:
@@ -208,3 +209,9 @@ class TestTable:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_semigroup(9, RangeSet(9, tuple(range(1, 10))))
+
+    def test_check_guard_takes_the_limit(self):
+        check_guard(3, 3, 10)
+        with pytest.raises(GuardExceeded, match=(
+                r"^semigroup has 10 elements, above the guard 9$")):
+            check_guard(3, 3, 9)

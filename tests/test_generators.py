@@ -24,7 +24,6 @@ from ordrange import (
     enumerate_semigroup,
     express_in_generators,
     factor_raising_rank,
-    factor_through_full_image,
     floor_retraction,
     full_image_maps,
     generates,
@@ -142,7 +141,7 @@ class TestRetractions:
 
 class TestFactorCorankOne:
     def test_constant_in_y13(self, y13):
-        beta, gamma = factor_through_full_image(cm([1, 1, 1]), y13)
+        beta, gamma = factor_raising_rank(cm([1, 1, 1]), y13)
         assert compose(beta, gamma) == cm([1, 1, 1])
         assert len(image(beta)) == 2 and len(image(gamma)) == 1
         assert is_regular(gamma, y13)
@@ -150,7 +149,7 @@ class TestFactorCorankOne:
     def test_example_n4(self):
         Y = RangeSet(4, (1, 2, 3))
         alpha = cm([1, 1, 3, 3])
-        beta, gamma = factor_through_full_image(alpha, Y)
+        beta, gamma = factor_raising_rank(alpha, Y)
         assert compose(beta, gamma) == alpha
         assert len(image(beta)) == 3
 
@@ -161,7 +160,7 @@ class TestFactorCorankOne:
                 for alpha in enumerate_elements(n, Y):
                     if len(image(alpha)) != r - 1:
                         continue
-                    beta, gamma = factor_through_full_image(alpha, Y)
+                    beta, gamma = factor_raising_rank(alpha, Y)
                     assert compose(beta, gamma) == alpha
                     assert len(image(beta)) == r
                     assert len(image(gamma)) == r - 1
@@ -169,7 +168,7 @@ class TestFactorCorankOne:
 
     def test_wrong_rank_rejected(self, y13):
         with pytest.raises(DomainError):
-            factor_through_full_image(cm([1, 1, 3]), y13)
+            factor_raising_rank(cm([1, 1, 3]), y13)
 
 
 class TestFactorRaisingRank:
@@ -306,18 +305,18 @@ class TestMinimumGeneratingSet:
             "f760cc4d5fe7820c9183b029a24f13cea1ee94be1b754586357a3f6f14638d89")
 
     def test_factor_pairs_pinned(self):
-        """Both factors of every map of image size below r - 1, n <= 7."""
+        """Both factors of every map of image size below r, n <= 7."""
         digest, pairs = hashlib.sha256(), 0
         for n in range(1, 8):
             for Y in range_sets(n, smallest=2, largest=n - 1):
                 for f in enumerate_elements(n, Y):
-                    if len(image(f)) < len(Y) - 1:
+                    if len(image(f)) < len(Y):
                         beta, gamma = factor_raising_rank(f, Y)
                         digest.update(repr((beta.images, gamma.images)).encode())
                         pairs += 1
-        assert pairs == 12574
+        assert pairs == 19620
         assert digest.hexdigest() == (
-            "1eaad82924b10853154fd993592b42633327f24b52c9300f7c0fb8b0cc70695c")
+            "b0932425ec90ce751df892c38976c6e960b16afff0ae8c5ef32a1f959971841f")
 
 
 class TestLookups:
@@ -333,12 +332,20 @@ class TestLookups:
                 assert len(gens.by_tag) == len(others)
                 for g in others:
                     assert gens.by_tag[g.kind, g.index] == g.element
+                if len(Y) < n:
+                    assert gens.anchors == (first_missing_point(n, Y),
+                                            tail_anchor(n, Y))
+                else:
+                    with pytest.raises(DomainError,
+                                       match="covers the whole chain"):
+                        gens.anchors
 
     def test_lookups_read_once_per_set(self):
         gens = minimum_generating_set(5, RangeSet(5, (1, 3, 4)), check=False)
         assert gens.images is gens.images
         assert gens.full_images is gens.full_images
         assert gens.by_tag is gens.by_tag
+        assert gens.anchors is gens.anchors
 
     def test_equality_and_hash_ignore_lookups(self):
         Y = RangeSet(6, (1, 2, 4, 6))

@@ -6,6 +6,7 @@ from ordrange import (
     DomainError,
     RangeSet,
     enumerate_elements,
+    generators,
     express_in_generators,
     image,
     minimum_generating_set,
@@ -32,6 +33,31 @@ def test_rejects_map_outside_range(y13):
     gens = minimum_generating_set(3, y13, check=False)
     with pytest.raises(DomainError):
         express_in_generators(cm([1, 2, 3]), gens)
+
+
+def test_whole_chain_refused():
+    Y = RangeSet(3, (1, 2, 3))
+    gens = minimum_generating_set(3, Y, check=False)
+    with pytest.raises(DomainError,
+                       match=r"^the range set covers the whole chain$"):
+        express_in_generators(cm([1, 1, 2]), gens)
+
+
+def test_anchors_computed_once_per_set(monkeypatch):
+    calls = []
+    real = generators.first_missing_point
+
+    def counted(n, Y):
+        calls.append(Y)
+        return real(n, Y)
+
+    monkeypatch.setattr(generators, "first_missing_point", counted)
+    Y = RangeSet(5, (1, 3, 4))
+    gens = minimum_generating_set(5, Y, check=False)
+    calls.clear()
+    for f in enumerate_elements(5, Y)[:6]:
+        express_in_generators(f, gens)
+    assert len(calls) == 2  # the least missing point of Y and of its mirror
 
 
 def test_every_element_reconstructs_for_n_up_to_4():
