@@ -35,7 +35,8 @@ from .isomorphism import (
     induced_range_bijection,
     isomorphism_condition,
 )
-from .regularity import is_regular, is_semigroup_regular, regular_elements
+from .regularity import (is_regular, is_regular_by_search,
+                          is_semigroup_regular, regular_elements)
 
 
 def _parse_Y(raw: str, n: int) -> RangeSet:
@@ -187,7 +188,8 @@ def _cmd_green(args) -> dict:
     table = enumerate_semigroup(args.n, Y)
     if args.oracle:
         classes = green_classes_by_ideals(args.relation, table)
-        regular = [table.is_regular_id(a) for a in range(len(table))]
+        gens = minimum_generating_set(args.n, Y, check=False).elements()
+        regular = is_regular_by_search(table, list(map(table.id_of, gens)))
     else:
         classes = green_classes(args.relation, table, Y)
         regular = [is_regular(f, Y) for f in table.elements]

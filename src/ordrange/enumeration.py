@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import accumulate, combinations_with_replacement
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .chain import ChainMap, DomainError, GuardExceeded, RangeSet
 
@@ -137,10 +137,6 @@ class SemigroupTable:
                 pass
         raise DomainError(f"{el!r} is not an element of this table")
 
-    def _check_id(self, i: int) -> None:
-        if not 0 <= i < len(self._ids):
-            raise DomainError(f"element id {i} outside 0..{len(self._ids) - 1}")
-
     def product(self, i: int, j: int) -> int:
         """Id of elements[i] followed by elements[j]."""
         size = len(self._ids)
@@ -162,24 +158,15 @@ class SemigroupTable:
         columns: list[list[int]] = []
         slots = []
         for g in ids:
-            self._check_id(g)
+            if not 0 <= g < len(self._ids):
+                raise DomainError(
+                    f"element id {g} outside 0..{len(self._ids) - 1}")
             c = self._col_of[g]
             if c not in position:
                 position[c] = len(columns)
                 columns.append(self._column(c))
             slots.append(position[c])
         return columns, slots
-
-    def is_regular_id(self, a: int) -> bool:
-        """Regularity by definition: a*b*a == a for some element b.
-
-        a*b depends on b only through its column, so one b per column
-        covers every element.
-        """
-        self._check_id(a)
-        col_a = self._column(self._col_of[a])
-        return any(col_a[(col or self._column(c))[a]] == a  # None: not filled yet
-                   for c, col in enumerate(self._cols))
 
     def closure(self, generator_ids: Iterable[int]) -> frozenset[int]:
         """Ids of all products of the given generators (any length >= 1).
@@ -197,6 +184,50 @@ class SemigroupTable:
                     reached.add(p)
                     todo.append(p)
         return frozenset(reached)
+
+
+def scc_labels(adj: list[Sequence[int]]) -> list[int]:
+    """Strongly connected component label of every node of a digraph.
+
+    ``adj[v]`` lists the successors of node v.  Iterative Tarjan: one
+    explicit stack of (node, successor iterator) frames, no recursion.
+    """
+    size = len(adj)
+    index = [-1] * size
+    low = [0] * size
+    label = [-1] * size
+    stack: list[int] = []
+    count = comps = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    frames.append((w, iter(adj[w])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = comps
+                        if w == v:
+                            break
+                    comps += 1
+    return label
 
 
 def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:

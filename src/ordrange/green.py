@@ -4,7 +4,8 @@ Two code paths are kept deliberately separate: characterized predicates
 that decide each relation from images, kernels and regularity, and a
 definition-based oracle that partitions an enumerated table into the
 strongly connected components of its Cayley graphs, whose reachability
-is principal-ideal containment.  Both return a partition as a plain
+is principal-ideal containment, labelled by ``enumeration.scc_labels``
+(shared with the regularity oracle).  Both return a partition as a plain
 value, one list of element ids per class: classes in order of least id,
 ids ascending inside each, so two partitions are equal iff the lists
 are.  ``egg_box`` turns a partition into the printed report.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .chain import ChainMap, DomainError, RangeSet, image, kernel, maps_into
-from .enumeration import SemigroupTable
+from .enumeration import SemigroupTable, scc_labels
 from .regularity import is_regular
 
 RELATIONS = ("L", "R", "H", "D", "J")
@@ -113,50 +114,6 @@ def green_classes(relation: str, table: SemigroupTable,
     return list(keys.values())
 
 
-def _scc_labels(adj: list[Sequence[int]]) -> list[int]:
-    """Strongly connected component label of every node of a digraph.
-
-    ``adj[v]`` lists the successors of node v.  Iterative Tarjan: one
-    explicit stack of (node, successor iterator) frames, no recursion.
-    """
-    size = len(adj)
-    index = [-1] * size
-    low = [0] * size
-    label = [-1] * size
-    stack: list[int] = []
-    count = comps = 0
-    for root in range(size):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        frames = [(root, iter(adj[root]))]
-        while frames:
-            v, successors = frames[-1]
-            for w in successors:
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    frames.append((w, iter(adj[w])))
-                    break
-                if label[w] < 0 and index[w] < low[v]:  # w is on the stack
-                    low[v] = index[w]
-            else:
-                frames.pop()
-                if frames and low[v] < low[frames[-1][0]]:
-                    low[frames[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        label[w] = comps
-                        if w == v:
-                            break
-                    comps += 1
-    return label
-
-
 def green_classes_by_ideals(relation: str,
                             table: SemigroupTable) -> list[list[int]]:
     """Definition-based oracle partition, from the Cayley graphs of the table.
@@ -183,7 +140,7 @@ def green_classes_by_ideals(relation: str,
     left = [(size + c,) for c in slot] + [tuple(set(col)) for col in columns]
 
     def components(adj: list[Sequence[int]]) -> list[int]:
-        return _scc_labels(adj)[:size]
+        return scc_labels(adj)[:size]
 
     if relation == "R":
         keys: list = components(right)

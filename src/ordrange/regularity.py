@@ -5,13 +5,15 @@ For monotone maps into Y over a finite chain this is equivalent to the
 range condition  image(a) == a(Y):  every value of a is already hit from
 a point of Y.  The set of all such elements is simultaneously the largest
 regular subsemigroup and a right ideal, so a single predicate serves both
-roles.
+roles.  The definition-based oracle calls a regular iff its R-class, read
+off the right Cayley graph of any generating set, holds an idempotent
+(Howie, *Fundamentals of Semigroup Theory*, 1995, Prop. 2.3.2).
 """
 
 from __future__ import annotations
 
 from .chain import ChainMap, DomainError, RangeSet, maps_into
-from .enumeration import SemigroupTable, enumerate_elements
+from .enumeration import SemigroupTable, enumerate_elements, scc_labels
 
 
 def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
@@ -22,9 +24,16 @@ def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
     return {alpha.images[y - 1] for y in Y.members} == set(alpha.images)
 
 
-def is_regular_by_search(alpha: ChainMap, table: SemigroupTable) -> bool:
-    """Definition-based oracle: some b in the table satisfies a*b*a == a."""
-    return table.is_regular_id(table.id_of(alpha))
+def is_regular_by_search(table: SemigroupTable,
+                         generator_ids: list[int]) -> list[bool]:
+    """One flag per element id, reading only the generators' columns;
+    AssertionError unless the ids generate the table."""
+    if len(table.closure(generator_ids)) != len(table):
+        raise AssertionError("the ids do not generate the table")
+    columns, _ = table.columns_of(generator_ids)
+    labels = scc_labels(list(zip(*columns)))
+    holding = {k for k, f in zip(labels, table.elements) if f.is_idempotent()}
+    return [k in holding for k in labels]
 
 
 def regular_elements(n: int, Y: RangeSet) -> list[ChainMap]:

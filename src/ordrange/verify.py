@@ -1,7 +1,8 @@
 """Cross-validation battery: every characterization against its oracle.
 
 One pass over the requested range sets builds each set's table once and
-hands it to every check; each check is a per-set sweep of failure details
+its generating set once, in the first check that asks for it, and hands
+both to every check; each check is a per-set sweep of failure details
 and reports one ok/FAIL line, with the first failure it met.  Every check
 can fail: facts that hold by construction on a finite chain are not
 swept.  The canonical order-isomorphism is certified inside the
@@ -18,6 +19,7 @@ chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -47,6 +49,8 @@ from .isomorphism import are_isomorphic, find_isomorphism
 from .regularity import is_regular, is_regular_by_search, is_semigroup_regular
 from .words import express_in_generators
 
+# raised to 210 it takes in the six n = 6, r = 5 sets (~21 ms oracle, ~7 ms
+# green_key each), doubling verify_battery's op_p90_ms: 14 -> 30 ms on 2 cores
 GREEN_LIMIT = 130          # largest table the green-oracle sweep covers
 COMPLETABILITY_LIMIT = 5   # chain size cap for the partial-map sweep
 WORDS_LIMIT = 5            # chain size cap for full word reconstruction
@@ -73,25 +77,27 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     def searchable(Y: RangeSet) -> bool:
         return count_maps(n, len(Y)) <= brute_cap
 
-    def cardinality(Y, table):
+    def cardinality(Y, table, generating_set):
         if len(table) != count_maps(n, len(Y)):
             yield f"wrong count for {Y!r}"
 
-    def regularity(Y, table):
+    def regularity(Y, table, generating_set):
         where = f"Y={list(Y.members)}"
+        ids = [table.id_of(g) for g in generating_set().elements()]
         flags = [is_regular(f, Y) for f in table.elements]
-        for f, flag in zip(table.elements, flags):
-            if flag != is_regular_by_search(f, table):
+        for f, flag, found in zip(table.elements, flags,
+                                  is_regular_by_search(table, ids)):
+            if flag != found:
                 yield f"{f!r} in {where}"
         if is_semigroup_regular(n, Y) != all(flags):
             yield f"trichotomy wrong for {where}"
-        # a right ideal of regular elements is also closed under products
+        # closed under right products by generators: a right ideal of S
         reg = [a for a, flag in enumerate(flags) if flag]
-        columns, _ = table.columns_of(range(len(table)))
+        columns, _ = table.columns_of(ids)
         if not all(flags[col[a]] for col in columns for a in reg):
             yield f"right ideal breaks in {where}"
 
-    def green(Y, table):
+    def green(Y, table, generating_set):
         if len(table) > GREEN_LIMIT:
             return
         where = f"Y={list(Y.members)}"
@@ -105,7 +111,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         if oracle["D"] != oracle["J"]:
             yield f"D != J for {where}"
 
-    def completability(Y, table):
+    def completability(Y, table, generating_set):
         # grouped by their images on a domain, the elements are the
         # extension lists of the partial maps on it, in id order
         for k in range(1, n + 1):
@@ -124,9 +130,9 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                             or count_extensions(theta, Y) != len(group)):
                         yield f"{theta!r} into Y={list(Y.members)}"
 
-    def rank_constructed(Y, table):
+    def rank_constructed(Y, table, generating_set):
         where = f"Y={list(Y.members)}"
-        gens = minimum_generating_set(n, Y, check=False)
+        gens = generating_set()
         if not generates(gens.elements(), table):
             yield f"constructed set fails to generate {where}"
         # for Y = {1} or {n} the captive set is nonempty, yet the constant
@@ -136,15 +142,15 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                 table):
             yield f"captive-empty criterion fails for {where}"
 
-    def rank_search(Y, table):
+    def rank_search(Y, table, generating_set):
         if searchable(Y) and rank_by_search(n, Y) != rank_by_formula(n, Y):
             yield f"search disagrees for Y={list(Y.members)}"
 
-    def words(Y, table):
+    def words(Y, table, generating_set):
         r = len(Y)
         if not 1 < r < n:
             return
-        gens = minimum_generating_set(n, Y, check=False)
+        gens = generating_set()
         for f in table.elements:
             if len(image(f)) == r:
                 continue
@@ -153,7 +159,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
             except AssertionError as exc:
                 yield f"{f!r} in Y={list(Y.members)}: {exc}"
 
-    def canonical(Y, table):
+    def canonical(Y, table, generating_set):
         els = table.elements
         first: dict = {}  # kernel -> id of its first element
         for a, f in enumerate(els):
@@ -165,7 +171,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                         or table.product(x, table.id_of(s)) != y):
                     yield f"roundtrip fails in Y={list(Y.members)}"
 
-    def isomorphism(Y, table):
+    def isomorphism(Y, table, generating_set):
         if Y.members not in small:
             return
         for Z, T in small.values():
@@ -203,10 +209,12 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     first_failure: dict[str, str] = {}
     for Y, table in pairs:
+        generating_set = functools.cache(
+            functools.partial(minimum_generating_set, n, Y, check=False))
         for name, sweep, _ in checks:
             if sweep is not None and name not in first_failure:
                 try:
-                    detail = next(sweep(Y, table), None)
+                    detail = next(sweep(Y, table, generating_set), None)
                 except AssertionError as exc:  # a construction's own check
                     detail = f"{exc} for Y={list(Y.members)}"
                 if detail is not None:

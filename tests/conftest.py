@@ -4,17 +4,24 @@ The oracles here deliberately avoid the library's own enumeration and
 closure code paths: maps are generated as raw tuples and filtered by
 definition, so expected values in the tests come from a second route.
 The helpers build inputs and read results for the tests; the library
-itself has no use for them.  ``least_generating_sets`` is the one
-reference that reads a library table: it tries every subset, so it
-assumes nothing about which elements a generating set needs, and its
-closure is checked against ``brute_force_closure`` elsewhere.
+itself has no use for them.  Two references read a library table:
+``least_generating_sets`` tries every subset, so it assumes nothing
+about which elements a generating set needs, and its closure is checked
+against ``brute_force_closure`` elsewhere; ``regular_by_scan`` is the
+literal definition of regularity, read off the public product columns.
 """
 
 from itertools import combinations, product
 
 import pytest
 
-from ordrange import PartialMap, RangeSet, enumerate_elements, image
+from ordrange import (
+    PartialMap,
+    RangeSet,
+    enumerate_elements,
+    image,
+    minimum_generating_set,
+)
 
 
 def brute_force_maps(n, members):
@@ -51,6 +58,20 @@ def least_generating_sets(table):
         if found:
             return s, found
     raise AssertionError("the whole semigroup failed to generate itself")
+
+
+def regular_by_scan(table):
+    """One flag per id: a*b*a == a for some element b.  a*b depends on b
+    only through its product column, so one b per column covers them all."""
+    columns, slot = table.columns_of(range(len(table)))
+    return [any(columns[slot[a]][col[a]] == a for col in columns)
+            for a in range(len(table))]
+
+
+def constructed_ids(table, Y):
+    """Ids of the constructed minimum generating set of Y in its table."""
+    gens = minimum_generating_set(table.n, Y, check=False)
+    return [table.id_of(g) for g in gens.elements()]
 
 
 def range_sets(n, smallest=1, largest=None):

@@ -11,7 +11,12 @@ regularity sweep up to n=6 and the rank searches at n=5.
 import math
 from itertools import combinations, combinations_with_replacement
 
-from conftest import corank_one_class, range_sets
+from conftest import (
+    constructed_ids,
+    corank_one_class,
+    range_sets,
+    regular_by_scan,
+)
 from ordrange import (
     ChainMap,
     PartialMap,
@@ -71,14 +76,16 @@ def test_criterion_02_regularity_equivalence():
             table = enumerate_semigroup(n, Y)
             reg = regular_elements(n, Y)
             reg_ids = {table.id_of(f) for f in reg}
-            for i, f in enumerate(table.elements):
-                assert is_regular(f, Y) == is_regular_by_search(f, table)
+            flags = is_regular_by_search(table, constructed_ids(table, Y))
+            assert flags == [is_regular(f, Y) for f in table.elements]
+            assert flags == regular_by_scan(table)
             for a in reg_ids:
                 for b in reg_ids:
                     assert table.product(a, b) in reg_ids
             assert is_semigroup_regular(n, Y) == (len(reg) == len(table))
             pairs += 1
-    report(2, f"characterized == alpha*beta*alpha oracle on {pairs} semigroups, n <= 6")
+    report(2, "characterized == idempotent-in-R-class oracle == "
+              f"alpha*beta*alpha scan on {pairs} semigroups, n <= 6")
 
 
 def test_criterion_03_green_equivalence():

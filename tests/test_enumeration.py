@@ -173,8 +173,7 @@ class TestTable:
         for bad in (-1, len(table)):
             for call in (lambda: table.product(bad, 0),
                          lambda: table.product(0, bad),
-                         lambda: table.columns_of([0, bad]),
-                         lambda: table.is_regular_id(bad)):
+                         lambda: table.columns_of([0, bad])):
                 with pytest.raises(DomainError):
                     call()
 

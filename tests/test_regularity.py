@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import range_sets
+from conftest import constructed_ids, range_sets, regular_by_scan
 from ordrange import (
     ChainMap,
     DomainError,
@@ -11,6 +11,7 @@ from ordrange import (
     is_regular,
     is_regular_by_search,
     is_semigroup_regular,
+    minimum_generating_set,
     regular_elements,
 )
 
@@ -32,25 +33,59 @@ class TestCharacterized:
 class TestOracleAgreement:
     def test_examples(self, y13):
         table = enumerate_semigroup(3, y13)
-        assert is_regular_by_search(cm([1, 1, 3]), table)
+        flags = is_regular_by_search(table, constructed_ids(table, y13))
+        assert flags[table.id_of(cm([1, 1, 3]))]
         Y = RangeSet(4, (2, 3))
         table4 = enumerate_semigroup(4, Y)
-        assert not is_regular_by_search(cm([2, 2, 2, 3]), table4)
+        flags4 = is_regular_by_search(table4, constructed_ids(table4, Y))
+        assert not flags4[table4.id_of(cm([2, 2, 2, 3]))]
 
     def test_idempotents_are_regular(self):
         for Y in range_sets(4):
             table = enumerate_semigroup(4, Y)
-            for f in table.elements:
+            flags = is_regular_by_search(table, constructed_ids(table, Y))
+            for f, flag in zip(table.elements, flags):
                 if f.is_idempotent():
                     assert is_regular(f, Y)
-                    assert is_regular_by_search(f, table)
+                    assert flag
 
     def test_sweep(self):
-        for n in range(1, 5):
+        """Equal to the range criterion and to the literal a*b*a == a
+        scan on every range set with n <= 6, the whole chain included."""
+        for n in range(1, 7):
             for Y in range_sets(n):
                 table = enumerate_semigroup(n, Y)
-                for f in table.elements:
-                    assert is_regular(f, Y) == is_regular_by_search(f, table)
+                flags = is_regular_by_search(table, constructed_ids(table, Y))
+                assert flags == [is_regular(f, Y) for f in table.elements], Y
+                assert flags == regular_by_scan(table), Y
+
+
+class TestOracleNeedsAGeneratingSet:
+    """Ids that do not generate raise AssertionError, never a partial
+    answer."""
+
+    def test_constructed_set_short_of_a_full_image_map(self):
+        Y = RangeSet(5, (1, 3, 4))
+        table = enumerate_semigroup(5, Y)
+        gens = minimum_generating_set(5, Y, check=False).members
+        ids = [table.id_of(g.element) for g in gens]
+        dropped = next(i for i, g in enumerate(gens) if g.kind == "full_image")
+        assert len(table.closure(ids)) == len(table)
+        with pytest.raises(AssertionError, match="do not generate"):
+            is_regular_by_search(table, ids[:dropped] + ids[dropped + 1:])
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_whole_chain_short_of_a_corank_one_map(self, n):
+        Y = RangeSet(n, tuple(range(1, n + 1)))
+        table = enumerate_semigroup(n, Y)
+        gens = minimum_generating_set(n, Y, check=False).members
+        for drop, g in enumerate(gens):
+            if g.kind != "corank_one":
+                continue
+            ids = [table.id_of(h.element) for k, h in enumerate(gens)
+                   if k != drop]
+            with pytest.raises(AssertionError, match="do not generate"):
+                is_regular_by_search(table, ids)
 
 
 class TestRegularPart:

@@ -103,6 +103,21 @@ def test_one_table_per_range_set(monkeypatch):
     assert calls == verify._all_range_sets(4)
 
 
+def test_one_generating_set_per_range_set(monkeypatch):
+    """The regularity, rank-constructed and word sweeps share one
+    constructed set per range set."""
+    calls = []
+    build = verify.minimum_generating_set
+
+    def counted(n, Y, **kw):
+        calls.append(Y)
+        return build(n, Y, **kw)
+
+    monkeypatch.setattr(verify, "minimum_generating_set", counted)
+    assert run_all(4)["failures"] == 0
+    assert calls == verify._all_range_sets(4)
+
+
 @pytest.mark.parametrize("n, sets", [
     (8, None),
     (40, None),
@@ -120,7 +135,8 @@ def test_closure_guard_refuses_before_any_work(monkeypatch, n, sets):
 
 
 def test_rank_constructed_checks_closure(monkeypatch):
-    """A set of the right size that fails to generate is reported."""
+    """A set of the right size that fails to generate is reported, and
+    the regularity oracle, which certifies the set it reads, refuses it."""
     build = verify.minimum_generating_set
 
     def broken(n, Y, **kw):
@@ -132,7 +148,9 @@ def test_rank_constructed_checks_closure(monkeypatch):
 
     monkeypatch.setattr(verify, "minimum_generating_set", broken)
     report = run_all(6, [RangeSet(6, (1, 2, 4))])
-    assert report["failures"] == 1
+    assert report["failures"] == 2
+    assert ("FAIL regularity-oracle-equivalence  (the ids do not generate "
+            "the table for Y=[1, 2, 4])") in report["lines"]
     assert ("FAIL rank-constructed  (constructed set fails to generate "
             "Y=[1, 2, 4])") in report["lines"]
 
@@ -221,10 +239,16 @@ def test_regularity_sweep_checks_the_right_ideal(monkeypatch):
     """Both routes calling one non-regular element regular agree, but a
     product of it leaves the regular part."""
     wrong = ChainMap(5, (2, 2, 2, 2, 3))
-    for name in ("is_regular", "is_regular_by_search"):
-        route = getattr(verify, name)
-        monkeypatch.setattr(verify, name,
-                            lambda f, arg, route=route: f == wrong or route(f, arg))
+    characterized, search = verify.is_regular, verify.is_regular_by_search
+
+    def also_wrong(table, ids):
+        flags = search(table, ids)
+        flags[table.id_of(wrong)] = True
+        return flags
+
+    monkeypatch.setattr(verify, "is_regular",
+                        lambda f, Y: f == wrong or characterized(f, Y))
+    monkeypatch.setattr(verify, "is_regular_by_search", also_wrong)
     report = run_all(5, [RangeSet(5, (2, 3, 4))])
     assert report["failures"] == 1
     assert ("FAIL regularity-oracle-equivalence  (right ideal breaks in "
