@@ -29,6 +29,36 @@ class GuardExceeded(RuntimeError):
     """
 
 
+def _check_points(n: int, points: tuple[int, ...], name: str,
+                  strict: bool) -> None:
+    """Refuse a point sequence unless the chain size n is positive and the
+    points are ints in 1..n, strictly increasing when ``strict`` and
+    weakly otherwise; ``name`` names one point in the messages."""
+    if n < 1:
+        raise DomainError(f"chain size must be positive, got {n}")
+    prev, step = 1, int(strict)
+    for v in points:  # one chained comparison per point on the valid path
+        if type(v) is not int or not prev <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:
+                raise DomainError(f"{name} {v!r} outside 1..{n}")
+            raise DomainError(f"{name}s {list(points)} are not "
+                              f"{'strictly' if strict else 'weakly'} increasing")
+        prev = v + step
+
+
+def check_on_chain(n: int, Y: RangeSet) -> None:
+    """Refuse a range set that lives on a chain other than {1..n}."""
+    if Y.n != n:
+        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+
+
+def check_maps_into(f: ChainMap, Y: RangeSet) -> None:
+    """Refuse a map with a value outside Y (DimensionMismatch when it
+    lives on another chain)."""
+    if not maps_into(f, Y):
+        raise DomainError(f"{f!r} does not map into {list(Y.members)}")
+
+
 @dataclass(frozen=True)
 class ChainMap:
     """A total order-preserving transformation of {1..n}.
@@ -43,19 +73,10 @@ class ChainMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
-        if self.n < 1:
-            raise DomainError(f"chain size must be positive, got {self.n}")
+        _check_points(self.n, self.images, "image", False)
         if len(self.images) != self.n:
             raise DomainError(
                 f"expected {self.n} images, got {len(self.images)}")
-        prev = 1
-        for v in self.images:
-            if type(v) is not int or not 1 <= v <= self.n:
-                raise DomainError(f"image {v!r} outside 1..{self.n}")
-            if v < prev:
-                raise DomainError(
-                    f"images {list(self.images)} are not weakly increasing")
-            prev = v
 
     @classmethod
     def _unchecked(cls, n: int, images: tuple[int, ...]) -> "ChainMap":
@@ -102,30 +123,14 @@ class PartialMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "images", tuple(self.images))
-        if self.n < 1:
-            raise DomainError(f"chain size must be positive, got {self.n}")
+        _check_points(self.n, self.domain, "domain point", True)
+        _check_points(self.n, self.images, "image", False)
         if not self.domain:
             raise DomainError("partial map needs a nonempty domain")
         if len(self.domain) != len(self.images):
             raise DomainError(
                 f"domain has {len(self.domain)} points but "
                 f"{len(self.images)} images")
-        prev = 0
-        for a in self.domain:
-            if type(a) is not int or not 1 <= a <= self.n:
-                raise DomainError(f"domain point {a!r} outside 1..{self.n}")
-            if a <= prev:
-                raise DomainError(
-                    f"domain {list(self.domain)} is not strictly increasing")
-            prev = a
-        prev = 1
-        for b in self.images:
-            if type(b) is not int or not 1 <= b <= self.n:
-                raise DomainError(f"image {b!r} outside 1..{self.n}")
-            if b < prev:
-                raise DomainError(
-                    f"images {list(self.images)} are not weakly increasing")
-            prev = b
 
     def __call__(self, a: int) -> int:
         i = bisect_left(self.domain, a)
@@ -170,18 +175,9 @@ class RangeSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
-        if self.n < 1:
-            raise DomainError(f"chain size must be positive, got {self.n}")
+        _check_points(self.n, self.members, "member", True)
         if not self.members:
             raise DomainError("range set must be nonempty")
-        prev = 0
-        for y in self.members:
-            if type(y) is not int or not 1 <= y <= self.n:
-                raise DomainError(f"member {y!r} outside 1..{self.n}")
-            if y <= prev:
-                raise DomainError(
-                    f"members {list(self.members)} are not strictly increasing")
-            prev = y
 
     def __len__(self) -> int:
         return len(self.members)
@@ -216,18 +212,10 @@ class ConvexPartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        if self.n < 1:
-            raise DomainError(f"chain size must be positive, got {self.n}")
+        _check_points(self.n, self.boundaries, "boundary point", True)
         if not self.boundaries or self.boundaries[-1] != self.n:
             raise DomainError(
                 f"boundaries {list(self.boundaries)} must end at {self.n}")
-        prev = 0
-        for b in self.boundaries:
-            if type(b) is not int or b <= prev:
-                raise DomainError(
-                    f"boundaries {list(self.boundaries)} are not strictly "
-                    "increasing integers")
-            prev = b
 
     @property
     def weight(self) -> int:
@@ -273,8 +261,6 @@ def identity(n: int) -> ChainMap:
 
 def constant(n: int, y: int) -> ChainMap:
     """The constant transformation with image {y}."""
-    if not 1 <= y <= n:
-        raise DomainError(f"value {y} outside 1..{n}")
     return ChainMap(n, (y,) * n)
 
 

@@ -23,10 +23,12 @@ from .completability import (
     is_completable,
 )
 from .enumeration import (
+    SemigroupTable,
     check_guard,
     closure_guard,
     count_maps,
     enumerate_semigroup,
+    search_guard,
 )
 from .generators import minimum_generating_set, rank_by_formula, rank_by_search
 from .green import RELATIONS, egg_box, green_classes, green_classes_by_ideals
@@ -169,7 +171,7 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_regular(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    check_guard(args.n, len(Y), closure_guard())
+    check_guard(count_maps(args.n, len(Y)), closure_guard())
     reg = regular_elements(args.n, Y)
     payload = {
         "n": args.n,
@@ -222,6 +224,13 @@ def _cmd_complete(args) -> dict:
     }
 
 
+def _search_tables(*chains: tuple[int, RangeSet]) -> list[SemigroupTable]:
+    """The tables of the given (n, Y) pairs for a subset search, built only
+    once every one of them is inside the search guard."""
+    check_guard(max(count_maps(n, len(Y)) for n, Y in chains), search_guard())
+    return [enumerate_semigroup(n, Y) for n, Y in chains]
+
+
 def _generating_set(n: int, Y: RangeSet):
     """The constructed minimum generating set, closure-checked within the
     closure guard; above it only the formula check runs, noted on stderr.
@@ -245,7 +254,7 @@ def _cmd_rank(args) -> dict:
     methods = {
         "formula": lambda: rank_by_formula(args.n, Y),
         "constructed": lambda: len(_generating_set(args.n, Y)),
-        "brute": lambda: rank_by_search(args.n, Y),
+        "brute": lambda: rank_by_search(*_search_tables((args.n, Y))),
     }
     value = methods[args.method]()
     payload = {"rank": value}
@@ -286,8 +295,7 @@ def _cmd_iso(args) -> dict:
         "induced_theta": None,
     }
     if args.search:
-        S = enumerate_semigroup(args.n, Y)
-        T = enumerate_semigroup(n2, Z)
+        S, T = _search_tables((args.n, Y), (n2, Z))
         phi = find_isomorphism(S, T)
         if (phi is not None) != (cond is not None):
             raise _CheckFailure(

@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
-from .chain import ChainMap, DomainError, PartialMap, RangeSet, kernel
+from .chain import (ChainMap, DomainError, PartialMap, RangeSet, check_on_chain,
+                    kernel)
 # unused here; bench/tracer.py reads and wraps this binding
 from .enumeration import enumerate_elements  # noqa: F401
 
 
 def _partial_into(theta: PartialMap, Y: RangeSet) -> None:
-    if theta.n != Y.n:
-        raise DomainError(f"partial map on {theta.n} vs range set on {Y.n}")
+    check_on_chain(theta.n, Y)
     for b in theta.images:
         if b not in Y:
             raise DomainError(

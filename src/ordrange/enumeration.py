@@ -8,6 +8,10 @@ lexicographic on image sequences so element ids are stable across runs.
 other set of maps.  Its ids are lexicographic ranks computed as sums of
 per-position weights, and each product column is filled by suffix sums
 over the lexicographic trie of the elements, with no lookup per element.
+``check_guard`` is the one element-count refusal: a caller hands it the
+size of the table it is about to build or search.  The subset searches
+read tables their callers built, so a caller needs one table per range
+set.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .chain import ChainMap, DomainError, GuardExceeded, RangeSet
+from .chain import ChainMap, DomainError, GuardExceeded, RangeSet, check_on_chain
 
 DEFAULT_SEARCH_GUARD = 60
 DEFAULT_CLOSURE_GUARD = 5000
@@ -232,16 +236,14 @@ def scc_labels(adj: list[Sequence[int]]) -> list[int]:
 
 def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
     """All monotone maps on {1..n} with values in Y, in lexicographic order."""
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     new = ChainMap._unchecked  # Y is a checked RangeSet on this chain
     return [new(n, seq) for seq in combinations_with_replacement(Y.members, n)]
 
 
-def check_guard(n: int, r: int, limit: int) -> None:
-    """Refuse, before any work, a table of maps into an r-element set
-    that is larger than the given guard."""
-    total = count_maps(n, r)
+def check_guard(total: int, limit: int) -> None:
+    """Refuse, before any work, a semigroup of ``total`` elements that is
+    larger than the given guard; the one element-count refusal."""
     if total > limit:
         raise GuardExceeded(
             f"semigroup has {total} elements, above the guard {limit}")
@@ -249,5 +251,5 @@ def check_guard(n: int, r: int, limit: int) -> None:
 
 def enumerate_semigroup(n: int, Y: RangeSet) -> SemigroupTable:
     """The table of O(n, Y) with stable element ids, inside the closure guard."""
-    check_guard(n, len(Y), closure_guard())
+    check_guard(count_maps(n, len(Y)), closure_guard())
     return SemigroupTable(n, Y)

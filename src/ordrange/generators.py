@@ -16,11 +16,12 @@ and one rule that assembles a minimum generating set: a retraction per
 captive member, ceiling below the least missing chain point and floor
 above it, with a shift in place of the end retraction when Y opens on a
 run from 1, or closes on a run to n, of two or more points and has
-members beyond that run.  The minimality oracle is a subset search resting only on two facts of every
-finite semigroup S: a lies in every generating set iff a is not x*y with
-x != a and y != a (the prefix x of a shortest word for a over S - {a} is
-not a, or a shorter word would exist), and a least generating set holds
-nothing that the rest of it generates.
+members beyond that run.  The minimality oracle is a subset search over
+the caller's table, resting only on two facts of every finite semigroup
+S: a lies in every generating set iff a is not x*y with x != a and
+y != a (the prefix x of a shortest word for a over S - {a} is not a, or
+a shorter word would exist), and a least generating set holds nothing
+that the rest of it generates.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .chain import (
     PartialMap,
     RangeSet,
     ceiling_extension,
+    check_maps_into,
+    check_on_chain,
     compose,
     floor_extension,
     image,
     kernel,
-    maps_into,
     reflect,
     reflect_set,
 )
@@ -68,8 +70,7 @@ CORANK_ONE = "corank_one"
 def captive_set(n: int, Y: RangeSet) -> tuple[int, ...]:
     """The captive members of Y: endpoints of the chain, or members whose
     chain neighbours both lie in Y.  May be empty."""
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     out = []
     for y in Y:
         if y in (1, n) or (y - 1 in Y and y + 1 in Y):
@@ -87,8 +88,7 @@ def rank_by_formula(n: int, Y: RangeSet) -> int:
     elements reaches.  This is the rank the subset search computes.
     """
     r = len(Y)
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     if r == 1:
         return 1
     if r == n:
@@ -129,11 +129,9 @@ def full_image_maps(n: int, Y: RangeSet) -> list[ChainMap]:
     One per convex partition of weight r, ordered lexicographically by
     block boundaries; block t is sent to the t-th member of Y.
     """
-    r = len(Y)
-    if r > n:
-        raise DomainError(f"{r} blocks cannot partition {n} points")
+    check_on_chain(n, Y)
     out = []
-    for cuts in combinations(range(1, n), r - 1):
+    for cuts in combinations(range(1, n), len(Y) - 1):
         part = ConvexPartition(n, cuts + (n,))
         out.append(full_image_map(part, Y))
     return out
@@ -146,15 +144,13 @@ def _retraction_seed(Y: RangeSet, i: int) -> PartialMap:
 
 def floor_retraction(n: int, Y: RangeSet, i: int) -> ChainMap:
     """Idempotent fixing Y minus its i-th member, pulling y_i downward."""
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     return floor_extension(_retraction_seed(Y, i))
 
 
 def ceiling_retraction(n: int, Y: RangeSet, i: int) -> ChainMap:
     """Idempotent fixing Y minus its i-th member, pushing y_i upward."""
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     return ceiling_extension(_retraction_seed(Y, i))
 
 
@@ -235,8 +231,7 @@ def factor_raising_rank(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMa
     missing and nothing is fixed: the left factor has image all of Y, and
     the right factor, of image size r-1, is regular.
     """
-    if not maps_into(alpha, Y):
-        raise DomainError(f"{alpha!r} does not map into {list(Y.members)}")
+    check_maps_into(alpha, Y)
     blocks, a = _blocks_and_values(alpha)
     k = len(a)
     if k >= len(Y):
@@ -341,8 +336,7 @@ class GeneratingSet:
             if g.element.images in seen:
                 raise DomainError(f"duplicate generator {g.element!r}")
             seen.add(g.element.images)
-            if not maps_into(g.element, self.range_set):
-                raise DomainError(f"{g.element!r} escapes the range set")
+            check_maps_into(g.element, self.range_set)
 
     @cached_property
     def images(self) -> frozenset[tuple[int, ...]]:
@@ -405,8 +399,7 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
     guard allows).
     """
     r = len(Y)
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     eps: list[tuple[str, int]] = []
     if r == n > 1:
         eps = [(CORANK_ONE, t) for t in range(1, n + 1)]
@@ -453,9 +446,10 @@ def generates(elements, table: SemigroupTable) -> bool:
 # minimality oracle
 
 
-def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = None,
+def minimal_generating_sets(table: SemigroupTable, *, witness_limit: int | None = None,
                             ) -> tuple[int, list[frozenset[int]]]:
-    """Search for a least-size generating set; returns (size, witnesses).
+    """Search the caller's table for a least-size generating set; returns
+    (size, witnesses), the witnesses as sets of element ids.
 
     Two facts of every finite semigroup S restrict the sweep.  The base,
     the elements a that are not x*y for any x != a and y != a, lies in
@@ -464,12 +458,10 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = 
     nothing that the rest of it generates, so it adds to the base only
     elements outside the closure of the base.  Those supersets are tried
     in ascending size, so the witnesses are every least generating set,
-    up to ``witness_limit``.
+    up to ``witness_limit``.  A table above the search guard is refused.
     """
-    check_guard(n, len(Y), search_guard())
-    # the search guard never exceeds the closure guard
-    table = enumerate_semigroup(n, Y)
     size = len(table)
+    check_guard(size, search_guard())
     columns, slots = table.columns_of(range(size))
     made = set()  # ids that are x*y with x and y both other than the product
     for y, slot in enumerate(slots):
@@ -493,7 +485,8 @@ def minimal_generating_sets(n: int, Y: RangeSet, *, witness_limit: int | None = 
     raise AssertionError("the whole semigroup failed to generate itself")
 
 
-def rank_by_search(n: int, Y: RangeSet) -> int:
-    """Minimum cardinality of a generating set, by exhaustive search."""
-    rank, _ = minimal_generating_sets(n, Y, witness_limit=1)
+def rank_by_search(table: SemigroupTable) -> int:
+    """Minimum cardinality of a generating set of the table, by exhaustive
+    search."""
+    rank, _ = minimal_generating_sets(table, witness_limit=1)
     return rank

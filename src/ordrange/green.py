@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .chain import ChainMap, DomainError, RangeSet, image, kernel, maps_into
+from .chain import ChainMap, DomainError, RangeSet, check_maps_into, image, kernel
 from .enumeration import SemigroupTable, scc_labels
 from .regularity import is_regular
 
@@ -31,8 +31,7 @@ def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
     does not map into Y raises DomainError (DimensionMismatch when it
     lives on another chain).
     """
-    if not maps_into(alpha, Y):
-        raise DomainError(f"{alpha!r} does not map into {list(Y.members)}")
+    check_maps_into(alpha, Y)
     if relation == "H":
         return ("el", alpha.images)
     if relation == "R":

@@ -10,20 +10,17 @@ isomorphism, II", 2014; Araújo, von Bünau, Mitchell and Neunhöffer,
 "Computing automorphisms of semigroups", 2010), returns the
 lexicographically least isomorphism, and verifies it against the whole
 multiplication table, so a successful answer is a certified isomorphism.
+It reads the caller's two tables and refuses, through
+``enumeration.check_guard``, a pair whose larger table is above the
+search guard; a caller that builds the tables checks that guard first.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .chain import (
-    DomainError,
-    GuardExceeded,
-    RangeSet,
-    constant,
-    reflect_set,
-)
-from .enumeration import SemigroupTable, search_guard
+from .chain import RangeSet, check_on_chain, constant, reflect_set
+from .enumeration import SemigroupTable, check_guard, search_guard
 
 
 def isomorphism_condition(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> int | None:
@@ -32,8 +29,8 @@ def isomorphism_condition(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> int | N
     1: both range sets are singletons; 2: equal chains and equal sets;
     3: equal chains and mirror-image sets.
     """
-    if Y.n != n1 or Z.n != n2:
-        raise DomainError("range sets do not live on the stated chains")
+    check_on_chain(n1, Y)
+    check_on_chain(n2, Z)
     if len(Y) == 1 and len(Z) == 1:
         return 1
     if n1 == n2 and Y.members == Z.members:
@@ -106,10 +103,7 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
     (phi(0), ..., phi(N-1)).  Every isomorphism preserves idempotency, so
     the answer is the lexicographically least isomorphism.
     """
-    guard = search_guard()
-    if len(S) > guard or len(T) > guard:
-        raise GuardExceeded(
-            f"tables of sizes {len(S)}, {len(T)} above the guard {guard}")
+    check_guard(max(len(S), len(T)), search_guard())
     if len(S) != len(T):
         return None
     start = [[int(X.product(i, i) == i) for i in range(len(X))] for X in (S, T)]

@@ -12,15 +12,13 @@ off the right Cayley graph of any generating set, holds an idempotent
 
 from __future__ import annotations
 
-from .chain import ChainMap, DomainError, RangeSet, maps_into
+from .chain import ChainMap, RangeSet, check_maps_into, check_on_chain
 from .enumeration import SemigroupTable, enumerate_elements, scc_labels
 
 
 def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
     """True iff image(alpha) equals alpha(Y); alpha must map into Y."""
-    if not maps_into(alpha, Y):
-        raise DomainError(
-            f"{alpha!r} does not map into {list(Y.members)}")
+    check_maps_into(alpha, Y)
     return {alpha.images[y - 1] for y in Y.members} == set(alpha.images)
 
 
@@ -43,8 +41,7 @@ def regular_elements(n: int, Y: RangeSet) -> list[ChainMap]:
 
 def is_semigroup_regular(n: int, Y: RangeSet) -> bool:
     """Every element regular iff Y is everything, a single point, or {1, n}."""
-    if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+    check_on_chain(n, Y)
     return (
         len(Y) == n
         or len(Y) == 1

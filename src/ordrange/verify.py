@@ -7,8 +7,9 @@ and reports one ok/FAIL line, with the first failure it met.  Every check
 can fail: facts that hold by construction on a finite chain are not
 swept.  The canonical order-isomorphism is certified inside the
 semigroup: each element a and the first element c of its kernel class
-are joined by the extension s of the fiber-matching bijection, and the
-table product a * s must give c (and back), a witness that a R c.
+are joined by the extension s of the fiber-matching bijection, which
+must map into Y, and the composite a * s must give c (and back), a
+witness that a R c.
 Checks whose cost explodes with the chain size are skipped (with a note)
 beyond the sizes they are meant for; a skip is not a failure.  The
 pairwise isomorphism sweep covers every range set whose table is inside
@@ -23,7 +24,7 @@ import functools
 import math
 from itertools import combinations
 
-from .chain import DomainError, PartialMap, RangeSet, image, kernel, maps_into
+from .chain import PartialMap, RangeSet, compose, image, kernel, maps_into
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
@@ -66,10 +67,8 @@ def _all_range_sets(n: int) -> list[RangeSet]:
 
 
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
-    if n < 1:
-        raise DomainError(f"chain size must be positive, got {n}")
-    check_guard(n, n if sets is None else max(map(len, sets), default=1),
-                closure_guard())
+    largest = n if sets is None else max(map(len, sets), default=1)
+    check_guard(count_maps(n, largest), closure_guard())  # refuses n < 1
     Ys = _all_range_sets(n) if sets is None else sets
     guard = search_guard()
     brute_cap = min(BRUTE_RANK_LIMIT, guard)
@@ -143,7 +142,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
             yield f"captive-empty criterion fails for {where}"
 
     def rank_search(Y, table, generating_set):
-        if searchable(Y) and rank_by_search(n, Y) != rank_by_formula(n, Y):
+        if searchable(Y) and rank_by_search(table) != rank_by_formula(n, Y):
             yield f"search disagrees for Y={list(Y.members)}"
 
     def words(Y, table, generating_set):
@@ -168,7 +167,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                 s = build_extension(
                     canonical_order_isomorphism(els[x], els[y]), Y)
                 if (s is None or not maps_into(s, Y)
-                        or table.product(x, table.id_of(s)) != y):
+                        or compose(els[x], s) != els[y]):
                     yield f"roundtrip fails in Y={list(Y.members)}"
 
     def isomorphism(Y, table, generating_set):

@@ -25,11 +25,11 @@ from .chain import (
     PartialMap,
     RangeSet,
     ceiling_extension,
+    check_maps_into,
     compose,
     floor_extension,
     image,
     kernel,
-    maps_into,
     reflect,
     reflect_set,
 )
@@ -215,6 +215,8 @@ class _Rewriter:
         if k == self.r - 1 and is_regular(alpha, self.Y):
             return self.express_regular_corank(alpha)
         left, right = factor_raising_rank(alpha, self.Y)
+        if k == self.r - 1:  # right is regular: factor_raising_rank asserts it
+            return self.emit_full(left) + self.express_regular_corank(right)
         return self.express(left) + self.express(right)
 
 
@@ -224,9 +226,7 @@ def express_in_generators(alpha: ChainMap, gens: GeneratingSet) -> list[ChainMap
     Every entry of the result is one of the generators; the product is
     verified before returning.
     """
-    if not maps_into(alpha, gens.range_set):
-        raise DomainError(
-            f"{alpha!r} does not map into {list(gens.range_set.members)}")
+    check_maps_into(alpha, gens.range_set)
     word = _Rewriter(gens).express(alpha)
     for w in word:
         if w.images not in gens.images:

@@ -18,6 +18,7 @@ import pytest
 from ordrange import (
     PartialMap,
     RangeSet,
+    SemigroupTable,
     enumerate_elements,
     image,
     minimum_generating_set,
@@ -116,3 +117,18 @@ def corank_one_class(table, Y, j):
 @pytest.fixture
 def y13():
     return RangeSet(3, (1, 3))
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The range set of every SemigroupTable built while the test runs,
+    counted at the class, so no import binding is missed."""
+    built = []
+    init = SemigroupTable.__init__
+
+    def counted(self, n, Y):
+        built.append(Y)
+        init(self, n, Y)
+
+    monkeypatch.setattr(SemigroupTable, "__init__", counted)
+    return built

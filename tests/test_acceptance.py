@@ -152,7 +152,7 @@ def test_criterion_06_rank_exactness():
     for n in (3, 4, 5):
         for Y in range_sets(n, smallest=2, largest=n - 1):
             table = enumerate_semigroup(n, Y)
-            rank, witnesses = minimal_generating_sets(n, Y)
+            rank, witnesses = minimal_generating_sets(table)
             assert rank == rank_by_formula(n, Y), (n, Y.members)
             assert witnesses
             a_ids = frozenset(table.id_of(f) for f in full_image_maps(n, Y))

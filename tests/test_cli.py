@@ -179,6 +179,19 @@ class TestGolden:
         assert payload["rank"] == 4
         assert payload["checked"] == ["brute", "constructed", "formula"]
 
+    @pytest.mark.parametrize("argv", [
+        ("iso", "-n", "6", "-Y", "1,2,3,4", "-Z", "3,4,5,6", "--search"),
+        ("iso", "-n", "3", "-Y", "1,3", "-Z", "1,2,3,4", "--n2", "6",
+         "--search"),
+        ("rank", "-n", "6", "-Y", "1,2,3,4", "--method", "brute"),
+    ])
+    def test_search_guard_refuses_before_any_table(self, capsys, table_builds,
+                                                   argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: semigroup has 84 elements, above the guard 60\n"
+        assert table_builds == []
+
     @pytest.mark.parametrize("args", [["gens"], ["rank", "--check"]])
     def test_short_generating_set_fails_verification(self, capsys,
                                                      monkeypatch, args):

@@ -210,7 +210,7 @@ class TestTable:
             enumerate_semigroup(9, RangeSet(9, tuple(range(1, 10))))
 
     def test_check_guard_takes_the_limit(self):
-        check_guard(3, 3, 10)
+        check_guard(10, 10)
         with pytest.raises(GuardExceeded, match=(
                 r"^semigroup has 10 elements, above the guard 9$")):
-            check_guard(3, 3, 9)
+            check_guard(10, 9)

@@ -385,9 +385,9 @@ class TestGenerates:
 
 class TestRankSearch:
     def test_examples(self):
-        assert rank_by_search(3, RangeSet(3, (1, 3))) == 4
-        assert rank_by_search(4, RangeSet(4, (1, 2))) == 4
-        assert rank_by_search(4, RangeSet(4, (2, 3))) == 3
+        for n, members, rank in ((3, (1, 3), 4), (4, (1, 2), 4), (4, (2, 3), 3)):
+            table = enumerate_semigroup(n, RangeSet(n, members))
+            assert rank_by_search(table) == rank
 
     def test_search_equals_all_subsets_reference(self):
         # every table of at most 15 elements on n <= 5; the (5, 3)
@@ -397,8 +397,9 @@ class TestRankSearch:
             for Y in range_sets(n):
                 if count_maps(n, len(Y)) > 15:
                     continue
-                rank, witnesses = least_generating_sets(enumerate_semigroup(n, Y))
-                found, swept_witnesses = minimal_generating_sets(n, Y)
+                table = enumerate_semigroup(n, Y)
+                rank, witnesses = least_generating_sets(table)
+                found, swept_witnesses = minimal_generating_sets(table)
                 assert found == rank == rank_by_formula(n, Y), (n, Y.members)
                 assert set(swept_witnesses) == set(witnesses), (n, Y.members)
                 swept += 1
@@ -428,21 +429,24 @@ class TestRankSearch:
         # with every image reported full, a search that takes the
         # full-image class as given would start from the whole semigroup
         Y = RangeSet(5, (1, 3, 5))
+        table = enumerate_semigroup(5, Y)
         monkeypatch.setattr(generators, "image", lambda f: Y)
-        assert rank_by_search(5, Y) == rank_by_formula(5, Y) == 8
+        assert rank_by_search(table) == rank_by_formula(5, Y) == 8
 
     def test_guard(self, monkeypatch):
+        table = enumerate_semigroup(6, RangeSet(6, (1, 2, 3, 4)))
         monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "50")
-        with pytest.raises(GuardExceeded):
-            rank_by_search(6, RangeSet(6, (1, 2, 3, 4)))
+        with pytest.raises(GuardExceeded,
+                           match=r"^semigroup has 84 elements, above the guard 50$"):
+            rank_by_search(table)
 
     def test_env_override(self, monkeypatch):
-        Y = RangeSet(3, (1, 3))
+        table = enumerate_semigroup(3, RangeSet(3, (1, 3)))
         monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "3")
         with pytest.raises(GuardExceeded):
-            rank_by_search(3, Y)
+            rank_by_search(table)
         monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "10")
-        assert rank_by_search(3, Y) == 4
+        assert rank_by_search(table) == 4
 
 
 class TestCaseAnalysisHelpers:
