@@ -199,7 +199,7 @@ def _cmd_green(args) -> dict:
         other = (green_classes(args.relation, table, Y) if args.oracle
                  else green_classes_by_ideals(args.relation, table))
         if classes != other:
-            raise _CheckFailure(
+            raise AssertionError(
                 f"relation {args.relation}: characterized and oracle "
                 "partitions differ")
     return egg_box(args.relation, table, classes, regular)
@@ -216,7 +216,7 @@ def _cmd_complete(args) -> dict:
     witness = build_extension(theta, Y)
     extensions = count_extensions(theta, Y)
     if verdict != (extensions > 0) or verdict != (witness is not None):
-        raise _CheckFailure("criterion, builder and extension count disagree")
+        raise AssertionError("criterion, builder and extension count disagree")
     return {
         "completable": verdict,
         "witness": list(witness.images) if witness else None,
@@ -266,7 +266,7 @@ def _cmd_rank(args) -> dict:
             except GuardExceeded:
                 pass  # refused before any work: left unchecked
         if len(set(others.values())) != 1:
-            raise _CheckFailure(f"rank methods disagree: {others}")
+            raise AssertionError(f"rank methods disagree: {others}")
         payload["checked"] = sorted(others)
     return payload
 
@@ -298,7 +298,7 @@ def _cmd_iso(args) -> dict:
         S, T = _search_tables((args.n, Y), (n2, Z))
         phi = find_isomorphism(S, T)
         if (phi is not None) != (cond is not None):
-            raise _CheckFailure(
+            raise AssertionError(
                 "classification and isomorphism search disagree")
         if phi is not None:
             payload["mapping"] = [[a, phi[a]] for a in sorted(phi)]
@@ -313,12 +313,8 @@ def _cmd_verify(args) -> dict:
     for line in report["lines"]:
         print(line)
     if report["failures"]:
-        raise _CheckFailure(f"{report['failures']} cross-checks failed")
+        raise AssertionError(f"{report['failures']} cross-checks failed")
     return {"n": args.n, "checks": report["checks"], "failures": 0}
-
-
-class _CheckFailure(RuntimeError):
-    """An internal cross-validation failed; must never happen."""
 
 
 _COMMANDS = {
@@ -345,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_CheckFailure, AssertionError) as exc:  # a construction's own check
+    except AssertionError as exc:  # a failed cross-check or self-check
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     print(_render(payload, args.format))

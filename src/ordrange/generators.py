@@ -79,20 +79,19 @@ def captive_set(n: int, Y: RangeSet) -> tuple[int, ...]:
 
 
 def rank_by_formula(n: int, Y: RangeSet) -> int:
-    """Minimum size of a generating set.
+    """Minimum size of a generating set: C(n-1, r-1) + #captive(Y).
 
-    For 1 < r < n this is C(n-1, r-1) + #captive(Y).  At the degenerate
-    ends a one-point range gives the trivial semigroup (rank 1), and the
-    full range gives all monotone maps, whose semigroup rank is n + 1:
-    the monoid rank n plus the identity, which no product of other
-    elements reaches.  This is the rank the subset search computes.
+    On the whole chain every member is captive, so this gives n + 1, the
+    semigroup rank of all monotone maps: the monoid rank n plus the
+    identity, which no product of other elements reaches.  A one-point
+    range has rank 1, its constant map alone generating; the formula
+    would give 2 at an endpoint, which is captive.  This is the rank the
+    subset search computes.
     """
     r = len(Y)
     check_on_chain(n, Y)
     if r == 1:
         return 1
-    if r == n:
-        return n + 1
     return math.comb(n - 1, r - 1) + len(captive_set(n, Y))
 
 

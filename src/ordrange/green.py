@@ -31,18 +31,18 @@ def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
     does not map into Y raises DomainError (DimensionMismatch when it
     lives on another chain).
     """
-    check_maps_into(alpha, Y)
-    if relation == "H":
-        return ("el", alpha.images)
-    if relation == "R":
-        return ("ker", kernel(alpha).boundaries)
-    if relation == "L":
+    if relation == "L":  # is_regular makes the membership check
         if is_regular(alpha, Y):
             return ("im", image(alpha).members)
         return ("el", alpha.images)
     if relation in ("D", "J"):
         if is_regular(alpha, Y):
             return ("rank", len(image(alpha)))
+        return ("ker", kernel(alpha).boundaries)
+    check_maps_into(alpha, Y)
+    if relation == "H":
+        return ("el", alpha.images)
+    if relation == "R":
         return ("ker", kernel(alpha).boundaries)
     raise DomainError(f"unknown relation {relation!r}")
 

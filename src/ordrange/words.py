@@ -9,9 +9,11 @@ fixed by the least missing chain point, where explicit products of
 full-image maps (plus at most one retraction) finish the job.
 Retractions that were pruned from the generating set are themselves
 rewritten as words over it.  Every step is verified by multiplying the
-word back out.  The rewriter and the final membership check read their
-generator lookups (``full_images``, ``by_tag``, ``images``, ``anchors``)
-from the generating set, which computes them once per set.
+word back out.  The rewriting functions take the generating set and read
+its lookups (``full_images``, ``by_tag``, ``images``, ``anchors``), which
+it computes once per set, where they are used: ``anchors`` only on the
+regular corank-one path, so a full-image element is its own word on
+every range set, the identity of the whole chain included.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def product_of(maps: list[ChainMap]) -> ChainMap:
     return reduce(compose, maps)
 
 
+def _checked(word: list[ChainMap], target: ChainMap) -> list[ChainMap]:
+    """``word``, once its product is verified to be ``target``."""
+    assert product_of(word) == target
+    return word
+
+
 def _lemcr_theta(n: int, Y: RangeSet, i: int) -> ChainMap:
     """Full-image helper splitting the prefix shift into both retractions.
 
@@ -94,9 +102,7 @@ def _lemb_word(n: int, Y: RangeSet, k: int) -> list[ChainMap]:
     th1 = floor_extension(PartialMap(n, dom1, m))
     dom2 = m[: k - 1] + (m[k - 1] - 1, m[k - 1]) + m[k: ell - 1] + m[ell:]
     th2 = floor_extension(PartialMap(n, dom2, m))
-    word = [th1, th2]
-    assert product_of(word) == floor_retraction(n, Y, k)
-    return word
+    return [th1, th2]
 
 
 def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
@@ -121,9 +127,7 @@ def _imed_word(beta: ChainMap, Y: RangeSet, i: int) -> list:
         dom = m[: i - 1] + (i, m[i - 1]) + m[i + 1:]
         img = m[: i - 1] + (m[i - 1], m[i]) + m[i + 1:]
         right = floor_extension(PartialMap(n, dom, img))
-        word = [left, right]
-        assert product_of(word) == beta
-        return word
+        return _checked([left, right], beta)
     if lab == i - 1:
         return [left, (FLOOR, i)]
     dom = m[: i - 2] + (i,) + m[i - 1:]
@@ -136,98 +140,84 @@ def _imax_word(beta: ChainMap, Y: RangeSet) -> list[ChainMap]:
     """A regular map missing y_r, with y_r < n, as two full-image maps:
     the mirror of :func:`_imed_word` at i = 1."""
     word = _imed_word(reflect(beta), reflect_set(Y), 1)
-    out = [reflect(w) for w in word]
-    assert product_of(out) == beta
+    return _checked([reflect(w) for w in word], beta)
+
+
+def _emit_full(gens: GeneratingSet, beta: ChainMap) -> list[ChainMap]:
+    if beta.images not in gens.full_images:
+        raise AssertionError(f"{beta!r} is not a full-image generator")
+    return [beta]
+
+
+def _resolve(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
+    """The tagged retraction or shift: its generator, or a word for it."""
+    got = gens.by_tag.get((kind, idx))
+    if got is not None:
+        return [got]
+    n, Y = gens.n, gens.range_set
+    r = len(Y)
+    i, j = gens.anchors
+    if kind == CEILING:
+        # only the ends of the low run are pruned, both fold through
+        # the prefix shift
+        if idx not in (1, i - 1):
+            raise AssertionError(f"unexpected missing ceiling {idx}")
+        theta = _lemcr_theta(n, Y, i)
+        shift = gens.by_tag[(PREFIX_SHIFT, i)]
+        word = [theta, shift] if idx == 1 else [shift, theta]
+        return _checked(word, ceiling_retraction(n, Y, idx))
+    target = floor_retraction(n, Y, idx)
+    if 2 <= j <= r - 1 and idx in (j, r):
+        # both top retractions fold through the suffix shift
+        theta = reflect(_lemcr_theta(n, reflect_set(Y), r + 2 - j))
+        shift = gens.by_tag[(SUFFIX_SHIFT, j)]
+        return _checked([theta, shift] if idx == r else [shift, theta], target)
+    if idx == r and j == r + 1:
+        # y_r below n: the whole class collapses into full-image maps
+        return _imax_word(target, Y)
+    if Y.members[idx] > Y.members[idx - 1] + 1:
+        return _checked([_lema_theta(n, Y, idx)] * 2, target)
+    return _checked(_lemb_word(n, Y, idx), target)
+
+
+def _express_regular_corank(gens: GeneratingSet, gamma: ChainMap
+                            ) -> list[ChainMap]:
+    Y = gens.range_set
+    i = gens.anchors[0]
+    beta, tags = slide_to_missing_index(gamma, min(i, len(Y)), Y)
+    head = _imed_word(beta, Y, i) if i <= len(Y) else _imax_word(beta, Y)
+    out: list[ChainMap] = []
+    for item in head + tags:
+        if isinstance(item, tuple):
+            out.extend(_resolve(gens, *item))
+        else:
+            out.extend(_emit_full(gens, item))
     return out
 
 
-class _Rewriter:
-    def __init__(self, gens: GeneratingSet):
-        self.n = gens.n
-        self.Y = gens.range_set
-        self.r = len(gens.range_set)
-        self.by_tag = gens.by_tag
-        self.full = gens.full_images
-        self.i, self.j = gens.anchors
-        self.pivot = self.i if self.i <= self.r else self.r
-
-    def emit_full(self, beta: ChainMap) -> list[ChainMap]:
-        if beta.images not in self.full:
-            raise AssertionError(f"{beta!r} is not a full-image generator")
-        return [beta]
-
-    def resolve(self, kind: str, idx: int) -> list[ChainMap]:
-        got = self.by_tag.get((kind, idx))
-        if got is not None:
-            return [got]
-        n, Y, r = self.n, self.Y, self.r
-        if kind == CEILING:
-            # only the ends of the low run are pruned, both fold through
-            # the prefix shift
-            theta = _lemcr_theta(n, Y, self.i)
-            shift = self.by_tag[(PREFIX_SHIFT, self.i)]
-            if idx == 1:
-                word = [theta, shift]
-            elif idx == self.i - 1:
-                word = [shift, theta]
-            else:
-                raise AssertionError(f"unexpected missing ceiling {idx}")
-            assert product_of(word) == ceiling_retraction(n, Y, idx)
-            return word
-        if 2 <= self.j <= r - 1 and idx in (self.j, r):
-            # both top retractions fold through the suffix shift
-            Yr = reflect_set(Y)
-            theta = reflect(_lemcr_theta(n, Yr, r + 2 - self.j))
-            shift = self.by_tag[(SUFFIX_SHIFT, self.j)]
-            word = [theta, shift] if idx == r else [shift, theta]
-            assert product_of(word) == floor_retraction(n, Y, idx)
-            return word
-        if idx == r and self.j == r + 1:
-            # y_r below n: the whole class collapses into full-image maps
-            return _imax_word(floor_retraction(n, Y, r), Y)
-        if Y.members[idx] > Y.members[idx - 1] + 1:
-            th = _lema_theta(n, Y, idx)
-            word = [th, th]
-            assert product_of(word) == floor_retraction(n, Y, idx)
-            return word
-        return _lemb_word(n, Y, idx)
-
-    def express_regular_corank(self, gamma: ChainMap) -> list[ChainMap]:
-        beta, tags = slide_to_missing_index(gamma, self.pivot, self.Y)
-        if self.i == self.r + 1:
-            head: list = _imax_word(beta, self.Y)
-        else:
-            head = _imed_word(beta, self.Y, self.i)
-        out: list[ChainMap] = []
-        for item in head:
-            if isinstance(item, tuple):
-                out.extend(self.resolve(*item))
-            else:
-                out.extend(self.emit_full(item))
-        for kind, idx in tags:
-            out.extend(self.resolve(kind, idx))
-        return out
-
-    def express(self, alpha: ChainMap) -> list[ChainMap]:
-        k = len(image(alpha))
-        if k == self.r:
-            return self.emit_full(alpha)
-        if k == self.r - 1 and is_regular(alpha, self.Y):
-            return self.express_regular_corank(alpha)
-        left, right = factor_raising_rank(alpha, self.Y)
-        if k == self.r - 1:  # right is regular: factor_raising_rank asserts it
-            return self.emit_full(left) + self.express_regular_corank(right)
-        return self.express(left) + self.express(right)
+def _express(gens: GeneratingSet, alpha: ChainMap) -> list[ChainMap]:
+    Y = gens.range_set
+    r = len(Y)
+    k = len(image(alpha))
+    if k == r:
+        return _emit_full(gens, alpha)
+    if k == r - 1 and is_regular(alpha, Y):
+        return _express_regular_corank(gens, alpha)
+    left, right = factor_raising_rank(alpha, Y)
+    if k == r - 1:  # right is regular: factor_raising_rank asserts it
+        return _emit_full(gens, left) + _express_regular_corank(gens, right)
+    return _express(gens, left) + _express(gens, right)
 
 
 def express_in_generators(alpha: ChainMap, gens: GeneratingSet) -> list[ChainMap]:
     """A word over the generating set whose product is ``alpha``.
 
     Every entry of the result is one of the generators; the product is
-    verified before returning.
+    verified before returning.  On the whole chain only the identity has
+    a word: every other element raises DomainError.
     """
     check_maps_into(alpha, gens.range_set)
-    word = _Rewriter(gens).express(alpha)
+    word = _express(gens, alpha)
     for w in word:
         if w.images not in gens.images:
             raise AssertionError(f"word member {w!r} is not a generator")

@@ -80,7 +80,11 @@ class TestRankFormula:
 
     def test_degenerate_ends(self):
         assert rank_by_formula(5, RangeSet(5, (3,))) == 1
-        assert rank_by_formula(4, RangeSet(4, (1, 2, 3, 4))) == 5
+        for n in range(2, 10):  # a captive endpoint singleton still has 1
+            whole = RangeSet(n, tuple(range(1, n + 1)))
+            assert rank_by_formula(n, whole) == n + 1
+            assert rank_by_formula(n, RangeSet(n, (1,))) == 1
+            assert rank_by_formula(n, RangeSet(n, (n,))) == 1
 
 
 class TestFullImageMaps:

@@ -7,6 +7,7 @@ from ordrange import (
     ChainMap,
     DomainError,
     RangeSet,
+    chain,
     constant,
     d_related,
     egg_box,
@@ -20,6 +21,7 @@ from ordrange import (
     l_related,
     r_related,
 )
+from ordrange.green import green_key
 
 cm = ChainMap.from_images
 RELATIONS = ("L", "R", "H", "D", "J")
@@ -107,6 +109,25 @@ class TestPredicates:
         # a map with a value outside Y, or one on another chain size
         with pytest.raises(DomainError):
             related(cm([1, 1, 1]), beta, RangeSet(3, (1,)))
+
+    def test_one_membership_check_per_key(self, monkeypatch):
+        """L, D and J leave the check to is_regular, H and R make it once,
+        and an unknown relation meets the membership refusal first."""
+        calls = []
+        real = chain.maps_into
+
+        def counted(f, Y):
+            calls.append(f)
+            return real(f, Y)
+
+        monkeypatch.setattr(chain, "maps_into", counted)
+        Y = RangeSet(6, (1, 2, 4, 5, 6))
+        table = enumerate_semigroup(6, Y)
+        calls.clear()
+        green_classes("L", table, Y)
+        assert len(table) == len(calls) == 210
+        with pytest.raises(DomainError, match="does not map into"):
+            green_key("X", cm([2, 2, 2]), RangeSet(3, (1,)))
 
 
 class TestOracleEggBox:

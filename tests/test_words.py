@@ -8,11 +8,12 @@ from ordrange import (
     enumerate_elements,
     generators,
     express_in_generators,
+    identity,
     image,
     minimum_generating_set,
     product_of,
+    words,
 )
-from ordrange.words import _Rewriter
 
 cm = ChainMap.from_images
 
@@ -41,6 +42,20 @@ def test_whole_chain_refused():
     with pytest.raises(DomainError,
                        match=r"^the range set covers the whole chain$"):
         express_in_generators(cm([1, 1, 2]), gens)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_whole_chain_identity_is_its_own_word(n):
+    """The identity is one of the whole chain's generators; every other
+    element needs the anchors, which the whole chain lacks."""
+    Y = RangeSet(n, tuple(range(1, n + 1)))
+    gens = minimum_generating_set(n, Y, check=False)
+    assert express_in_generators(identity(n), gens) == [identity(n)]
+    for alpha in enumerate_elements(n, Y):
+        if alpha != identity(n):
+            with pytest.raises(DomainError, match=r"^the range set covers "
+                               r"the whole chain$"):
+                express_in_generators(alpha, gens)
 
 
 def test_anchors_computed_once_per_set(monkeypatch):
@@ -94,6 +109,6 @@ def test_rejects_word_member_outside_the_set(monkeypatch):
     gens = minimum_generating_set(4, RangeSet(4, (2, 3)), check=False)
     const = cm([2, 2, 2, 2])
     assert const.images not in gens.images
-    monkeypatch.setattr(_Rewriter, "express", lambda self, alpha: [const])
+    monkeypatch.setattr(words, "_express", lambda gens, alpha: [const])
     with pytest.raises(AssertionError, match="is not a generator"):
         express_in_generators(const, gens)
