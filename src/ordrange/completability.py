@@ -12,12 +12,10 @@ independent routes so that equivalence stays testable.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 
 from .chain import (ChainMap, DomainError, PartialMap, RangeSet, check_on_chain,
                     kernel)
-# unused here; bench/tracer.py reads and wraps this binding
-from .enumeration import enumerate_elements  # noqa: F401
+from .enumeration import enumerate_elements
 
 
 def _partial_into(theta: PartialMap, Y: RangeSet) -> None:
@@ -53,9 +51,8 @@ def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
     _partial_into(theta, Y)
     at = [a - 1 for a in theta.domain]
     want = list(theta.images)
-    return [ChainMap(theta.n, seq)
-            for seq in combinations_with_replacement(Y.members, theta.n)
-            if [seq[i] for i in at] == want]
+    return [f for f in enumerate_elements(theta.n, Y)
+            if [f.images[i] for i in at] == want]
 
 
 def count_extensions(theta: PartialMap, Y: RangeSet) -> int:

@@ -8,20 +8,20 @@ can fail: facts that hold by construction on a finite chain are not
 swept.  The canonical order-isomorphism is certified inside the
 semigroup: each element a and the first element c of its kernel class
 are joined by the extension s of the fiber-matching bijection, which
-must map into Y, and the composite a * s must give c (and back), a
+must map into Y, and a * s must give c (and back unless a is c), a
 witness that a R c.
-Checks whose cost explodes with the chain size are skipped (with a note)
-beyond the sizes they are meant for; a skip is not a failure.  The
-pairwise isomorphism sweep covers every range set whose table is inside
-the search guard.  The closure guard is applied to the largest requested
-set before any work starts; for a sweep of every set that is the whole
-chain.
+Coverage has one rule: each check names the range sets it covers and
+the cap that skips the rest, and its line counts the sets it skipped:
+``ok   <name>  (skipped K of M sets: <cap>)``, with no note when K = 0.
+A skip is not a failure.  The closure guard is applied to the largest
+requested set before any work starts; for --all that is the whole chain.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from itertools import combinations
 
 from .chain import PartialMap, RangeSet, image, kernel, maps_into
@@ -50,12 +50,12 @@ from .isomorphism import are_isomorphic, find_isomorphism
 from .regularity import is_regular, is_regular_by_search, is_semigroup_regular
 from .words import express_in_generators
 
-# raised to 210 it takes in the six n = 6, r = 5 sets (~21 ms oracle, ~7 ms
-# green_key each), doubling verify_battery's op_p90_ms: 14 -> 30 ms on 2 cores
-GREEN_LIMIT = 130          # largest table the green-oracle sweep covers
-COMPLETABILITY_LIMIT = 5   # chain size cap for the partial-map sweep
-WORDS_LIMIT = 5            # chain size cap for full word reconstruction
-BRUTE_RANK_LIMIT = 21      # table size cap for the subset-search oracle here
+# The caps on what a check covers, each with what lifting it costs (in
+# process, two cores; verify_battery's p90 op is about 17 ms, a pass 0.87 s)
+GREEN_LIMIT = 130          # at 210: +28 ms on each of the six (6, r = 5) sets
+COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.72 s -> 2.79 s
+WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.72 s -> 1.18 s
+BRUTE_RANK_LIMIT = 21      # at 60: +124 ms per verify_battery pass
 
 
 def _all_range_sets(n: int) -> list[RangeSet]:
@@ -71,10 +71,12 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     check_guard(count_maps(n, largest), closure_guard())  # refuses n < 1
     Ys = _all_range_sets(n) if sets is None else sets
     guard = search_guard()
-    brute_cap = min(BRUTE_RANK_LIMIT, guard)
 
-    def searchable(Y: RangeSet) -> bool:
-        return count_maps(n, len(Y)) <= brute_cap
+    def everywhere(Y):
+        return True
+
+    def tables_within(limit):
+        return lambda Y: count_maps(n, len(Y)) <= limit, f"table above {limit}"
 
     def cardinality(Y, table, generating_set):
         if len(table) != count_maps(n, len(Y)):
@@ -97,8 +99,6 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
             yield f"right ideal breaks in {where}"
 
     def green(Y, table, generating_set):
-        if len(table) > GREEN_LIMIT:
-            return
         where = f"Y={list(Y.members)}"
         oracle = {}
         for rel in RELATIONS:
@@ -135,23 +135,20 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         if not generates(gens.elements(), table):
             yield f"constructed set fails to generate {where}"
         # for Y = {1} or {n} the captive set is nonempty, yet the constant
-        # alone generates: the criterion holds for 1 < r < n only
-        if 1 < len(Y) < n and (not captive_set(n, Y)) != generates(
+        # alone generates: the criterion holds for r > 1 only
+        if len(Y) > 1 and (not captive_set(n, Y)) != generates(
                 [g.element for g in gens.members if g.kind == "full_image"],
                 table):
             yield f"captive-empty criterion fails for {where}"
 
     def rank_search(Y, table, generating_set):
-        if searchable(Y) and rank_by_search(table) != rank_by_formula(n, Y):
+        if rank_by_search(table) != rank_by_formula(n, Y):
             yield f"search disagrees for Y={list(Y.members)}"
 
     def words(Y, table, generating_set):
-        r = len(Y)
-        if not 1 < r < n:
-            return
         gens = generating_set()
         for f in table.elements:
-            if len(image(f)) == r:
+            if len(image(f)) == len(Y):
                 continue
             try:
                 express_in_generators(f, gens)
@@ -163,7 +160,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         first: dict = {}  # kernel -> id of its first element
         for a, f in enumerate(els):
             c = first.setdefault(kernel(f).boundaries, a)
-            for x, y in ((a, c), (c, a)):
+            for x, y in ((a, c), (c, a)) if a != c else ((c, c),):
                 s = build_extension(
                     canonical_order_isomorphism(els[x], els[y]), Y)
                 if (s is None or not maps_into(s, Y) or els[y].images
@@ -171,47 +168,42 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                     yield f"roundtrip fails in Y={list(Y.members)}"
 
     def isomorphism(Y, table, generating_set):
-        if Y.members not in small:
-            return
-        for Z, T in small.values():
+        for Z, T in peers.values():
             expected = are_isomorphic(n, Y, n, Z)
             if expected != (find_isomorphism(table, T) is not None):
                 yield f"Y={list(Y.members)} Z={list(Z.members)}"
 
-    def capped(name, sweep, limit):
-        if n <= limit:
-            return name, sweep, ""
-        return name, None, f"skipped for n > {limit}"
-
-    oversize = sum(count_maps(n, len(Y)) > GREEN_LIMIT for Y in Ys)
-    checks = [
-        ("cardinality", cardinality, f"{len(Ys)} sets"),
-        ("regularity-oracle-equivalence", regularity, ""),
-        ("green-oracle-equivalence", green,
-         f"skipped {oversize} oversize sets" if oversize else ""),
-        capped("completability-criterion", completability, COMPLETABILITY_LIMIT),
-        ("rank-constructed", rank_constructed, ""),
+    checks = [  # name, sweep, the sets it covers, the cap that skips the rest
+        ("cardinality", cardinality, everywhere, ""),
+        ("regularity-oracle-equivalence", regularity, everywhere, ""),
+        ("green-oracle-equivalence", green, *tables_within(GREEN_LIMIT)),
+        ("completability-criterion", completability,
+         lambda Y: n <= COMPLETABILITY_LIMIT, f"n > {COMPLETABILITY_LIMIT}"),
+        ("rank-constructed", rank_constructed, everywhere, ""),
         ("rank-search", rank_search,
-         f"{sum(map(searchable, Ys))} sets within guard"),
-        capped("word-reconstruction", words, WORDS_LIMIT),
-        ("canonical-order-isomorphism", canonical, ""),
+         *tables_within(min(BRUTE_RANK_LIMIT, guard))),
+        ("word-reconstruction", words,
+         lambda Y: len(Y) < n and n <= WORDS_LIMIT,
+         f"the whole chain, or n > {WORDS_LIMIT}"),
+        ("canonical-order-isomorphism", canonical, everywhere, ""),
     ]
-    small: dict = {}  # the tables the pairwise search sweep reads
+    peers: dict = {}  # the tables the pairwise search sweep compares
     if sets is None:
-        small = {Y.members: (Y, enumerate_semigroup(n, Y)) for Y in Ys
-                 if count_maps(n, len(Y)) <= guard}
-        above = len(Ys) - len(small)
-        checks.append(("isomorphism-classification", isomorphism,
-                       f"skipped {above} sets above the search guard"
-                       if above else ""))
-    pairs = (small.get(Y.members) or (Y, enumerate_semigroup(n, Y)) for Y in Ys)
+        covered, cap = tables_within(guard)
+        checks.append(("isomorphism-classification", isomorphism, covered, cap))
+        peers = {Y.members: (Y, enumerate_semigroup(n, Y)) for Y in Ys
+                 if covered(Y)}
+    pairs = (peers.get(Y.members) or (Y, enumerate_semigroup(n, Y)) for Y in Ys)
 
     first_failure: dict[str, str] = {}
+    skipped: Counter = Counter()
     for Y, table in pairs:
         generating_set = functools.cache(
             functools.partial(minimum_generating_set, n, Y, check=False))
-        for name, sweep, _ in checks:
-            if sweep is not None and name not in first_failure:
+        for name, sweep, covers, _ in checks:
+            if not covers(Y):
+                skipped[name] += 1
+            elif name not in first_failure:
                 try:
                     detail = next(sweep(Y, table, generating_set), None)
                 except AssertionError as exc:  # a construction's own check
@@ -220,9 +212,13 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                     first_failure[name] = detail
 
     lines = []
-    for name, _, note in checks:
-        detail = first_failure.get(name, note)
-        tag = "FAIL" if name in first_failure else "ok  "
-        suffix = f"  ({detail})" if detail else ""
-        lines.append(f"{tag} {name}{suffix}")
+    for name, sweep, _, cap in checks:
+        tag, note = "ok  ", ""
+        if name in first_failure:
+            tag, note = "FAIL", first_failure[name]
+        elif skipped[name]:
+            note = f"skipped {skipped[name]} of {len(Ys)} sets: {cap}"
+        elif sweep is cardinality:
+            note = f"{len(Ys)} sets"
+        lines.append(f"{tag} {name}  ({note})" if note else f"{tag} {name}")
     return {"lines": lines, "checks": len(checks), "failures": len(first_failure)}

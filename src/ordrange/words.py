@@ -155,7 +155,7 @@ def _resolve(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
     if got is not None:
         return [got]
     n, Y = gens.n, gens.range_set
-    r = len(Y)
+    r = len(Y.members)
     i, j = gens.anchors
     if kind == CEILING:
         # only the ends of the low run are pruned, both fold through
@@ -184,8 +184,8 @@ def _express_regular_corank(gens: GeneratingSet, gamma: ChainMap
                             ) -> list[ChainMap]:
     Y = gens.range_set
     i = gens.anchors[0]
-    beta, tags = slide_to_missing_index(gamma, min(i, len(Y)), Y)
-    head = _imed_word(beta, Y, i) if i <= len(Y) else _imax_word(beta, Y)
+    beta, tags = slide_to_missing_index(gamma, min(i, len(Y.members)), Y)
+    head = _imed_word(beta, Y, i) if i <= len(Y.members) else _imax_word(beta, Y)
     out: list[ChainMap] = []
     for item in head + tags:
         if isinstance(item, tuple):
@@ -197,7 +197,7 @@ def _express_regular_corank(gens: GeneratingSet, gamma: ChainMap
 
 def _express(gens: GeneratingSet, alpha: ChainMap) -> list[ChainMap]:
     Y = gens.range_set
-    r = len(Y)
+    r = len(Y.members)
     k = len(image(alpha))
     if k == r:
         return _emit_full(gens, alpha)

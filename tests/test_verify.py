@@ -1,5 +1,8 @@
 """The battery's report, pinned line by line."""
 
+import json
+import math
+
 import pytest
 
 from ordrange import (
@@ -7,12 +10,14 @@ from ordrange import (
     DomainError,
     GuardExceeded,
     RangeSet,
+    cli,
     completability,
     constant,
     generators,
     reflect,
     verify,
 )
+from ordrange.enumeration import count_maps, search_guard
 from ordrange.generators import GeneratingSet, TaggedGenerator
 from ordrange.verify import run_all
 
@@ -24,8 +29,9 @@ def test_run_all_n4_report():
         "ok   green-oracle-equivalence",
         "ok   completability-criterion",
         "ok   rank-constructed",
-        "ok   rank-search  (14 sets within guard)",
-        "ok   word-reconstruction",
+        "ok   rank-search  (skipped 1 of 15 sets: table above 21)",
+        "ok   word-reconstruction  (skipped 1 of 15 sets: the whole chain, "
+        "or n > 5)",
         "ok   canonical-order-isomorphism",
         "ok   isomorphism-classification",
     ]
@@ -38,7 +44,7 @@ def test_run_all_one_set_report():
         "ok   green-oracle-equivalence",
         "ok   completability-criterion",
         "ok   rank-constructed",
-        "ok   rank-search  (1 sets within guard)",
+        "ok   rank-search",
         "ok   word-reconstruction",
         "ok   canonical-order-isomorphism",
     ]
@@ -48,29 +54,76 @@ def test_run_all_oversize_and_capped_notes():
     assert run_all(6, [RangeSet(6, (1, 2, 3, 4, 5))])["lines"] == [
         "ok   cardinality  (1 sets)",
         "ok   regularity-oracle-equivalence",
-        "ok   green-oracle-equivalence  (skipped 1 oversize sets)",
-        "ok   completability-criterion  (skipped for n > 5)",
+        "ok   green-oracle-equivalence  (skipped 1 of 1 sets: table above 130)",
+        "ok   completability-criterion  (skipped 1 of 1 sets: n > 5)",
         "ok   rank-constructed",
-        "ok   rank-search  (0 sets within guard)",
-        "ok   word-reconstruction  (skipped for n > 5)",
+        "ok   rank-search  (skipped 1 of 1 sets: table above 21)",
+        "ok   word-reconstruction  (skipped 1 of 1 sets: the whole chain, "
+        "or n > 5)",
         "ok   canonical-order-isomorphism",
     ]
 
 
 def test_run_all_n5_report():
-    """Lines captured before the isomorphism sweep reached n = 5; only its
-    note is new."""
+    """Lines captured before the isomorphism sweep reached n = 5; only the
+    notes are new."""
     assert run_all(5)["lines"] == [
         "ok   cardinality  (31 sets)",
         "ok   regularity-oracle-equivalence",
         "ok   green-oracle-equivalence",
         "ok   completability-criterion",
         "ok   rank-constructed",
-        "ok   rank-search  (25 sets within guard)",
-        "ok   word-reconstruction",
+        "ok   rank-search  (skipped 6 of 31 sets: table above 21)",
+        "ok   word-reconstruction  (skipped 1 of 31 sets: the whole chain, "
+        "or n > 5)",
         "ok   canonical-order-isomorphism",
-        "ok   isomorphism-classification  (skipped 1 sets above the search guard)",
+        "ok   isomorphism-classification  (skipped 1 of 31 sets: table above "
+        "60)",
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_skip_notes_count_every_excluded_set(n):
+    """Each capped check's note counts exactly the sets its cap excludes;
+    a check that skips nothing has no note."""
+    sizes = [count_maps(n, r) for r in range(1, n + 1)
+             for _ in range(math.comb(n, r))]
+    guard = search_guard()
+    excluded = {
+        "green-oracle-equivalence":
+            sum(N > verify.GREEN_LIMIT for N in sizes),
+        "completability-criterion":
+            len(sizes) if n > verify.COMPLETABILITY_LIMIT else 0,
+        "rank-search":
+            sum(N > min(verify.BRUTE_RANK_LIMIT, guard) for N in sizes),
+        "word-reconstruction":
+            len(sizes) if n > verify.WORDS_LIMIT else 1,  # the whole chain
+        "isomorphism-classification": sum(N > guard for N in sizes),
+    }
+    lines = run_all(n)["lines"]
+    for line in lines:
+        assert line.startswith("ok   ")
+        name, _, note = line[5:].partition("  ")
+        if name == "cardinality":
+            assert note == f"({len(sizes)} sets)"
+        elif excluded.get(name, 0):
+            assert note.startswith(
+                f"(skipped {excluded[name]} of {len(sizes)} sets: ")
+        else:
+            assert note == ""
+    if n == 4:
+        assert ("ok   word-reconstruction  (skipped 1 of 15 sets: the whole "
+                "chain, or n > 5)") in lines
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_report_line_starts_with_ok(capsys, n):
+    """A passing battery prints only ok lines: the benchmark counts any
+    other line as a failed op."""
+    assert cli.main(["verify", "-n", str(n), "--all", "--format", "json"]) == 0
+    *report, payload = capsys.readouterr().out.splitlines()
+    assert json.loads(payload)["checks"] == len(report)
+    assert all(line.startswith("ok") for line in report)
 
 
 def test_isomorphism_sweep_checks_mirror_pairs(monkeypatch):
@@ -205,7 +258,8 @@ def test_canonical_certificate_checks_the_product(monkeypatch, value):
 
 
 def test_canonical_certificate_is_linear(monkeypatch):
-    """Two bijections per element: to its kernel representative and back."""
+    """Two bijections per element: to its kernel representative and back;
+    one for the representative itself."""
     calls = []
     build = verify.canonical_order_isomorphism
 
@@ -215,7 +269,7 @@ def test_canonical_certificate_is_linear(monkeypatch):
 
     monkeypatch.setattr(verify, "canonical_order_isomorphism", counted)
     assert run_all(6)["failures"] == 0
-    assert len(calls) == 7306
+    assert len(calls) == 6282
 
 
 @pytest.mark.parametrize("name,patch", [
