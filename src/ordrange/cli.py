@@ -82,8 +82,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="range set, strictly increasing comma list")
     sub.add_argument("--format", choices=("json", "csv", "table"),
                      default="json")
-    sub.add_argument("--seedless", action="store_true",
-                     help="assert deterministic output (always on; no-op)")
 
 
 @functools.cache
@@ -149,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep every nonempty range set of the chain")
     s.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
-    s.add_argument("--seedless", action="store_true")
     return p
 
 
@@ -160,7 +157,7 @@ def _cmd_card(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    table = enumerate_semigroup(args.n, Y)
+    table = enumerate_semigroup(Y)
     return {
         "n": args.n,
         "Y": list(Y.members),
@@ -172,13 +169,13 @@ def _cmd_enumerate(args) -> dict:
 def _cmd_regular(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
     check_guard(count_maps(args.n, len(Y)), closure_guard())
-    reg = regular_elements(args.n, Y)
+    reg = regular_elements(Y)
     payload = {
         "n": args.n,
         "Y": list(Y.members),
         "count": count_maps(args.n, len(Y)),
         "regular_count": len(reg),
-        "is_regular_semigroup": is_semigroup_regular(args.n, Y),
+        "is_regular_semigroup": is_semigroup_regular(Y),
     }
     if args.elements:
         payload["elements"] = [list(f.images) for f in reg]
@@ -187,16 +184,16 @@ def _cmd_regular(args) -> dict:
 
 def _cmd_green(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    table = enumerate_semigroup(args.n, Y)
+    table = enumerate_semigroup(Y)
     if args.oracle:
         classes = green_classes_by_ideals(args.relation, table)
         gens = minimum_generating_set(args.n, Y, check=False).elements()
         regular = is_regular_by_search(table, list(map(table.id_of, gens)))
     else:
-        classes = green_classes(args.relation, table, Y)
+        classes = green_classes(args.relation, table)
         regular = [is_regular(f, Y) for f in table.elements]
     if args.check:
-        other = (green_classes(args.relation, table, Y) if args.oracle
+        other = (green_classes(args.relation, table) if args.oracle
                  else green_classes_by_ideals(args.relation, table))
         if classes != other:
             raise AssertionError(
@@ -224,20 +221,20 @@ def _cmd_complete(args) -> dict:
     }
 
 
-def _search_tables(*chains: tuple[int, RangeSet]) -> list[SemigroupTable]:
-    """The tables of the given (n, Y) pairs for a subset search, built only
+def _search_tables(*sets: RangeSet) -> list[SemigroupTable]:
+    """The tables of the given range sets for a subset search, built only
     once every one of them is inside the search guard."""
-    check_guard(max(count_maps(n, len(Y)) for n, Y in chains), search_guard())
-    return [enumerate_semigroup(n, Y) for n, Y in chains]
+    check_guard(max(count_maps(Y.n, len(Y)) for Y in sets), search_guard())
+    return [enumerate_semigroup(Y) for Y in sets]
 
 
-def _generating_set(n: int, Y: RangeSet):
+def _generating_set(Y: RangeSet):
     """The constructed minimum generating set, closure-checked within the
     closure guard; above it only the formula check runs, noted on stderr.
     A set with more members than the closure guard is refused before
     any map is built."""
-    total, guard = count_maps(n, len(Y)), closure_guard()
-    rank = rank_by_formula(n, Y)
+    total, guard = count_maps(Y.n, len(Y)), closure_guard()
+    rank = rank_by_formula(Y)
     if rank > guard:
         raise GuardExceeded(
             f"generating set has {rank} members, above the closure guard "
@@ -246,15 +243,15 @@ def _generating_set(n: int, Y: RangeSet):
         print(f"note: closure check skipped: {total} elements above the "
               f"closure guard {guard}; generator count checked against the "
               "rank formula only", file=sys.stderr)
-    return minimum_generating_set(n, Y, check=total <= guard)
+    return minimum_generating_set(Y.n, Y, check=total <= guard)
 
 
 def _cmd_rank(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
     methods = {
-        "formula": lambda: rank_by_formula(args.n, Y),
-        "constructed": lambda: len(_generating_set(args.n, Y)),
-        "brute": lambda: rank_by_search(*_search_tables((args.n, Y))),
+        "formula": lambda: rank_by_formula(Y),
+        "constructed": lambda: len(_generating_set(Y)),
+        "brute": lambda: rank_by_search(*_search_tables(Y)),
     }
     value = methods[args.method]()
     payload = {"rank": value}
@@ -273,11 +270,11 @@ def _cmd_rank(args) -> dict:
 
 def _cmd_gens(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    gens = _generating_set(args.n, Y)
+    gens = _generating_set(Y)
     return {
         "n": args.n,
         "Y": list(Y.members),
-        "rank": rank_by_formula(args.n, Y),
+        "rank": rank_by_formula(Y),
         "size": len(gens),
         "members": [g.as_dict() for g in gens.members],
     }
@@ -287,7 +284,7 @@ def _cmd_iso(args) -> dict:
     n2 = args.n if args.n2 is None else args.n2
     Y = _parse_Y(args.Y, args.n)
     Z = _parse_Y(args.Z, n2)
-    cond = isomorphism_condition(args.n, Y, n2, Z)
+    cond = isomorphism_condition(Y, Z)
     payload = {
         "isomorphic": cond is not None,
         "condition": cond,
@@ -295,14 +292,14 @@ def _cmd_iso(args) -> dict:
         "induced_theta": None,
     }
     if args.search:
-        S, T = _search_tables((args.n, Y), (n2, Z))
+        S, T = _search_tables(Y, Z)
         phi = find_isomorphism(S, T)
         if (phi is not None) != (cond is not None):
             raise AssertionError(
                 "classification and isomorphism search disagree")
         if phi is not None:
             payload["mapping"] = [[a, phi[a]] for a in sorted(phi)]
-            theta = induced_range_bijection(phi, S, T, Y, Z)
+            theta = induced_range_bijection(phi, S, T)
             payload["induced_theta"] = {str(y): theta[y] for y in sorted(theta)}
     return payload
 

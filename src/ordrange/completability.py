@@ -51,7 +51,7 @@ def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
     _partial_into(theta, Y)
     at = [a - 1 for a in theta.domain]
     want = list(theta.images)
-    return [f for f in enumerate_elements(theta.n, Y)
+    return [f for f in enumerate_elements(Y)
             if [f.images[i] for i in at] == want]
 
 

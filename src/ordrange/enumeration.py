@@ -4,10 +4,11 @@ For a chain of size n and a range set Y, the semigroup consists of all
 weakly increasing length-n sequences over the members of Y; there are
 C(n+r-1, r-1) of them for r = |Y|.  Enumeration order is fixed as
 lexicographic on image sequences so element ids are stable across runs.
-``SemigroupTable(n, Y)`` is the one table built on it: O(n, Y) and no
-other set of maps.  Its ids are lexicographic ranks computed as sums of
-per-position weights, and each product column is filled by suffix sums
-over the lexicographic trie of the elements, with no lookup per element.
+``SemigroupTable(Y)`` is the one table built on it: O(n, Y) on the
+chain of Y and no other set of maps, keeping Y as ``range_set``.  Its
+ids are lexicographic ranks computed as sums of per-position weights,
+and each product column is filled by suffix sums over the lexicographic
+trie of the elements, with no lookup per element.
 ``check_guard`` is the one element-count refusal: a caller hands it the
 size of the table it is about to build or search.  The subset searches
 read tables their callers built, so a caller needs one table per range
@@ -21,7 +22,7 @@ import os
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .chain import ChainMap, DomainError, GuardExceeded, RangeSet, check_on_chain
+from .chain import ChainMap, DomainError, GuardExceeded, RangeSet
 
 DEFAULT_SEARCH_GUARD = 60
 DEFAULT_CLOSURE_GUARD = 5000
@@ -66,7 +67,7 @@ def count_maps(n: int, r: int) -> int:
 
 class SemigroupTable:
     """The semigroup O(n, Y) of all monotone maps on {1..n} into Y, with
-    id-based products.
+    id-based products; n is the chain Y lives on.
 
     Element ids follow the lexicographic order of image sequences, and an
     id is computed, not looked up: it is the rank of the sequence in the
@@ -86,10 +87,10 @@ class SemigroupTable:
     sequences that start at v or above, in lexicographic order.
     """
 
-    def __init__(self, n: int, Y: RangeSet):
-        self.n = n
-        self.elements: tuple[ChainMap, ...] = tuple(enumerate_elements(n, Y))
-        members, r = Y.members, len(Y)
+    def __init__(self, Y: RangeSet):
+        self.range_set = Y
+        self.elements: tuple[ChainMap, ...] = tuple(enumerate_elements(Y))
+        n, members, r = Y.n, Y.members, len(Y)
         prefix = [list(accumulate((math.comb(n - i - 1 + r - 1 - w, n - i - 1)
                                    for w in range(r - 1)), initial=0))
                   for i in range(n)] + [[0] * r]
@@ -134,7 +135,7 @@ class SemigroupTable:
         return len(self.elements)
 
     def id_of(self, el: ChainMap) -> int:
-        if el.n == self.n:
+        if el.n == self.range_set.n:
             try:
                 return sum(map(dict.__getitem__, self._weights, el.images))
             except KeyError:
@@ -234,10 +235,9 @@ def scc_labels(adj: list[Sequence[int]]) -> list[int]:
     return label
 
 
-def enumerate_elements(n: int, Y: RangeSet) -> list[ChainMap]:
-    """All monotone maps on {1..n} with values in Y, in lexicographic order."""
-    check_on_chain(n, Y)
-    new = ChainMap._unchecked  # Y is a checked RangeSet on this chain
+def enumerate_elements(Y: RangeSet) -> list[ChainMap]:
+    """All monotone maps on the chain of Y into Y, in lexicographic order."""
+    n, new = Y.n, ChainMap._unchecked  # Y is a checked RangeSet on this chain
     return [new(n, seq) for seq in combinations_with_replacement(Y.members, n)]
 
 
@@ -249,7 +249,7 @@ def check_guard(total: int, limit: int) -> None:
             f"semigroup has {total} elements, above the guard {limit}")
 
 
-def enumerate_semigroup(n: int, Y: RangeSet) -> SemigroupTable:
+def enumerate_semigroup(Y: RangeSet) -> SemigroupTable:
     """The table of O(n, Y) with stable element ids, inside the closure guard."""
-    check_guard(count_maps(n, len(Y)), closure_guard())
-    return SemigroupTable(n, Y)
+    check_guard(count_maps(Y.n, len(Y)), closure_guard())
+    return SemigroupTable(Y)

@@ -67,18 +67,17 @@ CORANK_ONE = "corank_one"
 # captive members and the rank formula
 
 
-def captive_set(n: int, Y: RangeSet) -> tuple[int, ...]:
+def captive_set(Y: RangeSet) -> tuple[int, ...]:
     """The captive members of Y: endpoints of the chain, or members whose
     chain neighbours both lie in Y.  May be empty."""
-    check_on_chain(n, Y)
     out = []
     for y in Y:
-        if y in (1, n) or (y - 1 in Y and y + 1 in Y):
+        if y in (1, Y.n) or (y - 1 in Y and y + 1 in Y):
             out.append(y)
     return tuple(out)
 
 
-def rank_by_formula(n: int, Y: RangeSet) -> int:
+def rank_by_formula(Y: RangeSet) -> int:
     """Minimum size of a generating set: C(n-1, r-1) + #captive(Y).
 
     On the whole chain every member is captive, so this gives n + 1, the
@@ -89,10 +88,9 @@ def rank_by_formula(n: int, Y: RangeSet) -> int:
     subset search computes.
     """
     r = len(Y)
-    check_on_chain(n, Y)
     if r == 1:
         return 1
-    return math.comb(n - 1, r - 1) + len(captive_set(n, Y))
+    return math.comb(Y.n - 1, r - 1) + len(captive_set(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +120,13 @@ def full_image_map(partition: ConvexPartition, Y: RangeSet) -> ChainMap:
         partition.n, list(partition.blocks()), list(Y.members))
 
 
-def full_image_maps(n: int, Y: RangeSet) -> list[ChainMap]:
+def full_image_maps(Y: RangeSet) -> list[ChainMap]:
     """All C(n-1, r-1) maps whose image is the whole of Y.
 
     One per convex partition of weight r, ordered lexicographically by
     block boundaries; block t is sent to the t-th member of Y.
     """
-    check_on_chain(n, Y)
+    n = Y.n
     out = []
     for cuts in combinations(range(1, n), len(Y) - 1):
         part = ConvexPartition(n, cuts + (n,))
@@ -141,19 +139,17 @@ def _retraction_seed(Y: RangeSet, i: int) -> PartialMap:
     return PartialMap(Y.n, members, members)
 
 
-def floor_retraction(n: int, Y: RangeSet, i: int) -> ChainMap:
+def floor_retraction(Y: RangeSet, i: int) -> ChainMap:
     """Idempotent fixing Y minus its i-th member, pulling y_i downward."""
-    check_on_chain(n, Y)
     return floor_extension(_retraction_seed(Y, i))
 
 
-def ceiling_retraction(n: int, Y: RangeSet, i: int) -> ChainMap:
+def ceiling_retraction(Y: RangeSet, i: int) -> ChainMap:
     """Idempotent fixing Y minus its i-th member, pushing y_i upward."""
-    check_on_chain(n, Y)
     return ceiling_extension(_retraction_seed(Y, i))
 
 
-def prefix_shift_generator(n: int, Y: RangeSet, i: int) -> ChainMap:
+def prefix_shift_generator(Y: RangeSet, i: int) -> ChainMap:
     """One map replacing both low-end retractions when Y starts 1..i-1.
 
     Defined for 3 <= i <= r: the first i-2 members shift up one slot,
@@ -165,10 +161,10 @@ def prefix_shift_generator(n: int, Y: RangeSet, i: int) -> ChainMap:
     ys = Y.members
     dom = ys[: i - 2] + ys[i - 1:]
     img = ys[1: i - 1] + ys[i - 1:]
-    return ceiling_extension(PartialMap(n, dom, img))
+    return ceiling_extension(PartialMap(Y.n, dom, img))
 
 
-def suffix_shift_generator(n: int, Y: RangeSet, j: int) -> ChainMap:
+def suffix_shift_generator(Y: RangeSet, j: int) -> ChainMap:
     """Mirror of the prefix shift for a top-end run; misses y_r.
 
     Defined for 2 <= j <= r-1: members up to y_{j-1} stay fixed, the
@@ -178,12 +174,13 @@ def suffix_shift_generator(n: int, Y: RangeSet, j: int) -> ChainMap:
     r = len(Y)
     if not 2 <= j <= r - 1:
         raise DomainError(f"index {j} outside 2..{r - 1}")
-    return reflect(prefix_shift_generator(n, reflect_set(Y), r + 2 - j))
+    return reflect(prefix_shift_generator(reflect_set(Y), r + 2 - j))
 
 
-def corank_one_generator(n: int, Y: RangeSet, t: int) -> ChainMap:
+def corank_one_generator(Y: RangeSet, t: int) -> ChainMap:
     """For the whole chain: the map with image {1..n} minus t whose one
     non-singleton kernel block is {n-t, n-t+1}, or {1, 2} when t = n."""
+    n = Y.n
     if not 2 <= n == len(Y) or not 1 <= t <= n:
         raise DomainError(f"need Y the whole chain of n >= 2 and 1 <= t <= n, "
                           f"got |Y|={len(Y)}, n={n}, t={t}")
@@ -285,7 +282,7 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
     check = beta
     for kind, idx in word:
         step = (ceiling_retraction if kind == CEILING else floor_retraction)(
-            alpha.n, Y, idx)
+            Y, idx)
         check = compose(check, step)
     assert check == alpha
     return beta, word
@@ -313,7 +310,7 @@ class TaggedGenerator:
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Tagged generators of the monotone maps of {1..n} into a range set.
+    """Tagged generators of the monotone maps into a range set.
 
     Four lookups are computed on first use and kept with the set (they
     are not fields, so equality, hashing and the constructor ignore
@@ -325,7 +322,6 @@ class GeneratingSet:
     the whole chain.
     """
 
-    n: int
     range_set: RangeSet
     members: tuple[TaggedGenerator, ...]
 
@@ -353,8 +349,8 @@ class GeneratingSet:
 
     @cached_property
     def anchors(self) -> tuple[int, int]:
-        return (first_missing_point(self.n, self.range_set),
-                tail_anchor(self.n, self.range_set))
+        return (first_missing_point(self.range_set),
+                tail_anchor(self.range_set))
 
     def elements(self) -> list[ChainMap]:
         return [g.element for g in self.members]
@@ -363,21 +359,21 @@ class GeneratingSet:
         return len(self.members)
 
 
-def first_missing_point(n: int, Y: RangeSet) -> int:
+def first_missing_point(Y: RangeSet) -> int:
     """Least chain point outside Y; at most r+1 and defined whenever r < n."""
-    for x in range(1, n + 1):
+    for x in range(1, Y.n + 1):
         if x not in Y:
             return x
     raise DomainError("the range set covers the whole chain")
 
 
-def tail_anchor(n: int, Y: RangeSet) -> int:
+def tail_anchor(Y: RangeSet) -> int:
     """Position j such that Y holds exactly the run n-r+j..n at its top.
 
     Equals r+1 when n is outside Y, and 1 when Y is one solid run
     ending at n.  Read off the least point missing from the mirrored set.
     """
-    return len(Y) + 2 - first_missing_point(n, reflect_set(Y))
+    return len(Y) + 2 - first_missing_point(reflect_set(Y))
 
 
 def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
@@ -403,9 +399,9 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
     if r == n > 1:
         eps = [(CORANK_ONE, t) for t in range(1, n + 1)]
     elif r > 1:
-        i = first_missing_point(n, Y)
-        j = tail_anchor(n, Y)
-        captive = set(captive_set(n, Y))
+        i = first_missing_point(Y)
+        j = tail_anchor(Y)
+        captive = set(captive_set(Y))
         low = [t for t, y in enumerate(Y, start=1) if y in captive and y < i]
         high = [t for t, y in enumerate(Y, start=1) if y in captive and y > i]
         if 3 <= i <= r:
@@ -418,18 +414,18 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
             eps += [(FLOOR, t) for t in high]
 
     members = [
-        TaggedGenerator(f, FULL_IMAGE) for f in full_image_maps(n, Y)
+        TaggedGenerator(f, FULL_IMAGE) for f in full_image_maps(Y)
     ]
     for kind, idx in eps:
-        members.append(TaggedGenerator(_BUILDERS[kind](n, Y, idx), kind, idx))
+        members.append(TaggedGenerator(_BUILDERS[kind](Y, idx), kind, idx))
 
-    gens = GeneratingSet(n, Y, tuple(members))
-    expected = rank_by_formula(n, Y)
+    gens = GeneratingSet(Y, tuple(members))
+    expected = rank_by_formula(Y)
     if len(gens) != expected:
         raise AssertionError(
             f"built {len(gens)} generators, formula says {expected}")
     if check:
-        table = enumerate_semigroup(n, Y)
+        table = enumerate_semigroup(Y)
         if not generates(gens.elements(), table):
             raise AssertionError("constructed set fails to generate")
     return gens

@@ -104,9 +104,9 @@ def egg_box(relation: str, table: SemigroupTable, classes: list[list[int]],
     }
 
 
-def green_classes(relation: str, table: SemigroupTable,
-                  Y: RangeSet) -> list[list[int]]:
+def green_classes(relation: str, table: SemigroupTable) -> list[list[int]]:
     """Partition by the characterized form of one relation (L/R/H/D/J)."""
+    Y = table.range_set
     keys: dict[tuple, list[int]] = {}
     for i, el in enumerate(table.elements):
         keys.setdefault(green_key(relation, el, Y), []).append(i)

@@ -19,29 +19,27 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .chain import RangeSet, check_on_chain, constant, reflect_set
+from .chain import RangeSet, constant, reflect_set
 from .enumeration import SemigroupTable, check_guard, search_guard
 
 
-def isomorphism_condition(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> int | None:
+def isomorphism_condition(Y: RangeSet, Z: RangeSet) -> int | None:
     """Which clause of the classification applies: 1, 2, 3, or None.
 
     1: both range sets are singletons; 2: equal chains and equal sets;
     3: equal chains and mirror-image sets.
     """
-    check_on_chain(n1, Y)
-    check_on_chain(n2, Z)
     if len(Y) == 1 and len(Z) == 1:
         return 1
-    if n1 == n2 and Y.members == Z.members:
+    if Y == Z:
         return 2
-    if n1 == n2 and reflect_set(Y).members == Z.members:
+    if reflect_set(Y) == Z:
         return 3
     return None
 
 
-def are_isomorphic(n1: int, Y: RangeSet, n2: int, Z: RangeSet) -> bool:
-    return isomorphism_condition(n1, Y, n2, Z) is not None
+def are_isomorphic(Y: RangeSet, Z: RangeSet) -> bool:
+    return isomorphism_condition(Y, Z) is not None
 
 
 def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) -> bool:
@@ -135,17 +133,17 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
 
 
 def induced_range_bijection(phi: dict[int, int], S: SemigroupTable,
-                            T: SemigroupTable, Y: RangeSet, Z: RangeSet
-                            ) -> dict[int, int]:
+                            T: SemigroupTable) -> dict[int, int]:
     """Read the bijection Y -> Z off the images of the constant maps.
 
     A verified isomorphism must send constants to constants; anything
     else is reported as a broken isomorphism, not a usage error.  The
     result is monotone or antitone, never mixed.
     """
+    Y, Z = S.range_set, T.range_set
     out: dict[int, int] = {}
     for y in Y:
-        cid = S.id_of(constant(S.n, y))
+        cid = S.id_of(constant(Y.n, y))
         target = T.elements[phi[cid]]
         vals = set(target.images)
         if len(vals) != 1:

@@ -12,7 +12,7 @@ off the right Cayley graph of any generating set, holds an idempotent
 
 from __future__ import annotations
 
-from .chain import ChainMap, RangeSet, check_maps_into, check_on_chain
+from .chain import ChainMap, RangeSet, check_maps_into
 from .enumeration import SemigroupTable, enumerate_elements, scc_labels
 
 
@@ -34,16 +34,15 @@ def is_regular_by_search(table: SemigroupTable,
     return [k in holding for k in labels]
 
 
-def regular_elements(n: int, Y: RangeSet) -> list[ChainMap]:
+def regular_elements(Y: RangeSet) -> list[ChainMap]:
     """All regular elements, in enumeration order; closed under composition."""
-    return [f for f in enumerate_elements(n, Y) if is_regular(f, Y)]
+    return [f for f in enumerate_elements(Y) if is_regular(f, Y)]
 
 
-def is_semigroup_regular(n: int, Y: RangeSet) -> bool:
+def is_semigroup_regular(Y: RangeSet) -> bool:
     """Every element regular iff Y is everything, a single point, or {1, n}."""
-    check_on_chain(n, Y)
     return (
-        len(Y) == n
+        len(Y) == Y.n
         or len(Y) == 1
-        or Y.members == (1, n)
+        or Y.members == (1, Y.n)
     )

@@ -13,8 +13,9 @@ witness that a R c.
 Coverage has one rule: each check names the range sets it covers and
 the cap that skips the rest, and its line counts the sets it skipped:
 ``ok   <name>  (skipped K of M sets: <cap>)``, with no note when K = 0.
-A skip is not a failure.  The closure guard is applied to the largest
-requested set before any work starts; for --all that is the whole chain.
+A skip is not a failure.  Before any work starts a requested set on
+another chain is refused, and the closure guard is applied to the largest
+requested set; for --all that is the whole chain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import math
 from collections import Counter
 from itertools import combinations
 
-from .chain import PartialMap, RangeSet, image, kernel, maps_into
+from .chain import (PartialMap, RangeSet, check_on_chain, image, kernel,
+                    maps_into)
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
@@ -50,8 +52,8 @@ from .isomorphism import are_isomorphic, find_isomorphism
 from .regularity import is_regular, is_regular_by_search, is_semigroup_regular
 from .words import express_in_generators
 
-# The caps on what a check covers, each with what lifting it costs (in
-# process, two cores; verify_battery's p90 op is about 17 ms, a pass 0.87 s)
+# The caps on what a check covers, each with the cost of lifting it when it
+# was set (two cores; BENCH_19.json: verify_battery p90 op 12.5 ms, pass 0.72 s)
 GREEN_LIMIT = 130          # at 210: +28 ms on each of the six (6, r = 5) sets
 COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.72 s -> 2.79 s
 WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.72 s -> 1.18 s
@@ -67,6 +69,8 @@ def _all_range_sets(n: int) -> list[RangeSet]:
 
 
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
+    for Y in sets or ():
+        check_on_chain(n, Y)
     largest = n if sets is None else max(map(len, sets), default=1)
     check_guard(count_maps(n, largest), closure_guard())  # refuses n < 1
     Ys = _all_range_sets(n) if sets is None else sets
@@ -90,7 +94,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                                   is_regular_by_search(table, ids)):
             if flag != found:
                 yield f"{f!r} in {where}"
-        if is_semigroup_regular(n, Y) != all(flags):
+        if is_semigroup_regular(Y) != all(flags):
             yield f"trichotomy wrong for {where}"
         # closed under right products by generators: a right ideal of S
         reg = [a for a, flag in enumerate(flags) if flag]
@@ -103,7 +107,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         oracle = {}
         for rel in RELATIONS:
             oracle[rel] = green_classes_by_ideals(rel, table)
-            if green_classes(rel, table, Y) != oracle[rel]:
+            if green_classes(rel, table) != oracle[rel]:
                 yield f"{rel} differs for {where}"
         if len(oracle["H"]) != len(table):
             yield f"H not trivial for {where}"
@@ -136,13 +140,13 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
             yield f"constructed set fails to generate {where}"
         # for Y = {1} or {n} the captive set is nonempty, yet the constant
         # alone generates: the criterion holds for r > 1 only
-        if len(Y) > 1 and (not captive_set(n, Y)) != generates(
+        if len(Y) > 1 and (not captive_set(Y)) != generates(
                 [g.element for g in gens.members if g.kind == "full_image"],
                 table):
             yield f"captive-empty criterion fails for {where}"
 
     def rank_search(Y, table, generating_set):
-        if rank_by_search(table) != rank_by_formula(n, Y):
+        if rank_by_search(table) != rank_by_formula(Y):
             yield f"search disagrees for Y={list(Y.members)}"
 
     def words(Y, table, generating_set):
@@ -169,7 +173,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     def isomorphism(Y, table, generating_set):
         for Z, T in peers.values():
-            expected = are_isomorphic(n, Y, n, Z)
+            expected = are_isomorphic(Y, Z)
             if expected != (find_isomorphism(table, T) is not None):
                 yield f"Y={list(Y.members)} Z={list(Z.members)}"
 
@@ -191,9 +195,9 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     if sets is None:
         covered, cap = tables_within(guard)
         checks.append(("isomorphism-classification", isomorphism, covered, cap))
-        peers = {Y.members: (Y, enumerate_semigroup(n, Y)) for Y in Ys
+        peers = {Y.members: (Y, enumerate_semigroup(Y)) for Y in Ys
                  if covered(Y)}
-    pairs = (peers.get(Y.members) or (Y, enumerate_semigroup(n, Y)) for Y in Ys)
+    pairs = (peers.get(Y.members) or (Y, enumerate_semigroup(Y)) for Y in Ys)
 
     first_failure: dict[str, str] = {}
     skipped: Counter = Counter()

@@ -62,7 +62,7 @@ def _checked(word: list[ChainMap], target: ChainMap) -> list[ChainMap]:
     return word
 
 
-def _lemcr_theta(n: int, Y: RangeSet, i: int) -> ChainMap:
+def _lemcr_theta(Y: RangeSet, i: int) -> ChainMap:
     """Full-image helper splitting the prefix shift into both retractions.
 
     Needs Y to start with the run 1..i-1 and skip i; the ceiling
@@ -71,27 +71,27 @@ def _lemcr_theta(n: int, Y: RangeSet, i: int) -> ChainMap:
     m = Y.members
     dom = m[1: i - 1] + (m[i - 2] + 1,) + m[i - 1:]
     img = m
-    return ceiling_extension(PartialMap(n, dom, img))
+    return ceiling_extension(PartialMap(Y.n, dom, img))
 
 
-def _lema_theta(n: int, Y: RangeSet, k: int) -> ChainMap:
+def _lema_theta(Y: RangeSet, k: int) -> ChainMap:
     """Full-image map whose square is the k-th floor retraction.
 
     Requires a chain point strictly between y_k and y_{k+1}.
     """
     m = Y.members
     dom = m[: k - 1] + (m[k - 1] + 1,) + m[k:]
-    return floor_extension(PartialMap(n, dom, m))
+    return floor_extension(PartialMap(Y.n, dom, m))
 
 
-def _lemb_word(n: int, Y: RangeSet, k: int) -> list[ChainMap]:
+def _lemb_word(Y: RangeSet, k: int) -> list[ChainMap]:
     """The k-th floor retraction as a product of two full-image maps.
 
     Requires a gap just below y_k, y_{k+1} = y_k + 1 and room above it
     (y_k < n-r+k); the least chain point above y_k missing from the tail
     of Y, which lies above y_{k+1}, is woven through both factors.
     """
-    m = Y.members
+    n, m = Y.n, Y.members
     tail = set(m[k - 1:])
     spare = [y for y in range(m[k - 1], n + 1) if y not in tail]
     if not spare:
@@ -154,7 +154,7 @@ def _resolve(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
     got = gens.by_tag.get((kind, idx))
     if got is not None:
         return [got]
-    n, Y = gens.n, gens.range_set
+    Y = gens.range_set
     r = len(Y.members)
     i, j = gens.anchors
     if kind == CEILING:
@@ -162,22 +162,22 @@ def _resolve(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
         # the prefix shift
         if idx not in (1, i - 1):
             raise AssertionError(f"unexpected missing ceiling {idx}")
-        theta = _lemcr_theta(n, Y, i)
+        theta = _lemcr_theta(Y, i)
         shift = gens.by_tag[(PREFIX_SHIFT, i)]
         word = [theta, shift] if idx == 1 else [shift, theta]
-        return _checked(word, ceiling_retraction(n, Y, idx))
-    target = floor_retraction(n, Y, idx)
+        return _checked(word, ceiling_retraction(Y, idx))
+    target = floor_retraction(Y, idx)
     if 2 <= j <= r - 1 and idx in (j, r):
         # both top retractions fold through the suffix shift
-        theta = reflect(_lemcr_theta(n, reflect_set(Y), r + 2 - j))
+        theta = reflect(_lemcr_theta(reflect_set(Y), r + 2 - j))
         shift = gens.by_tag[(SUFFIX_SHIFT, j)]
         return _checked([theta, shift] if idx == r else [shift, theta], target)
     if idx == r and j == r + 1:
         # y_r below n: the whole class collapses into full-image maps
         return _imax_word(target, Y)
     if Y.members[idx] > Y.members[idx - 1] + 1:
-        return _checked([_lema_theta(n, Y, idx)] * 2, target)
-    return _checked(_lemb_word(n, Y, idx), target)
+        return _checked([_lema_theta(Y, idx)] * 2, target)
+    return _checked(_lemb_word(Y, idx), target)
 
 
 def _express_regular_corank(gens: GeneratingSet, gamma: ChainMap

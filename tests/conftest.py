@@ -69,9 +69,11 @@ def regular_by_scan(table):
             for a in range(len(table))]
 
 
-def constructed_ids(table, Y):
-    """Ids of the constructed minimum generating set of Y in its table."""
-    gens = minimum_generating_set(table.n, Y, check=False)
+def constructed_ids(table):
+    """Ids of the constructed minimum generating set of the table's range
+    set in the table."""
+    Y = table.range_set
+    gens = minimum_generating_set(Y.n, Y, check=False)
     return [table.id_of(g) for g in gens.elements()]
 
 
@@ -102,9 +104,9 @@ def refines(fine, coarse):
     return set(coarse.boundaries) <= set(fine.boundaries)
 
 
-def maps_with_image_size(n, Y, k):
+def maps_with_image_size(Y, k):
     """The maps into Y whose image has exactly k values."""
-    return [f for f in enumerate_elements(n, Y) if len(image(f)) == k]
+    return [f for f in enumerate_elements(Y) if len(image(f)) == k]
 
 
 def corank_one_class(table, Y, j):
@@ -126,9 +128,9 @@ def table_builds(monkeypatch):
     built = []
     init = SemigroupTable.__init__
 
-    def counted(self, n, Y):
+    def counted(self, Y):
         built.append(Y)
-        init(self, n, Y)
+        init(self, Y)
 
     monkeypatch.setattr(SemigroupTable, "__init__", counted)
     return built

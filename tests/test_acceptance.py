@@ -63,7 +63,7 @@ def test_criterion_01_cardinality():
     checked = 0
     for n in range(1, 9):
         for Y in range_sets(n):
-            got = len(enumerate_elements(n, Y))
+            got = len(enumerate_elements(Y))
             assert got == math.comb(n + len(Y) - 1, len(Y) - 1)
             checked += 1
     report(1, f"cardinality exact for {checked} (n, Y) pairs, n <= 8")
@@ -73,16 +73,16 @@ def test_criterion_02_regularity_equivalence():
     pairs = 0
     for n in range(1, 7):
         for Y in range_sets(n):
-            table = enumerate_semigroup(n, Y)
-            reg = regular_elements(n, Y)
+            table = enumerate_semigroup(Y)
+            reg = regular_elements(Y)
             reg_ids = {table.id_of(f) for f in reg}
-            flags = is_regular_by_search(table, constructed_ids(table, Y))
+            flags = is_regular_by_search(table, constructed_ids(table))
             assert flags == [is_regular(f, Y) for f in table.elements]
             assert flags == regular_by_scan(table)
             for a in reg_ids:
                 for b in reg_ids:
                     assert table.product(a, b) in reg_ids
-            assert is_semigroup_regular(n, Y) == (len(reg) == len(table))
+            assert is_semigroup_regular(Y) == (len(reg) == len(table))
             pairs += 1
     report(2, "characterized == idempotent-in-R-class oracle == "
               f"alpha*beta*alpha scan on {pairs} semigroups, n <= 6")
@@ -92,9 +92,9 @@ def test_criterion_03_green_equivalence():
     pairs = 0
     for n in range(1, 6):
         for Y in range_sets(n):
-            table = enumerate_semigroup(n, Y)
+            table = enumerate_semigroup(Y)
             for rel in ("L", "R", "H", "D", "J"):
-                chars = green_classes(rel, table, Y)
+                chars = green_classes(rel, table)
                 oracle = green_classes_by_ideals(rel, table)
                 assert chars == oracle, (n, Y.members, rel)
             assert all(len(c) == 1
@@ -126,8 +126,8 @@ def test_criterion_04_completability():
 
 def test_criterion_05_rank_formula_worked_examples():
     Y = RangeSet(7, (1, 3, 4, 5))
-    assert captive_set(7, Y) == (1, 4)
-    assert rank_by_formula(7, Y) == math.comb(6, 3) + 2 == 22
+    assert captive_set(Y) == (1, 4)
+    assert rank_by_formula(Y) == math.comb(6, 3) + 2 == 22
     captive_examples = {
         (1, 3, 4, 5): (1, 4),
         (2, 3, 4, 5): (3, 4),
@@ -137,10 +137,10 @@ def test_criterion_05_rank_formula_worked_examples():
         (2, 3, 5, 6): (),
     }
     for members, expected in captive_examples.items():
-        assert captive_set(7, RangeSet(7, members)) == expected
+        assert captive_set(RangeSet(7, members)) == expected
     gens = minimum_generating_set(7, Y, check=False)
     assert len(gens) == 22
-    table = enumerate_semigroup(7, Y)
+    table = enumerate_semigroup(Y)
     assert len(table) == 120
     assert generates(gens.elements(), table)
     report(5, "rank(7, {1,3,4,5}) = 22, captive census matches on all six "
@@ -151,12 +151,12 @@ def test_criterion_06_rank_exactness():
     swept = 0
     for n in (3, 4, 5):
         for Y in range_sets(n, smallest=2, largest=n - 1):
-            table = enumerate_semigroup(n, Y)
+            table = enumerate_semigroup(Y)
             rank, witnesses = minimal_generating_sets(table)
-            assert rank == rank_by_formula(n, Y), (n, Y.members)
+            assert rank == rank_by_formula(Y), (n, Y.members)
             assert witnesses
-            a_ids = frozenset(table.id_of(f) for f in full_image_maps(n, Y))
-            captives = captive_set(n, Y)
+            a_ids = frozenset(table.id_of(f) for f in full_image_maps(Y))
+            captives = captive_set(Y)
             for w in witnesses:
                 assert a_ids <= w
                 for pos, y in enumerate(Y.members, start=1):
@@ -175,7 +175,7 @@ def test_criterion_07_factorization_chains():
             r = len(Y)
             gens = minimum_generating_set(n, Y, check=False)
             allowed = {g.element.images for g in gens.members}
-            for alpha in enumerate_elements(n, Y):
+            for alpha in enumerate_elements(Y):
                 k = len(image(alpha))
                 if k > r - 1:
                     continue
@@ -203,12 +203,12 @@ def test_criterion_08_isomorphism():
     pairs = 0
     for n in range(1, 5):
         sets = list(range_sets(n))
-        tables = {Y.members: enumerate_semigroup(n, Y) for Y in sets}
+        tables = {Y.members: enumerate_semigroup(Y) for Y in sets}
         for Y in sets:
             S = tables[Y.members]
             for Z in sets:
                 T = tables[Z.members]
-                expected = isomorphism_condition(n, Y, n, Z) is not None
+                expected = isomorphism_condition(Y, Z) is not None
                 phi = find_isomorphism(S, T)
                 assert (phi is not None) == expected, (n, Y.members, Z.members)
                 pairs += 1
@@ -216,7 +216,7 @@ def test_criterion_08_isomorphism():
                     continue
                 found += 1
                 # induced bijection via constants, and its conjugation law
-                theta = induced_range_bijection(phi, S, T, Y, Z)
+                theta = induced_range_bijection(phi, S, T)
                 values = [theta[y] for y in Y.members]
                 assert values == sorted(values) or \
                     values == sorted(values, reverse=True)
@@ -229,9 +229,9 @@ def test_criterion_08_isomorphism():
                         assert set(image(g).members) == \
                             {theta[y] for y in image(f).members}
     # singleton ranges are isomorphic across different chain sizes
-    S = enumerate_semigroup(3, RangeSet(3, (2,)))
-    T = enumerate_semigroup(5, RangeSet(5, (4,)))
-    assert isomorphism_condition(3, RangeSet(3, (2,)), 5, RangeSet(5, (4,))) == 1
+    S = enumerate_semigroup(RangeSet(3, (2,)))
+    T = enumerate_semigroup(RangeSet(5, (4,)))
+    assert isomorphism_condition(RangeSet(3, (2,)), RangeSet(5, (4,))) == 1
     assert find_isomorphism(S, T) is not None
     report(8, f"classification == brute-force search on {pairs} same-chain "
               f"pairs (n <= 4); all {found} found isomorphisms satisfy the "
@@ -249,9 +249,9 @@ def test_criterion_09_worked_example_bit_exact():
 def test_criterion_10_no_captives_means_full_image_class_suffices():
     for members in ((2, 4, 6), (2, 3, 5, 6)):
         Y = RangeSet(7, members)
-        assert captive_set(7, Y) == ()
-        table = enumerate_semigroup(7, Y)
-        assert generates(full_image_maps(7, Y), table)
-        assert rank_by_formula(7, Y) == math.comb(6, len(members) - 1)
+        assert captive_set(Y) == ()
+        table = enumerate_semigroup(Y)
+        assert generates(full_image_maps(Y), table)
+        assert rank_by_formula(Y) == math.comb(6, len(members) - 1)
     report(10, "captive-free sets over n=7: the full-image class generates "
                "and rank = C(6, r-1)")

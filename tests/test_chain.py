@@ -137,7 +137,7 @@ class TestCompose:
             built = [compose(f, g) for f in maps for g in maps]
             built += [f for size in range(1, n + 1)
                       for members in combinations(range(1, n + 1), size)
-                      for f in enumerate_elements(n, RangeSet(n, members))]
+                      for f in enumerate_elements(RangeSet(n, members))]
             for f in built:
                 checked = ChainMap(n, f.images)
                 assert type(f.images) is tuple

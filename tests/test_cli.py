@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 import ordrange
 from ordrange import cli, generators
 from ordrange.cli import main
+from conftest import regular_by_scan
 
 
 def run(capsys, *argv):
@@ -61,6 +63,19 @@ class TestGolden:
         assert payload["regular_count"] == 3
         assert payload["count"] == 5
         assert payload["is_regular_semigroup"] is False
+        assert "elements" not in payload
+
+    def test_regular_elements_are_the_regular_maps(self, capsys):
+        for n, Y in (("4", (2, 3)), ("5", (1, 3, 4))):
+            code, out, _ = run(capsys, "regular", "-n", n,
+                               "-Y", ",".join(map(str, Y)), "--elements")
+            assert code == 0
+            table = ordrange.enumerate_semigroup(ordrange.RangeSet(int(n), Y))
+            payload = json.loads(out)
+            assert payload["elements"] == [
+                list(f.images) for f, regular
+                in zip(table.elements, regular_by_scan(table)) if regular]
+            assert payload["regular_count"] == len(payload["elements"])
 
     def test_green(self, capsys):
         code, out, _ = run(capsys, "green", "-n", "3", "-Y", "1,3",
@@ -96,9 +111,9 @@ class TestGolden:
         assert code == 0
         payload = json.loads(out)
         assert payload["condition"] == 3
-        S = ordrange.enumerate_semigroup(int(n), ordrange.RangeSet(
+        S = ordrange.enumerate_semigroup(ordrange.RangeSet(
             int(n), tuple(map(int, Y.split(",")))))
-        T = ordrange.enumerate_semigroup(int(n), ordrange.RangeSet(
+        T = ordrange.enumerate_semigroup(ordrange.RangeSet(
             int(n), tuple(map(int, Z.split(",")))))
         phi = dict(payload["mapping"])
         assert ordrange.is_isomorphism(phi, S, T)
@@ -197,7 +212,7 @@ class TestGolden:
                                                      monkeypatch, args):
         build = generators.full_image_maps
         monkeypatch.setattr(generators, "full_image_maps",
-                            lambda n, Y: build(n, Y)[1:])
+                            lambda Y: build(Y)[1:])
         code, out, err = run(capsys, args[0], "-n", "5", "-Y", "1,3,4",
                              *args[1:])
         assert code == 1 and out == ""
@@ -207,8 +222,8 @@ class TestGolden:
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
-        first = run(capsys, "gens", "-n", "5", "-Y", "1,3,4", "--seedless")
-        second = run(capsys, "gens", "-n", "5", "-Y", "1,3,4", "--seedless")
+        first = run(capsys, "gens", "-n", "5", "-Y", "1,3,4")
+        second = run(capsys, "gens", "-n", "5", "-Y", "1,3,4")
         assert first == second
 
     def test_green_oracle_route(self, capsys):
@@ -260,11 +275,39 @@ class TestFormats:
         assert code == 0
         assert out.splitlines() == ["key,value", "count,4"]
 
+    def test_csv_quotes_commas_and_quotes(self, capsys):
+        """A value holding a comma or a quote is quoted, its quotes
+        doubled, so a CSV reader gives back the JSON of every value."""
+        argv = ["gens", "-n", "3", "-Y", "1,3"]
+        _, want, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["key,value", "n,3", 'Y,"[1,3]"']
+        assert lines[5].startswith('members,"[{""images"":[1,3,3],')
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["key", "value"]
+        assert {k: json.loads(v) for k, v in rows[1:]} == json.loads(want)
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "card", "-n", "3", "-Y", "1,3",
                            "--format", "table")
         assert code == 0
         assert "count" in out and "4" in out
+
+    def test_table_prints_nested_rows(self, capsys):
+        code, out, _ = run(capsys, "gens", "-n", "3", "-Y", "1,3",
+                           "--format", "table")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("members  (4 rows)")
+        assert lines[:at] == ["n        3", "Y        [1, 3]", "rank     4",
+                              "size     4"]
+        rows = [json.loads(line) for line in lines[at + 1:]]
+        assert all(line.startswith("  {") for line in lines[at + 1:])
+        assert [row["kind"] for row in rows] == [
+            "full_image", "full_image", "ceiling_retraction",
+            "floor_retraction"]
 
 
 class TestErrors:
@@ -316,6 +359,13 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "1.5" in err
+
+    @pytest.mark.parametrize("theta", ["[]", '{"domain":[1]}', "{domain"])
+    def test_complete_rejects_a_bad_payload(self, capsys, theta):
+        code, out, err = run(capsys, "complete", "-n", "3", "-Y", "1,3",
+                             "--theta", theta)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad theta payload: ")
 
     def test_complete_rejects_bool_points(self, capsys):
         code, out, err = run(capsys, "complete", "-n", "3", "-Y", "1,3",

@@ -109,7 +109,7 @@ class TestExtensions:
         for n in range(1, 5):
             for Y in range_sets(n):
                 for theta in all_partial_maps(n, Y):
-                    expected = [f for f in enumerate_elements(n, Y)
+                    expected = [f for f in enumerate_elements(Y)
                                 if all(f(a) == theta(a) for a in theta.domain)]
                     assert complete_extensions(theta, Y) == expected
 
@@ -153,7 +153,7 @@ class TestCanonicalOrderIsomorphism:
     def test_roundtrip_recovers_both_maps(self):
         for Y in range_sets(4):
             by_kernel = {}
-            for f in enumerate_elements(4, Y):
+            for f in enumerate_elements(Y):
                 by_kernel.setdefault(kernel(f).boundaries, []).append(f)
             for group in by_kernel.values():
                 for f in group:

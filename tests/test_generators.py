@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -61,11 +62,11 @@ class TestCaptive:
             (2, 3, 5, 6): (),
         }
         for members, expected in cases.items():
-            assert captive_set(7, RangeSet(7, members)) == expected
+            assert captive_set(RangeSet(7, members)) == expected
 
     def test_endpoints_always_captive(self):
         for Y in range_sets(5):
-            cap = set(captive_set(5, Y))
+            cap = set(captive_set(Y))
             for y in (1, 5):
                 if y in Y:
                     assert y in cap
@@ -73,32 +74,32 @@ class TestCaptive:
 
 class TestRankFormula:
     def test_examples(self):
-        assert rank_by_formula(7, RangeSet(7, (1, 3, 4, 5))) == 22
-        assert rank_by_formula(3, RangeSet(3, (1, 3))) == 4
-        assert rank_by_formula(4, RangeSet(4, (1, 2))) == 4
-        assert rank_by_formula(4, RangeSet(4, (2, 3))) == 3
+        assert rank_by_formula(RangeSet(7, (1, 3, 4, 5))) == 22
+        assert rank_by_formula(RangeSet(3, (1, 3))) == 4
+        assert rank_by_formula(RangeSet(4, (1, 2))) == 4
+        assert rank_by_formula(RangeSet(4, (2, 3))) == 3
 
     def test_degenerate_ends(self):
-        assert rank_by_formula(5, RangeSet(5, (3,))) == 1
+        assert rank_by_formula(RangeSet(5, (3,))) == 1
         for n in range(2, 10):  # a captive endpoint singleton still has 1
             whole = RangeSet(n, tuple(range(1, n + 1)))
-            assert rank_by_formula(n, whole) == n + 1
-            assert rank_by_formula(n, RangeSet(n, (1,))) == 1
-            assert rank_by_formula(n, RangeSet(n, (n,))) == 1
+            assert rank_by_formula(whole) == n + 1
+            assert rank_by_formula(RangeSet(n, (1,))) == 1
+            assert rank_by_formula(RangeSet(n, (n,))) == 1
 
 
 class TestFullImageMaps:
     def test_golden_small(self, y13):
-        got = {f.images for f in full_image_maps(3, y13)}
+        got = {f.images for f in full_image_maps(y13)}
         assert got == {(1, 1, 3), (1, 3, 3)}
-        full = full_image_maps(3, RangeSet(3, (1, 2, 3)))
+        full = full_image_maps(RangeSet(3, (1, 2, 3)))
         assert [f.images for f in full] == [(1, 2, 3)]
-        assert len(full_image_maps(4, RangeSet(4, (1, 3)))) == 3
+        assert len(full_image_maps(RangeSet(4, (1, 3)))) == 3
 
     def test_count_and_shape(self):
         for n in range(2, 6):
             for Y in range_sets(n):
-                maps = full_image_maps(n, Y)
+                maps = full_image_maps(Y)
                 assert len(maps) == math.comb(n - 1, len(Y) - 1)
                 kernels = {kernel(f).boundaries for f in maps}
                 assert len(kernels) == len(maps)
@@ -109,15 +110,15 @@ class TestFullImageMaps:
 class TestRetractions:
     def test_golden_n4(self):
         Y = RangeSet(4, (1, 2, 3))
-        assert floor_retraction(4, Y, 2).images == (1, 1, 3, 3)
-        assert ceiling_retraction(4, Y, 2).images == (1, 3, 3, 3)
+        assert floor_retraction(Y, 2).images == (1, 1, 3, 3)
+        assert ceiling_retraction(Y, 2).images == (1, 3, 3, 3)
 
     def test_image_misses_exactly_the_index(self):
         for n in range(3, 6):
             for Y in range_sets(n, smallest=2):
                 for i in range(1, len(Y) + 1):
                     for builder in (floor_retraction, ceiling_retraction):
-                        e = builder(n, Y, i)
+                        e = builder(Y, i)
                         assert image(e).members == Y.without(i)
                         assert is_regular(e, Y)
                         assert compose(e, e) == e
@@ -127,20 +128,20 @@ class TestRetractions:
             for Y in range_sets(n, smallest=3):
                 r = len(Y)
                 for i in range(3, r + 1):
-                    e = prefix_shift_generator(n, Y, i)
+                    e = prefix_shift_generator(Y, i)
                     assert missing_index(e, Y) == 1
                     assert is_regular(e, Y)
                 for j in range(2, r):
-                    e = suffix_shift_generator(n, Y, j)
+                    e = suffix_shift_generator(Y, j)
                     assert missing_index(e, Y) == r
                     assert is_regular(e, Y)
 
     def test_index_bounds(self):
         Y = RangeSet(4, (1, 2, 3))
         with pytest.raises(DomainError):
-            prefix_shift_generator(4, Y, 2)
+            prefix_shift_generator(Y, 2)
         with pytest.raises(DomainError):
-            suffix_shift_generator(4, Y, 3)
+            suffix_shift_generator(Y, 3)
 
 
 class TestFactorCorankOne:
@@ -161,7 +162,7 @@ class TestFactorCorankOne:
         for n in range(2, 5):
             for Y in range_sets(n, smallest=2):
                 r = len(Y)
-                for alpha in enumerate_elements(n, Y):
+                for alpha in enumerate_elements(Y):
                     if len(image(alpha)) != r - 1:
                         continue
                     beta, gamma = factor_raising_rank(alpha, Y)
@@ -194,7 +195,7 @@ class TestFactorRaisingRank:
         for n in range(3, 6):
             for Y in range_sets(n, smallest=3):
                 r = len(Y)
-                for alpha in enumerate_elements(n, Y):
+                for alpha in enumerate_elements(Y):
                     k = len(image(alpha))
                     if k >= r - 1:
                         continue
@@ -216,7 +217,7 @@ class TestSlide:
 
     def test_slide_down(self):
         Y = RangeSet(4, (1, 2, 3))
-        alpha = floor_retraction(4, Y, 3)
+        alpha = floor_retraction(Y, 3)
         beta, word = slide_to_missing_index(alpha, 1, Y)
         assert missing_index(beta, Y) == 1
         assert [w for w in word] == [("floor_retraction", 2),
@@ -226,7 +227,7 @@ class TestSlide:
         for n in range(2, 5):
             for Y in range_sets(n, smallest=2):
                 r = len(Y)
-                for alpha in enumerate_elements(n, Y):
+                for alpha in enumerate_elements(Y):
                     if len(image(alpha)) != r - 1 or not is_regular(alpha, Y):
                         continue
                     for target in range(1, r + 1):
@@ -262,7 +263,7 @@ class TestMinimumGeneratingSet:
         for n in range(3, 7):
             for Y in range_sets(n, smallest=2, largest=n - 1):
                 gens = minimum_generating_set(n, Y)
-                assert len(gens) == rank_by_formula(n, Y)
+                assert len(gens) == rank_by_formula(Y)
 
     def test_tags_match_their_builders(self):
         builders = {
@@ -278,7 +279,7 @@ class TestMinimumGeneratingSet:
                     if g.kind == "full_image":
                         assert image(g.element) == Y
                     else:
-                        assert g.element == builders[g.kind](n, Y, g.index)
+                        assert g.element == builders[g.kind](Y, g.index)
 
     def test_degenerate_sizes_answered(self):
         gens = minimum_generating_set(4, RangeSet(4, (2,)))
@@ -286,7 +287,7 @@ class TestMinimumGeneratingSet:
         for n in range(1, 6):
             Y = RangeSet(n, tuple(range(1, n + 1)))
             gens = minimum_generating_set(n, Y)  # closure checked inside
-            assert len(gens) == rank_by_formula(n, Y)
+            assert len(gens) == rank_by_formula(Y)
             assert brute_force_closure([g.element.images for g in gens.members]) \
                 == set(brute_force_maps(n, Y.members))
 
@@ -299,7 +300,7 @@ class TestMinimumGeneratingSet:
                 digest.update(repr([g.as_dict() for g in gens.members]).encode())
                 if n > 6 or not 1 < len(Y) < n:
                     continue
-                for f in enumerate_elements(n, Y):
+                for f in enumerate_elements(Y):
                     if len(image(f)) < len(Y):
                         word = express_in_generators(f, gens)
                         digest.update(repr([w.images for w in word]).encode())
@@ -313,7 +314,7 @@ class TestMinimumGeneratingSet:
         digest, pairs = hashlib.sha256(), 0
         for n in range(1, 8):
             for Y in range_sets(n, smallest=2, largest=n - 1):
-                for f in enumerate_elements(n, Y):
+                for f in enumerate_elements(Y):
                     if len(image(f)) < len(Y):
                         beta, gamma = factor_raising_rank(f, Y)
                         digest.update(repr((beta.images, gamma.images)).encode())
@@ -337,8 +338,8 @@ class TestLookups:
                 for g in others:
                     assert gens.by_tag[g.kind, g.index] == g.element
                 if len(Y) < n:
-                    assert gens.anchors == (first_missing_point(n, Y),
-                                            tail_anchor(n, Y))
+                    assert gens.anchors == (first_missing_point(Y),
+                                            tail_anchor(Y))
                 else:
                     with pytest.raises(DomainError,
                                        match="covers the whole chain"):
@@ -354,7 +355,7 @@ class TestLookups:
     def test_equality_and_hash_ignore_lookups(self):
         Y = RangeSet(6, (1, 2, 4, 6))
         a = minimum_generating_set(6, Y, check=False)
-        b = GeneratingSet(6, RangeSet(6, (1, 2, 4, 6)), tuple(a.members))
+        b = GeneratingSet(RangeSet(6, (1, 2, 4, 6)), tuple(a.members))
         assert a is not b
         assert a == b and hash(a) == hash(b)
         a.images, a.full_images, a.by_tag
@@ -363,26 +364,35 @@ class TestLookups:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_the_chain_is_the_range_sets(self):
+        """A generating set has no chain size of its own to disagree with
+        its range set."""
+        assert [f.name for f in dataclasses.fields(GeneratingSet)] == [
+            "range_set", "members"]
+        gens = minimum_generating_set(5, RangeSet(5, (1, 3, 4)), check=False)
+        with pytest.raises(TypeError):
+            GeneratingSet(7, gens.range_set, gens.members)
+
 
 class TestGenerates:
     def test_full_image_alone_fails_for_y13(self, y13):
-        table = enumerate_semigroup(3, y13)
-        assert not generates(full_image_maps(3, y13), table)
+        table = enumerate_semigroup(y13)
+        assert not generates(full_image_maps(y13), table)
 
     def test_full_image_alone_works_without_captives(self):
         Y = RangeSet(4, (2, 3))
-        table = enumerate_semigroup(4, Y)
-        assert generates(full_image_maps(4, Y), table)
+        table = enumerate_semigroup(Y)
+        assert generates(full_image_maps(Y), table)
 
     def test_closure_matches_brute_force(self, y13):
-        table = enumerate_semigroup(3, y13)
-        seed = [f.images for f in full_image_maps(3, y13)]
+        table = enumerate_semigroup(y13)
+        seed = [f.images for f in full_image_maps(y13)]
         ours = {table.elements[i].images
                 for i in table.closure([table.id_of(cm(s)) for s in seed])}
         assert ours == brute_force_closure(seed)
 
     def test_outsider_rejected(self, y13):
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         with pytest.raises(DomainError):
             generates([cm([1, 2, 3])], table)
 
@@ -390,7 +400,7 @@ class TestGenerates:
 class TestRankSearch:
     def test_examples(self):
         for n, members, rank in ((3, (1, 3), 4), (4, (1, 2), 4), (4, (2, 3), 3)):
-            table = enumerate_semigroup(n, RangeSet(n, members))
+            table = enumerate_semigroup(RangeSet(n, members))
             assert rank_by_search(table) == rank
 
     def test_search_equals_all_subsets_reference(self):
@@ -401,10 +411,10 @@ class TestRankSearch:
             for Y in range_sets(n):
                 if count_maps(n, len(Y)) > 15:
                     continue
-                table = enumerate_semigroup(n, Y)
+                table = enumerate_semigroup(Y)
                 rank, witnesses = least_generating_sets(table)
                 found, swept_witnesses = minimal_generating_sets(table)
-                assert found == rank == rank_by_formula(n, Y), (n, Y.members)
+                assert found == rank == rank_by_formula(Y), (n, Y.members)
                 assert set(swept_witnesses) == set(witnesses), (n, Y.members)
                 swept += 1
         assert swept == 40
@@ -412,8 +422,8 @@ class TestRankSearch:
     def test_every_minimal_set_contains_full_image_class(self):
         for n in (3, 4):
             for Y in range_sets(n, smallest=2, largest=n - 1):
-                table = enumerate_semigroup(n, Y)
-                a_ids = frozenset(table.id_of(f) for f in full_image_maps(n, Y))
+                table = enumerate_semigroup(Y)
+                a_ids = frozenset(table.id_of(f) for f in full_image_maps(Y))
                 _, witnesses = least_generating_sets(table)
                 assert witnesses
                 for w in witnesses:
@@ -422,30 +432,30 @@ class TestRankSearch:
     def test_minimal_sets_hit_every_captive_class(self):
         for n in (3, 4):
             for Y in range_sets(n, smallest=2, largest=n - 1):
-                table = enumerate_semigroup(n, Y)
+                table = enumerate_semigroup(Y)
                 _, witnesses = least_generating_sets(table)
                 for w in witnesses:
                     for pos, y in enumerate(Y.members, start=1):
-                        if y in captive_set(n, Y):
+                        if y in captive_set(Y):
                             assert w & corank_one_class(table, Y, pos)
 
     def test_search_assumes_nothing_about_images(self, monkeypatch):
         # with every image reported full, a search that takes the
         # full-image class as given would start from the whole semigroup
         Y = RangeSet(5, (1, 3, 5))
-        table = enumerate_semigroup(5, Y)
+        table = enumerate_semigroup(Y)
         monkeypatch.setattr(generators, "image", lambda f: Y)
-        assert rank_by_search(table) == rank_by_formula(5, Y) == 8
+        assert rank_by_search(table) == rank_by_formula(Y) == 8
 
     def test_guard(self, monkeypatch):
-        table = enumerate_semigroup(6, RangeSet(6, (1, 2, 3, 4)))
+        table = enumerate_semigroup(RangeSet(6, (1, 2, 3, 4)))
         monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "50")
         with pytest.raises(GuardExceeded,
                            match=r"^semigroup has 84 elements, above the guard 50$"):
             rank_by_search(table)
 
     def test_env_override(self, monkeypatch):
-        table = enumerate_semigroup(3, RangeSet(3, (1, 3)))
+        table = enumerate_semigroup(RangeSet(3, (1, 3)))
         monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "3")
         with pytest.raises(GuardExceeded):
             rank_by_search(table)
@@ -455,12 +465,12 @@ class TestRankSearch:
 
 class TestCaseAnalysisHelpers:
     def test_first_missing_point(self):
-        assert first_missing_point(5, RangeSet(5, (2, 4))) == 1
-        assert first_missing_point(5, RangeSet(5, (1, 4))) == 2
-        assert first_missing_point(5, RangeSet(5, (1, 2, 3))) == 4
+        assert first_missing_point(RangeSet(5, (2, 4))) == 1
+        assert first_missing_point(RangeSet(5, (1, 4))) == 2
+        assert first_missing_point(RangeSet(5, (1, 2, 3))) == 4
 
     def test_tail_anchor(self):
-        assert tail_anchor(5, RangeSet(5, (2, 4))) == 3      # no 5 in Y
-        assert tail_anchor(5, RangeSet(5, (2, 5))) == 2      # run {5}
-        assert tail_anchor(5, RangeSet(5, (4, 5))) == 1      # run {4,5}
-        assert tail_anchor(7, RangeSet(7, (2, 4, 6, 7))) == 3
+        assert tail_anchor(RangeSet(5, (2, 4))) == 3      # no 5 in Y
+        assert tail_anchor(RangeSet(5, (2, 5))) == 2      # run {5}
+        assert tail_anchor(RangeSet(5, (4, 5))) == 1      # run {4,5}
+        assert tail_anchor(RangeSet(7, (2, 4, 6, 7))) == 3

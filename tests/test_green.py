@@ -81,7 +81,7 @@ class TestPredicates:
     def test_h_trivial(self, y13):
         assert h_related(cm([1, 1, 3]), cm([1, 1, 3]), y13)
         assert not h_related(cm([1, 1, 3]), cm([1, 3, 3]), y13)
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         for f in table.elements:
             for g in table.elements:
                 assert h_related(f, g, y13) == (f == g)
@@ -122,9 +122,9 @@ class TestPredicates:
 
         monkeypatch.setattr(chain, "maps_into", counted)
         Y = RangeSet(6, (1, 2, 4, 5, 6))
-        table = enumerate_semigroup(6, Y)
+        table = enumerate_semigroup(Y)
         calls.clear()
-        green_classes("L", table, Y)
+        green_classes("L", table)
         assert len(table) == len(calls) == 210
         with pytest.raises(DomainError, match="does not map into"):
             green_key("X", cm([2, 2, 2]), RangeSet(3, (1,)))
@@ -132,16 +132,16 @@ class TestPredicates:
 
 class TestOracleEggBox:
     def test_l_classes_y13(self, y13):
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         # elements: 0=[1,1,1] 1=[1,1,3] 2=[1,3,3] 3=[3,3,3]
         assert green_classes_by_ideals("L", table) == [[0], [1, 2], [3]]
 
     def test_h_singletons_y13(self, y13):
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         assert green_classes_by_ideals("H", table) == [[0], [1], [2], [3]]
 
     def test_d_equals_j_y13(self, y13):
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         assert green_classes_by_ideals("D", table) == \
             green_classes_by_ideals("J", table)
 
@@ -152,9 +152,9 @@ class TestCanonicalForm:
         once: two partitions are equal iff the lists are equal."""
         for n in range(1, 6):
             for Y in range_sets(n):
-                table = enumerate_semigroup(n, Y)
+                table = enumerate_semigroup(Y)
                 for rel in RELATIONS:
-                    for classes in (green_classes(rel, table, Y),
+                    for classes in (green_classes(rel, table),
                                     green_classes_by_ideals(rel, table)):
                         assert all(c == sorted(c) for c in classes)
                         assert [c[0] for c in classes] == \
@@ -167,42 +167,51 @@ class TestCayleyOracle:
     def test_matches_ideal_oracle_on_every_range_set(self):
         for n in range(1, 5):
             for Y in range_sets(n):
-                table = enumerate_semigroup(n, Y)
+                table = enumerate_semigroup(Y)
                 for rel in RELATIONS:
                     assert green_classes_by_ideals(rel, table) == \
                         ideal_oracle(rel, table), (n, Y, rel)
 
     def test_matches_characterization_on_whole_chain_6(self):
         Y = RangeSet(6, (1, 2, 3, 4, 5, 6))
-        table = enumerate_semigroup(6, Y)
+        table = enumerate_semigroup(Y)
         assert len(table) == 462
         for rel in RELATIONS:
             assert green_classes_by_ideals(rel, table) == \
-                green_classes(rel, table, Y), rel
+                green_classes(rel, table), rel
 
 
 class TestEquivalenceSweep:
     def test_characterized_equals_oracle(self):
         for n in range(1, 5):
             for Y in range_sets(n):
-                table = enumerate_semigroup(n, Y)
+                table = enumerate_semigroup(Y)
                 for rel in ("L", "R", "H", "D", "J"):
-                    chars = green_classes(rel, table, Y)
+                    chars = green_classes(rel, table)
                     oracle = green_classes_by_ideals(rel, table)
                     assert chars == oracle, (n, Y, rel)
+
+    def test_characterized_classes_read_the_tables_range_set(self):
+        """No range set is passed beside the table, so none can disagree
+        with it: {1, 2, 3} beside the table of (5, {1, 2}) once gave an L
+        partition other than the oracle's, with no error."""
+        table = enumerate_semigroup(RangeSet(5, (1, 2)))
+        assert green_classes("L", table) == green_classes_by_ideals("L", table)
+        with pytest.raises(TypeError):
+            green_classes("L", table, RangeSet(5, (1, 2, 3)))
 
     def test_r_class_count(self):
         for n in range(1, 5):
             for Y in range_sets(n):
-                table = enumerate_semigroup(n, Y)
+                table = enumerate_semigroup(Y)
                 expected = sum(math.comb(n - 1, k - 1)
                                for k in range(1, len(Y) + 1))
-                assert len(green_classes("R", table, Y)) == expected
+                assert len(green_classes("R", table)) == expected
 
     def test_regular_pairs_general_form(self):
         # among regular elements: L iff equal images, D iff equal image sizes
         for Y in range_sets(4):
-            table = enumerate_semigroup(4, Y)
+            table = enumerate_semigroup(Y)
             reg = [f for f in table.elements if is_regular(f, Y)]
             for f in reg:
                 for g in reg:
@@ -212,15 +221,15 @@ class TestEquivalenceSweep:
 
 def report(relation, table, Y):
     regular = [is_regular(f, Y) for f in table.elements]
-    return egg_box(relation, table, green_classes(relation, table, Y), regular)
+    return egg_box(relation, table, green_classes(relation, table), regular)
 
 
 class TestEggBoxShape:
     def test_sorted_by_rank_then_id(self, y13):
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         box = report("D", table, y13)
         assert box["relation"] == "D"
-        assert sorted(box["classes"]) == green_classes("D", table, y13)
+        assert sorted(box["classes"]) == green_classes("D", table)
         ranks = [m["image_size"] for m in box["meta"]]
         assert ranks == sorted(ranks, reverse=True)
         heads = [c[0] for c in box["classes"]]
@@ -229,7 +238,7 @@ class TestEggBoxShape:
                 assert a < b
 
     def test_meta_fields(self, y13):
-        table = enumerate_semigroup(3, y13)
+        table = enumerate_semigroup(y13)
         box = report("L", table, y13)
         for cls, meta in zip(box["classes"], box["meta"]):
             assert meta["size"] == len(cls)
@@ -243,10 +252,10 @@ class TestEggBoxShape:
                 for c in fine)
 
         for Y in range_sets(4):
-            table = enumerate_semigroup(4, Y)
-            h = green_classes("H", table, Y)
-            l = green_classes("L", table, Y)
-            r = green_classes("R", table, Y)
-            d = green_classes("D", table, Y)
+            table = enumerate_semigroup(Y)
+            h = green_classes("H", table)
+            l = green_classes("L", table)
+            r = green_classes("R", table)
+            d = green_classes("D", table)
             assert refines(h, l) and refines(h, r)
             assert refines(l, d) and refines(r, d)

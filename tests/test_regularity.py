@@ -32,18 +32,18 @@ class TestCharacterized:
 
 class TestOracleAgreement:
     def test_examples(self, y13):
-        table = enumerate_semigroup(3, y13)
-        flags = is_regular_by_search(table, constructed_ids(table, y13))
+        table = enumerate_semigroup(y13)
+        flags = is_regular_by_search(table, constructed_ids(table))
         assert flags[table.id_of(cm([1, 1, 3]))]
         Y = RangeSet(4, (2, 3))
-        table4 = enumerate_semigroup(4, Y)
-        flags4 = is_regular_by_search(table4, constructed_ids(table4, Y))
+        table4 = enumerate_semigroup(Y)
+        flags4 = is_regular_by_search(table4, constructed_ids(table4))
         assert not flags4[table4.id_of(cm([2, 2, 2, 3]))]
 
     def test_idempotents_are_regular(self):
         for Y in range_sets(4):
-            table = enumerate_semigroup(4, Y)
-            flags = is_regular_by_search(table, constructed_ids(table, Y))
+            table = enumerate_semigroup(Y)
+            flags = is_regular_by_search(table, constructed_ids(table))
             for f, flag in zip(table.elements, flags):
                 if f.is_idempotent():
                     assert is_regular(f, Y)
@@ -54,8 +54,8 @@ class TestOracleAgreement:
         scan on every range set with n <= 6, the whole chain included."""
         for n in range(1, 7):
             for Y in range_sets(n):
-                table = enumerate_semigroup(n, Y)
-                flags = is_regular_by_search(table, constructed_ids(table, Y))
+                table = enumerate_semigroup(Y)
+                flags = is_regular_by_search(table, constructed_ids(table))
                 assert flags == [is_regular(f, Y) for f in table.elements], Y
                 assert flags == regular_by_scan(table), Y
 
@@ -66,7 +66,7 @@ class TestOracleNeedsAGeneratingSet:
 
     def test_constructed_set_short_of_a_full_image_map(self):
         Y = RangeSet(5, (1, 3, 4))
-        table = enumerate_semigroup(5, Y)
+        table = enumerate_semigroup(Y)
         gens = minimum_generating_set(5, Y, check=False).members
         ids = [table.id_of(g.element) for g in gens]
         dropped = next(i for i, g in enumerate(gens) if g.kind == "full_image")
@@ -77,7 +77,7 @@ class TestOracleNeedsAGeneratingSet:
     @pytest.mark.parametrize("n", [2, 4])
     def test_whole_chain_short_of_a_corank_one_map(self, n):
         Y = RangeSet(n, tuple(range(1, n + 1)))
-        table = enumerate_semigroup(n, Y)
+        table = enumerate_semigroup(Y)
         gens = minimum_generating_set(n, Y, check=False).members
         for drop, g in enumerate(gens):
             if g.kind != "corank_one":
@@ -90,11 +90,11 @@ class TestOracleNeedsAGeneratingSet:
 
 class TestRegularPart:
     def test_everything_regular_for_y13(self, y13):
-        assert len(regular_elements(3, y13)) == 4
+        assert len(regular_elements(y13)) == 4
 
     def test_two_irregular_for_n4(self):
         Y = RangeSet(4, (2, 3))
-        reg = {f.images for f in regular_elements(4, Y)}
+        reg = {f.images for f in regular_elements(Y)}
         assert (2, 2, 2, 3) not in reg
         assert (2, 3, 3, 3) not in reg
         assert len(reg) == count_maps(4, 2) - 2
@@ -102,11 +102,11 @@ class TestRegularPart:
     def test_full_range_all_regular(self):
         for n in range(1, 6):
             Y = RangeSet(n, tuple(range(1, n + 1)))
-            assert len(regular_elements(n, Y)) == count_maps(n, n)
+            assert len(regular_elements(Y)) == count_maps(n, n)
 
     def test_closed_under_compose(self):
         for Y in range_sets(4):
-            reg = regular_elements(4, Y)
+            reg = regular_elements(Y)
             have = {f.images for f in reg}
             for f in reg:
                 for g in reg:
@@ -114,21 +114,21 @@ class TestRegularPart:
 
     def test_right_ideal(self):
         for Y in range_sets(4):
-            table = enumerate_semigroup(4, Y)
-            for f in regular_elements(4, Y):
+            table = enumerate_semigroup(Y)
+            for f in regular_elements(Y):
                 for g in table.elements:
                     assert is_regular(compose(f, g), Y)
 
 
 class TestTrichotomy:
     def test_examples(self):
-        assert is_semigroup_regular(5, RangeSet(5, (1, 5)))
-        assert not is_semigroup_regular(5, RangeSet(5, (1, 2)))
-        assert is_semigroup_regular(5, RangeSet(5, (3,)))
-        assert is_semigroup_regular(5, RangeSet(5, (1, 2, 3, 4, 5)))
+        assert is_semigroup_regular(RangeSet(5, (1, 5)))
+        assert not is_semigroup_regular(RangeSet(5, (1, 2)))
+        assert is_semigroup_regular(RangeSet(5, (3,)))
+        assert is_semigroup_regular(RangeSet(5, (1, 2, 3, 4, 5)))
 
     def test_matches_census(self):
         for n in range(1, 6):
             for Y in range_sets(n):
-                expected = len(regular_elements(n, Y)) == count_maps(n, len(Y))
-                assert is_semigroup_regular(n, Y) == expected
+                expected = len(regular_elements(Y)) == count_maps(n, len(Y))
+                assert is_semigroup_regular(Y) == expected

@@ -175,7 +175,7 @@ def test_closure_guard_refuses_before_any_work(monkeypatch, n, sets):
     and a sweep of every set lists none."""
     calls = []
     monkeypatch.setattr(verify, "enumerate_semigroup",
-                        lambda n, Y: calls.append(Y))
+                        lambda Y: calls.append(Y))
     with pytest.raises(GuardExceeded, match="above the guard 5000"):
         run_all(n, sets)
     assert calls == []
@@ -191,7 +191,7 @@ def test_rank_constructed_checks_closure(monkeypatch):
         last = gens.members[-1]
         swapped = TaggedGenerator(ChainMap(n, (Y.members[0],) * n),
                                   last.kind, last.index)
-        return GeneratingSet(n, Y, gens.members[:-1] + (swapped,))
+        return GeneratingSet(Y, gens.members[:-1] + (swapped,))
 
     monkeypatch.setattr(verify, "minimum_generating_set", broken)
     report = run_all(6, [RangeSet(6, (1, 2, 4))])
@@ -207,7 +207,7 @@ def test_rank_constructed_reports_a_short_set(monkeypatch):
     the battery reports that, with no traceback."""
     build = generators.full_image_maps
     monkeypatch.setattr(generators, "full_image_maps",
-                        lambda n, Y: build(n, Y)[1:])
+                        lambda Y: build(Y)[1:])
     report = run_all(5, [RangeSet(5, (1, 3, 4))])
     assert ("FAIL rank-constructed  (built 6 generators, formula says 7 "
             "for Y=[1, 3, 4])") in report["lines"]
@@ -217,8 +217,8 @@ def test_green_sweep_compares_the_partitions(monkeypatch):
     """A characterized partition with two classes merged is reported."""
     characterized = verify.green_classes
 
-    def merged(relation, table, Y):
-        first, second, *rest = characterized(relation, table, Y)
+    def merged(relation, table):
+        first, second, *rest = characterized(relation, table)
         return [sorted(first + second), *rest]
 
     monkeypatch.setattr(verify, "green_classes", merged)
@@ -304,7 +304,7 @@ def test_regularity_sweep_checks_the_right_ideal(monkeypatch):
 
 
 def test_regularity_sweep_checks_the_trichotomy(monkeypatch):
-    monkeypatch.setattr(verify, "is_semigroup_regular", lambda n, Y: False)
+    monkeypatch.setattr(verify, "is_semigroup_regular", lambda Y: False)
     report = run_all(4, [RangeSet(4, (1, 4))])
     assert ("FAIL regularity-oracle-equivalence  (trichotomy wrong for "
             "Y=[1, 4])") in report["lines"]

@@ -51,7 +51,7 @@ def test_whole_chain_identity_is_its_own_word(n):
     Y = RangeSet(n, tuple(range(1, n + 1)))
     gens = minimum_generating_set(n, Y, check=False)
     assert express_in_generators(identity(n), gens) == [identity(n)]
-    for alpha in enumerate_elements(n, Y):
+    for alpha in enumerate_elements(Y):
         if alpha != identity(n):
             with pytest.raises(DomainError, match=r"^the range set covers "
                                r"the whole chain$"):
@@ -62,15 +62,15 @@ def test_anchors_computed_once_per_set(monkeypatch):
     calls = []
     real = generators.first_missing_point
 
-    def counted(n, Y):
+    def counted(Y):
         calls.append(Y)
-        return real(n, Y)
+        return real(Y)
 
     monkeypatch.setattr(generators, "first_missing_point", counted)
     Y = RangeSet(5, (1, 3, 4))
     gens = minimum_generating_set(5, Y, check=False)
     calls.clear()
-    for f in enumerate_elements(5, Y)[:6]:
+    for f in enumerate_elements(Y)[:6]:
         express_in_generators(f, gens)
     assert len(calls) == 2  # the least missing point of Y and of its mirror
 
@@ -80,7 +80,7 @@ def test_every_element_reconstructs_for_n_up_to_4():
         for Y in range_sets(n, smallest=2, largest=n - 1):
             gens = minimum_generating_set(n, Y, check=False)
             allowed = {g.element.images for g in gens.members}
-            for alpha in enumerate_elements(n, Y):
+            for alpha in enumerate_elements(Y):
                 word = express_in_generators(alpha, gens)
                 assert word
                 assert product_of(word) == alpha
@@ -90,14 +90,14 @@ def test_every_element_reconstructs_for_n_up_to_4():
 def test_words_stay_short_for_small_chains():
     for Y in range_sets(4, smallest=2, largest=3):
         gens = minimum_generating_set(4, Y, check=False)
-        for alpha in enumerate_elements(4, Y):
+        for alpha in enumerate_elements(Y):
             word = express_in_generators(alpha, gens)
             assert len(word) <= 32
 
 
 def test_low_rank_elements_use_multiple_factors(y13):
     gens = minimum_generating_set(3, y13, check=False)
-    for alpha in enumerate_elements(3, y13):
+    for alpha in enumerate_elements(y13):
         word = express_in_generators(alpha, gens)
         if len(image(alpha)) == 2:
             continue
