@@ -63,14 +63,10 @@ from .generators import (
     suffix_shift_generator,
 )
 from .green import (
-    d_related,
     egg_box,
     green_classes,
     green_classes_by_ideals,
-    h_related,
-    j_related,
-    l_related,
-    r_related,
+    green_key,
 )
 from .isomorphism import (
     are_isomorphic,

@@ -22,10 +22,12 @@ class DimensionMismatch(DomainError):
 
 
 class GuardExceeded(RuntimeError):
-    """A brute-force search guard was exceeded.
+    """An element-count guard, of a subset search or of a closure, was
+    exceeded.
 
     Raise the limit through the ORDRANGE_MAX_ELEMENTS environment
-    variable if the run is intentional.
+    variable if the run is intentional: it replaces the search guard and
+    can raise, never lower, the closure guard.
     """
 
 
@@ -49,7 +51,7 @@ def _check_points(n: int, points: tuple[int, ...], name: str,
 def check_on_chain(n: int, Y: RangeSet) -> None:
     """Refuse a range set that lives on a chain other than {1..n}."""
     if Y.n != n:
-        raise DomainError(f"range set lives on chain {Y.n}, not {n}")
+        raise DimensionMismatch(f"range set lives on chain {Y.n}, not {n}")
 
 
 def check_maps_into(f: ChainMap, Y: RangeSet) -> None:
@@ -151,8 +153,9 @@ class PartialMap:
 
     def extend(self, choose: Callable[[int | None, int | None], int]) -> ChainMap:
         """The total map that agrees with this one and sends each point of
-        a nonempty gap to ``choose(lo, hi)``; monotone when every choice
-        lies between the bounds that are not None."""
+        a nonempty gap to ``choose(lo, hi)``, called once per nonempty gap
+        in chain order; monotone when every choice lies between the
+        bounds that are not None."""
         out: list[int] = []
         for a, b, lo, hi in self.gaps():
             if a:

@@ -4,32 +4,38 @@ A partial map into Y is completable when some total monotone map with
 range in Y agrees with it on its whole domain.  The criterion checked
 here scans the order ideals I of the domain: whenever chain points lie
 strictly between I and its complement, Y must offer a value squeezed
-between the corresponding images.  On a finite chain the criterion is
-always satisfied; the code keeps criterion and exhaustive search as two
-independent routes so that equivalence stays testable.
+between the corresponding images.  The criterion, the closed-form count
+and the least extension each read the partial map in one pass over its
+gaps.  On a finite chain the criterion is always satisfied; the code
+keeps criterion and exhaustive search as two independent routes so that
+equivalence stays testable.  The canonical order-isomorphism of two
+kernel-equal maps is read off their distinct image pairs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
-from .chain import (ChainMap, DomainError, PartialMap, RangeSet, check_on_chain,
-                    kernel)
+from .chain import (ChainMap, DimensionMismatch, DomainError, PartialMap,
+                    RangeSet, check_on_chain, kernel)
 from .enumeration import enumerate_elements
 
 
-def _partial_into(theta: PartialMap, Y: RangeSet) -> None:
+def _gaps_into(theta: PartialMap, Y: RangeSet) -> list[tuple[int, tuple[int, ...]]]:
+    """Refuse theta unless it maps into Y; then, per nonempty gap in chain
+    order, its length and the members of Y between the images that bound
+    it (a bound past either end of the domain is the chain's end)."""
     check_on_chain(theta.n, Y)
-    for b in theta.images:
-        if b not in Y:
-            raise DomainError(
-                f"image value {b} is outside {list(Y.members)}")
-
-
-def _members_between(Y: RangeSet, lo: int | None, hi: int | None) -> list[int]:
-    """The members of Y in [lo, hi]; a bound of None is the chain's end."""
-    lo, hi = lo or 1, hi or Y.n
-    return [y for y in Y.members if lo <= y <= hi]
+    ys, out, lo = Y.members, [], 0  # lo: index in ys of the lower bound
+    for a, b, _, v in theta.gaps():
+        hi = len(ys) - 1 if v is None else bisect_left(ys, v)
+        if v is not None and (hi == len(ys) or ys[hi] != v):
+            raise DomainError(f"image value {v} is outside {list(ys)}")
+        if b - a > 1:
+            out.append((b - a - 1, ys[lo:hi + 1]))
+        lo = hi
+    return out
 
 
 def is_completable(theta: PartialMap, Y: RangeSet) -> bool:
@@ -40,15 +46,13 @@ def is_completable(theta: PartialMap, Y: RangeSet) -> bool:
     for the empty ideal, everything above it for the full one); each
     nonempty gap needs a member of Y between the images that bound it.
     """
-    _partial_into(theta, Y)
-    return all(_members_between(Y, lo, hi)
-               for a, b, lo, hi in theta.gaps() if b - a > 1)
+    return all(between for _, between in _gaps_into(theta, Y))
 
 
 def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
     """Every total monotone map into Y agreeing with theta, by filtering
     all of them in lexicographic order."""
-    _partial_into(theta, Y)
+    _gaps_into(theta, Y)
     at = [a - 1 for a in theta.domain]
     want = list(theta.images)
     return [f for f in enumerate_elements(Y)
@@ -62,11 +66,9 @@ def count_extensions(theta: PartialMap, Y: RangeSet) -> int:
     of Y between the images that bound the gap: for a gap of length len
     that is C(len + m - 1, len) runs.
     """
-    _partial_into(theta, Y)
     total = 1
-    for a, b, lo, hi in theta.gaps():
-        length = b - a - 1
-        total *= math.comb(length + len(_members_between(Y, lo, hi)) - 1, length)
+    for length, between in _gaps_into(theta, Y):
+        total *= math.comb(length + len(between) - 1, length)
     return total
 
 
@@ -76,9 +78,11 @@ def build_extension(theta: PartialMap, Y: RangeSet) -> ChainMap | None:
     Each gap takes the least member of Y between its bounding images, so
     the result is monotone, and it is the least extension.
     """
-    if not is_completable(theta, Y):
+    gaps = _gaps_into(theta, Y)
+    if not all(between for _, between in gaps):
         return None
-    gamma = theta.extend(lambda lo, hi: _members_between(Y, lo, hi)[0])
+    least = iter([between[0] for _, between in gaps])
+    gamma = theta.extend(lambda lo, hi: next(least))
     assert all(gamma(a) == theta(a) for a in theta.domain)
     return gamma
 
@@ -87,19 +91,17 @@ def canonical_order_isomorphism(alpha: ChainMap, beta: ChainMap) -> PartialMap:
     """The fiber-matching bijection image(alpha) -> image(beta).
 
     Defined only for kernel-equal maps: the value of alpha on a block is
-    sent to the value of beta on the same block.  Composing alpha with
-    (any extension of) the result recovers beta pointwise, and the
-    inverse recovers alpha.
+    sent to the value of beta on the same block.  The kernels agree iff
+    the distinct pairs (alpha(x), beta(x)) are as many as the values of
+    alpha and as the values of beta; the pairs, sorted, are then the
+    bijection.  Composing alpha with (any extension of) the result
+    recovers beta pointwise, and the inverse recovers alpha.
     """
     if alpha.n != beta.n:
-        raise DomainError("maps live on different chains")
-    ka, kb = kernel(alpha), kernel(beta)
-    if ka != kb:
-        raise DomainError(
-            f"kernels differ: {ka.boundaries} vs {kb.boundaries}")
-    dom = []
-    img = []
-    for start, _ in ka.blocks():
-        dom.append(alpha(start))
-        img.append(beta(start))
-    return PartialMap(alpha.n, tuple(dom), tuple(img))
+        raise DimensionMismatch("maps live on different chains")
+    pairs = sorted(set(zip(alpha.images, beta.images)))
+    if not len(pairs) == len(set(alpha.images)) == len(set(beta.images)):
+        raise DomainError(f"kernels differ: {kernel(alpha).boundaries} "
+                          f"vs {kernel(beta).boundaries}")
+    dom, img = zip(*pairs)
+    return PartialMap(alpha.n, dom, img)

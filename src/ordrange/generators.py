@@ -113,6 +113,7 @@ def _map_from_blocks(n: int, blocks: list[tuple[int, int]],
 
 def full_image_map(partition: ConvexPartition, Y: RangeSet) -> ChainMap:
     """The unique monotone map with the given kernel and image all of Y."""
+    check_on_chain(partition.n, Y)
     if partition.weight != len(Y):
         raise DomainError(
             f"partition has {partition.weight} blocks for {len(Y)} values")
@@ -204,6 +205,8 @@ _BUILDERS = {
 
 def missing_index(alpha: ChainMap, Y: RangeSet) -> int:
     """For a map whose image misses exactly one member of Y, its 1-based index."""
+    # on one chain, the corank test below implies that alpha maps into Y
+    check_on_chain(alpha.n, Y)
     im = set(image(alpha).members)
     gone = [t for t, y in enumerate(Y.members, start=1) if y not in im]
     if len(gone) != 1 or len(im) != len(Y) - 1:

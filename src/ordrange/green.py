@@ -1,7 +1,8 @@
 """Green's relations on the semigroup of monotone maps into a range set.
 
-Two code paths are kept deliberately separate: characterized predicates
-that decide each relation from images, kernels and regularity, and a
+Two code paths are kept deliberately separate: a characterized class
+key per relation (``green_key``: two maps are related iff their keys
+agree), read from images, kernels and regularity, and a
 definition-based oracle that partitions an enumerated table into the
 strongly connected components of its Cayley graphs, whose reachability
 is principal-ideal containment, labelled by ``enumeration.scc_labels``
@@ -45,35 +46,6 @@ def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
     if relation == "R":
         return ("ker", kernel(alpha).boundaries)
     raise DomainError(f"unknown relation {relation!r}")
-
-
-def _related(relation: str, alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
-    return green_key(relation, alpha, Y) == green_key(relation, beta, Y)
-
-
-def l_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
-    """Same principal left ideal: equal, or both regular with equal images."""
-    return _related("L", alpha, beta, Y)
-
-
-def r_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
-    """Same principal right ideal: equal kernels."""
-    return _related("R", alpha, beta, Y)
-
-
-def h_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
-    """The semigroup is H-trivial: related iff equal."""
-    return _related("H", alpha, beta, Y)
-
-
-def d_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
-    """Both regular with equally many values, or both irregular kernel-equal."""
-    return _related("D", alpha, beta, Y)
-
-
-def j_related(alpha: ChainMap, beta: ChainMap, Y: RangeSet) -> bool:
-    """Coincides with the D relation on a finite semigroup."""
-    return _related("J", alpha, beta, Y)
 
 
 def egg_box(relation: str, table: SemigroupTable, classes: list[list[int]],

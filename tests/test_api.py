@@ -38,7 +38,7 @@ def _chain_size_beside_range_set(fn) -> bool:
 def test_no_chain_size_beside_a_range_set_or_table():
     exported = _exported()
     assert {"enumerate_semigroup", "SemigroupTable", "GeneratingSet",
-            "green_classes", "isomorphism_condition"} <= exported.keys()
+            "green_classes", "green_key", "isomorphism_condition"} <= exported.keys()
     flagged = {name for name, fn in exported.items()
                if _chain_size_beside_range_set(fn)}
     assert flagged == KEEPS_CHAIN_SIZE

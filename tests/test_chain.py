@@ -24,6 +24,7 @@ from ordrange import (
     reflect,
     reflect_set,
 )
+from ordrange.chain import check_on_chain
 
 cm = ChainMap.from_images
 
@@ -276,3 +277,9 @@ class TestReflect:
 def test_maps_into():
     assert maps_into(cm([1, 1, 3]), RangeSet(3, (1, 3)))
     assert not maps_into(cm([1, 2, 3]), RangeSet(3, (1, 3)))
+
+
+def test_range_set_on_another_chain_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch,
+                       match=r"^range set lives on chain 5, not 4$"):
+        check_on_chain(4, RangeSet(5, (1, 3)))

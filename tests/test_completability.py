@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 from conftest import range_sets, restrict
 from ordrange import (
     ChainMap,
+    ConvexPartition,
+    DimensionMismatch,
     DomainError,
     PartialMap,
     RangeSet,
     build_extension,
     canonical_order_isomorphism,
+    completability,
     ceiling_extension,
     complete_extensions,
     count_extensions,
@@ -132,6 +135,33 @@ class TestExtensions:
             count_extensions(PartialMap(3, (1,), (2,)), y13)
 
 
+ROUTINES = [is_completable, count_extensions, build_extension]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("routine", ROUTINES)
+    @pytest.mark.parametrize("theta, message", [
+        (PartialMap(3, (1, 2), (1, 2)), r"^image value 2 is outside \[1, 3\]$"),
+        (PartialMap(4, (1,), (1,)), r"^range set lives on chain 3, not 4$"),
+    ])
+    def test_refuses_a_map_not_into_y(self, y13, routine, theta, message):
+        with pytest.raises(DomainError, match=message):
+            routine(theta, y13)
+
+    @pytest.mark.parametrize("routine", ROUTINES)
+    def test_reads_the_partial_map_once(self, monkeypatch, routine):
+        real, calls = completability._gaps_into, []
+
+        def counted(theta, Y):
+            calls.append(theta)
+            return real(theta, Y)
+
+        monkeypatch.setattr(completability, "_gaps_into", counted)
+        monkeypatch.setattr(completability, "is_completable", None)
+        routine(PartialMap(5, (2, 4), (1, 3)), RangeSet(5, (1, 3, 5)))
+        assert len(calls) == 1
+
+
 class TestCanonicalOrderIsomorphism:
     def test_fiber_matching(self):
         theta = canonical_order_isomorphism(cm([1, 1, 2]), cm([2, 2, 3]))
@@ -147,8 +177,25 @@ class TestCanonicalOrderIsomorphism:
         assert theta == PartialMap(3, (1, 2), (1, 3))
 
     def test_kernel_mismatch_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^kernels differ: \(2, 3\) vs \(1, 3\)$"):
             canonical_order_isomorphism(cm([1, 1, 3]), cm([1, 3, 3]))
+
+    def test_maps_on_two_chains_are_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^maps live on different chains$"):
+            canonical_order_isomorphism(cm([1, 1, 3]), cm([1, 1]))
+
+    def test_kernel_equal_pairs_need_no_kernel(self, monkeypatch):
+        """The bijection is read off the image pairs: kernels are built
+        only to word the refusal of a kernel-unequal pair."""
+        def unused(*args):
+            raise AssertionError("kernel built for a kernel-equal pair")
+
+        monkeypatch.setattr(completability, "kernel", unused)
+        monkeypatch.setattr(ConvexPartition, "blocks", unused)
+        theta = canonical_order_isomorphism(cm([1, 1, 2, 4]), cm([2, 2, 3, 4]))
+        assert theta == PartialMap(4, (1, 2, 4), (2, 3, 4))
 
     def test_roundtrip_recovers_both_maps(self):
         for Y in range_sets(4):

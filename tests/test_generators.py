@@ -13,6 +13,8 @@ from conftest import (
 )
 from ordrange import (
     ChainMap,
+    ConvexPartition,
+    DimensionMismatch,
     DomainError,
     GuardExceeded,
     RangeSet,
@@ -26,6 +28,7 @@ from ordrange import (
     express_in_generators,
     factor_raising_rank,
     floor_retraction,
+    full_image_map,
     full_image_maps,
     generates,
     generators,
@@ -105,6 +108,11 @@ class TestFullImageMaps:
                 assert len(kernels) == len(maps)
                 for f in maps:
                     assert image(f) == Y
+
+    def test_partition_on_another_chain_rejected(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^range set lives on chain 5, not 3$"):
+            full_image_map(ConvexPartition(3, (1, 3)), RangeSet(5, (1, 2)))
 
 
 class TestRetractions:
@@ -238,6 +246,12 @@ class TestSlide:
         Y = RangeSet(4, (2, 3))
         with pytest.raises(DomainError):
             slide_to_missing_index(cm([2, 2, 2, 3]), 1, Y)
+
+    def test_missing_index_rejects_a_map_on_another_chain(self):
+        # [1, 3, 3] misses only 2 of {1, 2, 3}, but lives on chain 3
+        with pytest.raises(DimensionMismatch,
+                           match=r"^range set lives on chain 5, not 3$"):
+            missing_index(cm([1, 3, 3]), RangeSet(5, (1, 2, 3)))
 
 
 class TestMinimumGeneratingSet:
