@@ -13,8 +13,8 @@ from ordrange import (
     RangeSet,
     build_extension,
     canonical_order_isomorphism,
-    completability,
     ceiling_extension,
+    completability,
     complete_extensions,
     count_extensions,
     enumerate_elements,
