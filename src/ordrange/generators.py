@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .chain import (
@@ -97,8 +97,10 @@ def rank_by_formula(Y: RangeSet) -> int:
 # building blocks
 
 
-def _blocks_and_values(alpha: ChainMap) -> tuple[list[tuple[int, int]], list[int]]:
-    blocks = list(kernel(alpha).blocks())
+def _blocks_and_values(alpha: ChainMap, part: ConvexPartition
+                       ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The blocks of alpha's kernel ``part`` and alpha's value on each."""
+    blocks = list(part.blocks())
     return blocks, [alpha(s) for s, _ in blocks]
 
 
@@ -148,6 +150,14 @@ def floor_retraction(Y: RangeSet, i: int) -> ChainMap:
 def ceiling_retraction(Y: RangeSet, i: int) -> ChainMap:
     """Idempotent fixing Y minus its i-th member, pushing y_i upward."""
     return ceiling_extension(_retraction_seed(Y, i))
+
+
+@cache
+def _retraction(Y: RangeSet, kind: str, i: int) -> ChainMap:
+    """The ``kind`` (FLOOR or CEILING) retraction of Y at i, built once
+    per (Y, kind, i): the slide and the words for pruned retractions
+    reuse the same few of them for every element of a range set."""
+    return (ceiling_retraction if kind == CEILING else floor_retraction)(Y, i)
 
 
 def prefix_shift_generator(Y: RangeSet, i: int) -> ChainMap:
@@ -231,7 +241,8 @@ def factor_raising_rank(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMa
     the right factor, of image size r-1, is regular.
     """
     check_maps_into(alpha, Y)
-    blocks, a = _blocks_and_values(alpha)
+    part = kernel(alpha)
+    blocks, a = _blocks_and_values(alpha, part)
     k = len(a)
     if k >= len(Y):
         raise DomainError(f"image size {k} is not below {len(Y)}")
@@ -242,7 +253,7 @@ def factor_raising_rank(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMa
     x, *fixed = gone
     bv = sorted(a + [x])
     n = alpha.n
-    beta = _map_from_blocks(n, list(kernel(alpha).split_block(j).blocks()), bv)
+    beta = _map_from_blocks(n, list(part.split_block(j).blocks()), bv)
     dom, img = zip(*sorted([*zip(bv[:j] + bv[j + 1:], a), *zip(fixed, fixed)]))
     gamma = floor_extension(PartialMap(n, dom, img))
     assert compose(beta, gamma) == alpha
@@ -267,7 +278,7 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
     if not is_regular(alpha, Y):
         raise DomainError("only regular maps slide between corank classes")
     m = missing_index(alpha, Y)
-    blocks, values = _blocks_and_values(alpha)
+    blocks, values = _blocks_and_values(alpha, kernel(alpha))
     word: list[tuple[str, int]] = []
     cur = m
     while cur < target:
@@ -284,9 +295,7 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
     assert missing_index(beta, Y) == target and is_regular(beta, Y)
     check = beta
     for kind, idx in word:
-        step = (ceiling_retraction if kind == CEILING else floor_retraction)(
-            Y, idx)
-        check = compose(check, step)
+        check = compose(check, _retraction(Y, kind, idx))
     assert check == alpha
     return beta, word
 
@@ -315,14 +324,16 @@ class TaggedGenerator:
 class GeneratingSet:
     """Tagged generators of the monotone maps into a range set.
 
-    Four lookups are computed on first use and kept with the set (they
+    Five lookups are computed on first use and kept with the set (they
     are not fields, so equality, hashing and the constructor ignore
     them): ``images``, the image tuples of every member; ``full_images``,
     those of the ``FULL_IMAGE`` members; ``by_tag``, mapping
-    ``(kind, index)`` to the element of every other member; and
+    ``(kind, index)`` to the element of every other member;
     ``anchors``, the pair :func:`first_missing_point`,
     :func:`tail_anchor` of the range set, which raises DomainError on
-    the whole chain.
+    the whole chain; and ``tag_words``, which starts empty and which
+    :mod:`ordrange.words` fills one ``(kind, index)`` at a time with the
+    checked word over the set for that retraction or shift.
     """
 
     range_set: RangeSet
@@ -354,6 +365,10 @@ class GeneratingSet:
     def anchors(self) -> tuple[int, int]:
         return (first_missing_point(self.range_set),
                 tail_anchor(self.range_set))
+
+    @cached_property
+    def tag_words(self) -> dict[tuple[str, int], tuple[ChainMap, ...]]:
+        return {}
 
     def elements(self) -> list[ChainMap]:
         return [g.element for g in self.members]

@@ -10,10 +10,14 @@ full-image maps (plus at most one retraction) finish the job.
 Retractions that were pruned from the generating set are themselves
 rewritten as words over it.  Every step is verified by multiplying the
 word back out.  The rewriting functions take the generating set and read
-its lookups (``full_images``, ``by_tag``, ``images``, ``anchors``), which
-it computes once per set, where they are used: ``anchors`` only on the
-regular corank-one path, so a full-image element is its own word on
-every range set, the identity of the whole chain included.
+its lookups (``full_images``, ``by_tag``, ``images``, ``anchors``,
+``tag_words``), which it computes once per set, where they are used:
+``anchors`` only on the regular corank-one path, so a full-image element
+is its own word on every range set, the identity of the whole chain
+included.  ``tag_words`` keeps the word for each retraction or shift
+the slide asks for, built and checked the first time it is asked for;
+its target retraction comes from the same per-(Y, kind, index) memo the
+slide uses.
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ from .generators import (
     PREFIX_SHIFT,
     SUFFIX_SHIFT,
     GeneratingSet,
-    ceiling_retraction,
+    _retraction,
     factor_raising_rank,
-    floor_retraction,
     full_image_map,
     slide_to_missing_index,
 )
@@ -149,7 +152,16 @@ def _emit_full(gens: GeneratingSet, beta: ChainMap) -> list[ChainMap]:
     return [beta]
 
 
-def _resolve(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
+def _resolve(gens: GeneratingSet, kind: str, idx: int) -> tuple[ChainMap, ...]:
+    """The tagged retraction or shift as a word over the set, built once
+    per generating set and kept in its ``tag_words``."""
+    word = gens.tag_words.get((kind, idx))
+    if word is None:
+        word = gens.tag_words[kind, idx] = tuple(_tag_word(gens, kind, idx))
+    return word
+
+
+def _tag_word(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
     """The tagged retraction or shift: its generator, or a word for it."""
     got = gens.by_tag.get((kind, idx))
     if got is not None:
@@ -165,8 +177,8 @@ def _resolve(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
         theta = _lemcr_theta(Y, i)
         shift = gens.by_tag[(PREFIX_SHIFT, i)]
         word = [theta, shift] if idx == 1 else [shift, theta]
-        return _checked(word, ceiling_retraction(Y, idx))
-    target = floor_retraction(Y, idx)
+        return _checked(word, _retraction(Y, CEILING, idx))
+    target = _retraction(Y, FLOOR, idx)
     if 2 <= j <= r - 1 and idx in (j, r):
         # both top retractions fold through the suffix shift
         theta = reflect(_lemcr_theta(reflect_set(Y), r + 2 - j))

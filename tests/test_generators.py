@@ -242,6 +242,54 @@ class TestSlide:
                         beta, word = slide_to_missing_index(alpha, target, Y)
                         assert missing_index(beta, Y) == target
 
+    @staticmethod
+    def _slides(n_max):
+        """(Y, alpha, target) for every target the slide accepts."""
+        for n in range(2, n_max + 1):
+            for Y in range_sets(n, smallest=2):
+                r = len(Y)
+                for alpha in enumerate_elements(Y):
+                    if len(image(alpha)) == r - 1 and is_regular(alpha, Y):
+                        for target in range(1, r + 1):
+                            yield Y, alpha, target
+
+    def test_sweep_matches_fresh_retractions_and_pin(self):
+        """Every slide with n <= 5 multiplies back out over retractions
+        built afresh, and its results are pinned."""
+        builders = {"floor_retraction": floor_retraction,
+                    "ceiling_retraction": ceiling_retraction}
+        digest, slides = hashlib.sha256(), 0
+        for Y, alpha, target in self._slides(5):
+            beta, word = slide_to_missing_index(alpha, target, Y)
+            check = beta
+            for kind, idx in word:
+                fresh = builders[kind](Y, idx)
+                assert generators._retraction(Y, kind, idx) == fresh
+                check = compose(check, fresh)
+            assert check == alpha
+            digest.update(repr((Y.members, alpha.images, target,
+                                beta.images, word)).encode())
+            slides += 1
+        assert slides == 942
+        assert digest.hexdigest() == (
+            "61260679081405d289796eadb33771c717e83d957e4d4929700e092541e287bc")
+
+    def test_retractions_built_once_per_key(self, monkeypatch):
+        built = []
+        for name in ("floor_retraction", "ceiling_retraction"):
+            real = getattr(generators, name)
+
+            def counted(Y, i, real=real, name=name):
+                built.append((Y, name, i))
+                return real(Y, i)
+
+            monkeypatch.setattr(generators, name, counted)
+        generators._retraction.cache_clear()
+        for _ in range(2):
+            for Y, alpha, target in self._slides(4):
+                slide_to_missing_index(alpha, target, Y)
+        assert built and len(built) == len(set(built))
+
     def test_irregular_rejected(self):
         Y = RangeSet(4, (2, 3))
         with pytest.raises(DomainError):
@@ -365,6 +413,7 @@ class TestLookups:
         assert gens.full_images is gens.full_images
         assert gens.by_tag is gens.by_tag
         assert gens.anchors is gens.anchors
+        assert gens.tag_words is gens.tag_words
 
     def test_equality_and_hash_ignore_lookups(self):
         Y = RangeSet(6, (1, 2, 4, 6))
@@ -373,6 +422,8 @@ class TestLookups:
         assert a is not b
         assert a == b and hash(a) == hash(b)
         a.images, a.full_images, a.by_tag
+        express_in_generators(floor_retraction(Y, 3), a)
+        assert a.tag_words and not b.tag_words
         assert a == b and hash(a) == hash(b)
         b.by_tag
         assert a == b and hash(a) == hash(b)

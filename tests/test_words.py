@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import range_sets
@@ -112,3 +114,77 @@ def test_rejects_word_member_outside_the_set(monkeypatch):
     monkeypatch.setattr(words, "_express", lambda gens, alpha: [const])
     with pytest.raises(AssertionError, match="is not a generator"):
         express_in_generators(const, gens)
+
+
+
+@pytest.mark.parametrize("n, members, pruned", [
+    # ceiling words through the prefix shift, a floor word of two
+    # full-image maps and the top floor word of _imax_word
+    (6, (1, 2, 4, 5), [("ceiling_retraction", 1), ("ceiling_retraction", 2),
+                       ("floor_retraction", 3), ("floor_retraction", 4)]),
+    # floor words through the suffix shift and one theta squared
+    (6, (1, 3, 5, 6), [("floor_retraction", 2), ("floor_retraction", 3),
+                       ("floor_retraction", 4)]),
+])
+def test_pruned_tag_words_checked_once_per_set(monkeypatch, n, members, pruned):
+    """A second pass over every element repeats each per-element check
+    and none of the checks of the words for pruned retractions."""
+    real = words._checked
+    checked = []
+
+    def counted(word, target):
+        checked.append(target.images)
+        return real(word, target)
+
+    monkeypatch.setattr(words, "_checked", counted)
+    Y = RangeSet(n, members)
+    gens = minimum_generating_set(n, Y, check=False)
+    assert not any(tag in gens.by_tag for tag in pruned)
+    passes = []
+    for _ in range(2):
+        checked.clear()
+        for f in enumerate_elements(Y):
+            if len(image(f)) < len(Y):
+                express_in_generators(f, gens)
+        passes.append(Counter(checked))
+    builders = {"floor_retraction": generators.floor_retraction,
+                "ceiling_retraction": generators.ceiling_retraction}
+    once = passes[0] - passes[1]  # _imax_word adds its mirror's check
+    for kind, t in pruned:
+        assert once[builders[kind](Y, t).images] == 1
+    assert not passes[1] - passes[0]
+    assert set(pruned) <= set(gens.tag_words)
+
+
+def test_sets_on_different_y_keep_their_own_tag_words():
+    """(FLOOR, 2) is pruned from both sets; each gets its own word."""
+    sets = [minimum_generating_set(5, RangeSet(5, m), check=False)
+            for m in ((1, 3, 5), (2, 3, 5))]
+    elements = [[f for f in enumerate_elements(g.range_set)
+                 if len(image(f)) < len(g.range_set)] for g in sets]
+    for pair in zip(*elements):  # interleaved: both sets fill their words
+        for f, gens in zip(pair, sets):
+            assert product_of(express_in_generators(f, gens)) == f
+    for gens in sets:
+        assert ("floor_retraction", 2) not in gens.by_tag
+        word = gens.tag_words["floor_retraction", 2]
+        assert product_of(list(word)) == generators.floor_retraction(
+            gens.range_set, 2)
+        assert all(w.images in gens.images for w in word)
+    assert sets[0].tag_words["floor_retraction", 2] != \
+        sets[1].tag_words["floor_retraction", 2]
+
+
+def test_mutating_a_returned_word_leaves_the_next_one_alone():
+    Y = RangeSet(6, (1, 2, 4, 5))
+    gens = minimum_generating_set(6, Y, check=False)
+    alpha = generators.floor_retraction(Y, 4)
+    first = express_in_generators(alpha, gens)
+    kept = list(first)
+    kept_tail = gens.tag_words["floor_retraction", 4]  # the pruned tag
+    assert tuple(kept[-len(kept_tail):]) == kept_tail
+    first.reverse()
+    first.append(first[0])
+    first[0] = identity(6)
+    assert express_in_generators(alpha, gens) == kept
+    assert gens.tag_words["floor_retraction", 4] == kept_tail
