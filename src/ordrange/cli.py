@@ -222,10 +222,11 @@ def _cmd_complete(args) -> dict:
 
 
 def _search_tables(*sets: RangeSet) -> list[SemigroupTable]:
-    """The tables of the given range sets for a subset search, built only
-    once every one of them is inside the search guard."""
+    """The tables of the given range sets for a subset search, one per
+    distinct set, built only once all of them are inside the search guard."""
     check_guard(max(count_maps(Y.n, len(Y)) for Y in sets), search_guard())
-    return [enumerate_semigroup(Y) for Y in sets]
+    tables = {Y: enumerate_semigroup(Y) for Y in dict.fromkeys(sets)}
+    return [tables[Y] for Y in sets]
 
 
 def _generating_set(Y: RangeSet):

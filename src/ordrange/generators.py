@@ -155,8 +155,8 @@ def ceiling_retraction(Y: RangeSet, i: int) -> ChainMap:
 @cache
 def _retraction(Y: RangeSet, kind: str, i: int) -> ChainMap:
     """The ``kind`` (FLOOR or CEILING) retraction of Y at i, built once
-    per (Y, kind, i): the slide and the words for pruned retractions
-    reuse the same few of them for every element of a range set."""
+    per (Y, kind, i): only the slide reads it, to check its word, and it
+    reuses the same few of them for every element of a range set."""
     return (ceiling_retraction if kind == CEILING else floor_retraction)(Y, i)
 
 
@@ -324,51 +324,38 @@ class TaggedGenerator:
 class GeneratingSet:
     """Tagged generators of the monotone maps into a range set.
 
-    Five lookups are computed on first use and kept with the set (they
-    are not fields, so equality, hashing and the constructor ignore
-    them): ``images``, the image tuples of every member; ``full_images``,
-    those of the ``FULL_IMAGE`` members; ``by_tag``, mapping
-    ``(kind, index)`` to the element of every other member;
-    ``anchors``, the pair :func:`first_missing_point`,
-    :func:`tail_anchor` of the range set, which raises DomainError on
-    the whole chain; and ``tag_words``, which starts empty and which
-    :mod:`ordrange.words` fills one ``(kind, index)`` at a time with the
-    checked word over the set for that retraction or shift.
+    Three lookups are kept with the set (they are not fields, so
+    equality, hashing and the constructor ignore them).  The duplicate
+    check builds two of them as it walks the members: ``kind_of``, mapping
+    each member's image tuple to its kind, and ``tag_words``, mapping the
+    ``(kind, index)`` of each member not of kind ``FULL_IMAGE`` to the
+    one-letter word of that member, which :mod:`ordrange.words` extends
+    with the checked word over the set of each pruned retraction it is
+    asked for.  ``anchors``, the pair :func:`first_missing_point`,
+    :func:`tail_anchor` of the range set, is computed on first use and
+    raises DomainError on the whole chain.
     """
 
     range_set: RangeSet
     members: tuple[TaggedGenerator, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
+        kind_of: dict[tuple[int, ...], str] = {}
+        tag_words: dict[tuple[str, int | None], tuple[ChainMap, ...]] = {}
         for g in self.members:
-            if g.element.images in seen:
+            if g.element.images in kind_of:
                 raise DomainError(f"duplicate generator {g.element!r}")
-            seen.add(g.element.images)
+            kind_of[g.element.images] = g.kind
             check_maps_into(g.element, self.range_set)
-
-    @cached_property
-    def images(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(g.element.images for g in self.members)
-
-    @cached_property
-    def full_images(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(g.element.images for g in self.members
-                         if g.kind == FULL_IMAGE)
-
-    @cached_property
-    def by_tag(self) -> dict[tuple[str, int | None], ChainMap]:
-        return {(g.kind, g.index): g.element
-                for g in self.members if g.kind != FULL_IMAGE}
+            if g.kind != FULL_IMAGE:
+                tag_words[g.kind, g.index] = (g.element,)
+        object.__setattr__(self, "kind_of", kind_of)
+        object.__setattr__(self, "tag_words", tag_words)
 
     @cached_property
     def anchors(self) -> tuple[int, int]:
         return (first_missing_point(self.range_set),
                 tail_anchor(self.range_set))
-
-    @cached_property
-    def tag_words(self) -> dict[tuple[str, int], tuple[ChainMap, ...]]:
-        return {}
 
     def elements(self) -> list[ChainMap]:
         return [g.element for g in self.members]

@@ -41,6 +41,7 @@ from .enumeration import (
     search_guard,
 )
 from .generators import (
+    FULL_IMAGE,
     captive_set,
     generates,
     minimum_generating_set,
@@ -141,7 +142,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
         # for Y = {1} or {n} the captive set is nonempty, yet the constant
         # alone generates: the criterion holds for r > 1 only
         if len(Y) > 1 and (not captive_set(Y)) != generates(
-                [g.element for g in gens.members if g.kind == "full_image"],
+                [g.element for g in gens.members if g.kind == FULL_IMAGE],
                 table):
             yield f"captive-empty criterion fails for {where}"
 

@@ -10,14 +10,14 @@ full-image maps (plus at most one retraction) finish the job.
 Retractions that were pruned from the generating set are themselves
 rewritten as words over it.  Every step is verified by multiplying the
 word back out.  The rewriting functions take the generating set and read
-its lookups (``full_images``, ``by_tag``, ``images``, ``anchors``,
-``tag_words``), which it computes once per set, where they are used:
-``anchors`` only on the regular corank-one path, so a full-image element
-is its own word on every range set, the identity of the whole chain
-included.  ``tag_words`` keeps the word for each retraction or shift
-the slide asks for, built and checked the first time it is asked for;
-its target retraction comes from the same per-(Y, kind, index) memo the
-slide uses.
+its three lookups where they are used: ``kind_of``, which tells a
+generator and a full-image generator by its image tuple; ``anchors``,
+only on the regular corank-one path, so a full-image element is its own
+word on every range set, the identity of the whole chain included; and
+``tag_words``, which holds each tagged member as its own one-letter word
+and keeps the word for each pruned retraction the slide asks for, built
+and checked against :func:`floor_retraction` or
+:func:`ceiling_retraction` the first time it is asked for.
 """
 
 from __future__ import annotations
@@ -42,11 +42,13 @@ from .chain import (
 from .generators import (
     CEILING,
     FLOOR,
+    FULL_IMAGE,
     PREFIX_SHIFT,
     SUFFIX_SHIFT,
     GeneratingSet,
-    _retraction,
+    ceiling_retraction,
     factor_raising_rank,
+    floor_retraction,
     full_image_map,
     slide_to_missing_index,
 )
@@ -147,14 +149,15 @@ def _imax_word(beta: ChainMap, Y: RangeSet) -> list[ChainMap]:
 
 
 def _emit_full(gens: GeneratingSet, beta: ChainMap) -> list[ChainMap]:
-    if beta.images not in gens.full_images:
+    if gens.kind_of.get(beta.images) != FULL_IMAGE:
         raise AssertionError(f"{beta!r} is not a full-image generator")
     return [beta]
 
 
 def _resolve(gens: GeneratingSet, kind: str, idx: int) -> tuple[ChainMap, ...]:
-    """The tagged retraction or shift as a word over the set, built once
-    per generating set and kept in its ``tag_words``."""
+    """The tagged retraction or shift as a word over the set: its own
+    one-letter word, or the word for a pruned retraction, built once per
+    generating set and kept in its ``tag_words``."""
     word = gens.tag_words.get((kind, idx))
     if word is None:
         word = gens.tag_words[kind, idx] = tuple(_tag_word(gens, kind, idx))
@@ -162,10 +165,9 @@ def _resolve(gens: GeneratingSet, kind: str, idx: int) -> tuple[ChainMap, ...]:
 
 
 def _tag_word(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
-    """The tagged retraction or shift: its generator, or a word for it."""
-    got = gens.by_tag.get((kind, idx))
-    if got is not None:
-        return [got]
+    """A word for a retraction pruned from the set."""
+    if kind not in (CEILING, FLOOR):
+        raise AssertionError(f"no {kind} {idx} in the generating set")
     Y = gens.range_set
     r = len(Y.members)
     i, j = gens.anchors
@@ -175,15 +177,15 @@ def _tag_word(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
         if idx not in (1, i - 1):
             raise AssertionError(f"unexpected missing ceiling {idx}")
         theta = _lemcr_theta(Y, i)
-        shift = gens.by_tag[(PREFIX_SHIFT, i)]
-        word = [theta, shift] if idx == 1 else [shift, theta]
-        return _checked(word, _retraction(Y, CEILING, idx))
-    target = _retraction(Y, FLOOR, idx)
+        shift = _resolve(gens, PREFIX_SHIFT, i)
+        word = [theta, *shift] if idx == 1 else [*shift, theta]
+        return _checked(word, ceiling_retraction(Y, idx))
+    target = floor_retraction(Y, idx)
     if 2 <= j <= r - 1 and idx in (j, r):
         # both top retractions fold through the suffix shift
         theta = reflect(_lemcr_theta(reflect_set(Y), r + 2 - j))
-        shift = gens.by_tag[(SUFFIX_SHIFT, j)]
-        return _checked([theta, shift] if idx == r else [shift, theta], target)
+        shift = _resolve(gens, SUFFIX_SHIFT, j)
+        return _checked([theta, *shift] if idx == r else [*shift, theta], target)
     if idx == r and j == r + 1:
         # y_r below n: the whole class collapses into full-image maps
         return _imax_word(target, Y)
@@ -231,7 +233,7 @@ def express_in_generators(alpha: ChainMap, gens: GeneratingSet) -> list[ChainMap
     check_maps_into(alpha, gens.range_set)
     word = _express(gens, alpha)
     for w in word:
-        if w.images not in gens.images:
+        if w.images not in gens.kind_of:
             raise AssertionError(f"word member {w!r} is not a generator")
     if product_of(word) != alpha:
         raise AssertionError("word product does not reproduce the input")

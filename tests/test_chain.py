@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -283,3 +284,21 @@ def test_range_set_on_another_chain_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch,
                        match=r"^range set lives on chain 5, not 4$"):
         check_on_chain(4, RangeSet(5, (1, 3)))
+
+
+_Y135 = RangeSet(5, (1, 3, 5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RangeSet(0, (1,)), "chain size must be positive, got 0"),
+    (lambda: ChainMap(3, (1, 2, 3))(4), "point 4 outside 1..3"),
+    (lambda: PartialMap(3, (), ()), "partial map needs a nonempty domain"),
+    (lambda: PartialMap(3, (1,), (2,))(2), "point 2 not in domain [1]"),
+    (lambda: _Y135.without(4), "index 4 outside 1..3"),
+    (lambda: ConvexPartition(3, (1, 3)).block_of(4), "point 4 outside 1..3"),
+    (lambda: ConvexPartition(3, (1, 3)).split_block(1),
+     "block 1 is a singleton, cannot split"),
+])
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -207,6 +207,16 @@ class TestGolden:
         assert err == "error: semigroup has 84 elements, above the guard 60\n"
         assert table_builds == []
 
+    @pytest.mark.parametrize("Z, builds", [("2,4,6", 1), ("1,3,5", 2)])
+    def test_iso_search_builds_one_table_per_range_set(self, capsys,
+                                                       table_builds, Z,
+                                                       builds):
+        code, out, _ = run(capsys, "iso", "-n", "6", "-Y", "2,4,6", "-Z", Z,
+                           "--search")
+        assert code == 0
+        assert json.loads(out)["mapping"] is not None
+        assert len(table_builds) == builds
+
     @pytest.mark.parametrize("args", [["gens"], ["rank", "--check"]])
     def test_short_generating_set_fails_verification(self, capsys,
                                                      monkeypatch, args):

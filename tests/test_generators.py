@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -47,6 +48,7 @@ from ordrange import (
 from ordrange.generators import (
     FULL_IMAGE,
     GeneratingSet,
+    TaggedGenerator,
     first_missing_point,
     tail_anchor,
 )
@@ -392,13 +394,11 @@ class TestLookups:
             for Y in range_sets(n):
                 gens = minimum_generating_set(n, Y, check=False)
                 others = [g for g in gens.members if g.kind != FULL_IMAGE]
-                assert gens.images == {g.element.images for g in gens.members}
-                assert gens.full_images == {
-                    g.element.images for g in gens.members
-                    if g.kind == FULL_IMAGE}
-                assert len(gens.by_tag) == len(others)
+                assert gens.kind_of == {g.element.images: g.kind
+                                        for g in gens.members}
+                assert len(gens.tag_words) == len(others)
                 for g in others:
-                    assert gens.by_tag[g.kind, g.index] == g.element
+                    assert gens.tag_words[g.kind, g.index] == (g.element,)
                 if len(Y) < n:
                     assert gens.anchors == (first_missing_point(Y),
                                             tail_anchor(Y))
@@ -409,9 +409,7 @@ class TestLookups:
 
     def test_lookups_read_once_per_set(self):
         gens = minimum_generating_set(5, RangeSet(5, (1, 3, 4)), check=False)
-        assert gens.images is gens.images
-        assert gens.full_images is gens.full_images
-        assert gens.by_tag is gens.by_tag
+        assert gens.kind_of is gens.kind_of
         assert gens.anchors is gens.anchors
         assert gens.tag_words is gens.tag_words
 
@@ -421,11 +419,13 @@ class TestLookups:
         b = GeneratingSet(RangeSet(6, (1, 2, 4, 6)), tuple(a.members))
         assert a is not b
         assert a == b and hash(a) == hash(b)
-        a.images, a.full_images, a.by_tag
+        a.anchors
         express_in_generators(floor_retraction(Y, 3), a)
-        assert a.tag_words and not b.tag_words
+        assert ("floor_retraction", 3) in a.tag_words
+        assert ("floor_retraction", 3) not in b.tag_words
+        assert a.tag_words != b.tag_words
         assert a == b and hash(a) == hash(b)
-        b.by_tag
+        b.anchors
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
@@ -539,3 +539,24 @@ class TestCaseAnalysisHelpers:
         assert tail_anchor(RangeSet(5, (2, 5))) == 2      # run {5}
         assert tail_anchor(RangeSet(5, (4, 5))) == 1      # run {4,5}
         assert tail_anchor(RangeSet(7, (2, 4, 6, 7))) == 3
+
+
+_Y135 = RangeSet(5, (1, 3, 5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: full_image_map(ConvexPartition(5, (2, 5)), _Y135),
+     "partition has 2 blocks for 3 values"),
+    (lambda: corank_one_generator(RangeSet(3, (1, 2, 3)), 4),
+     "need Y the whole chain of n >= 2 and 1 <= t <= n, got |Y|=3, n=3, t=4"),
+    (lambda: missing_index(ChainMap(5, (1,) * 5), _Y135),
+     "image size 1 is not 2; not corank one"),
+    (lambda: slide_to_missing_index(ChainMap(5, (1, 1, 3, 3, 3)), 4, _Y135),
+     "target 4 outside 1..3"),
+    (lambda: GeneratingSet(_Y135, (TaggedGenerator(
+        ChainMap(5, (1, 1, 3, 3, 5)), FULL_IMAGE),) * 2),
+     "duplicate generator ChainMap([1, 1, 3, 3, 5])"),
+])
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

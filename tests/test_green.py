@@ -258,3 +258,12 @@ class TestEggBoxShape:
             d = green_classes("D", table)
             assert refines(h, l) and refines(h, r)
             assert refines(l, d) and refines(r, d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda Y: green_key("X", ChainMap(5, (1, 1, 3, 3, 5)), Y),
+    lambda Y: green_classes_by_ideals("X", enumerate_semigroup(Y)),
+])
+def test_unknown_relation_refused(call):
+    with pytest.raises(DomainError, match=r"^unknown relation 'X'$"):
+        call(RangeSet(5, (1, 3, 5)))

@@ -110,7 +110,7 @@ def test_rejects_word_member_outside_the_set(monkeypatch):
     """The word's product is right, but its letter is not a generator."""
     gens = minimum_generating_set(4, RangeSet(4, (2, 3)), check=False)
     const = cm([2, 2, 2, 2])
-    assert const.images not in gens.images
+    assert const.images not in gens.kind_of
     monkeypatch.setattr(words, "_express", lambda gens, alpha: [const])
     with pytest.raises(AssertionError, match="is not a generator"):
         express_in_generators(const, gens)
@@ -139,7 +139,7 @@ def test_pruned_tag_words_checked_once_per_set(monkeypatch, n, members, pruned):
     monkeypatch.setattr(words, "_checked", counted)
     Y = RangeSet(n, members)
     gens = minimum_generating_set(n, Y, check=False)
-    assert not any(tag in gens.by_tag for tag in pruned)
+    assert not any(tag in gens.tag_words for tag in pruned)
     passes = []
     for _ in range(2):
         checked.clear()
@@ -166,11 +166,12 @@ def test_sets_on_different_y_keep_their_own_tag_words():
         for f, gens in zip(pair, sets):
             assert product_of(express_in_generators(f, gens)) == f
     for gens in sets:
-        assert ("floor_retraction", 2) not in gens.by_tag
+        assert ("floor_retraction", 2) not in {
+            (g.kind, g.index) for g in gens.members}
         word = gens.tag_words["floor_retraction", 2]
         assert product_of(list(word)) == generators.floor_retraction(
             gens.range_set, 2)
-        assert all(w.images in gens.images for w in word)
+        assert all(w.images in gens.kind_of for w in word)
     assert sets[0].tag_words["floor_retraction", 2] != \
         sets[1].tag_words["floor_retraction", 2]
 
@@ -188,3 +189,8 @@ def test_mutating_a_returned_word_leaves_the_next_one_alone():
     first[0] = identity(6)
     assert express_in_generators(alpha, gens) == kept
     assert gens.tag_words["floor_retraction", 4] == kept_tail
+
+
+def test_empty_word_refused():
+    with pytest.raises(DomainError, match=r"^empty word has no product$"):
+        product_of([])
