@@ -171,7 +171,12 @@ class PartialMap:
 
 @dataclass(frozen=True)
 class RangeSet:
-    """A nonempty subset of {1..n}, kept sorted strictly increasing."""
+    """A nonempty subset of {1..n}, kept sorted strictly increasing.
+
+    ``_member_set``, the members as a frozenset for membership tests, is
+    built once here; it is not a field, so equality, hashing and the
+    constructor ignore it.
+    """
 
     n: int
     members: tuple[int, ...]
@@ -181,6 +186,7 @@ class RangeSet:
         _check_points(self.n, self.members, "member", True)
         if not self.members:
             raise DomainError("range set must be nonempty")
+        object.__setattr__(self, "_member_set", frozenset(self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -189,8 +195,7 @@ class RangeSet:
         return iter(self.members)
 
     def __contains__(self, y: int) -> bool:
-        i = bisect_left(self.members, y)
-        return i < len(self.members) and self.members[i] == y
+        return y in self._member_set
 
     def without(self, i: int) -> tuple[int, ...]:
         """Members minus the i-th one (1-based)."""
@@ -335,4 +340,4 @@ def maps_into(f: ChainMap, Y: RangeSet) -> bool:
     """True iff every value of ``f`` lies in ``Y``."""
     if f.n != Y.n:
         raise DimensionMismatch(f"map on {f.n} vs range set on {Y.n}")
-    return all(v in Y for v in set(f.images))
+    return Y._member_set.issuperset(f.images)

@@ -324,14 +324,17 @@ class TaggedGenerator:
 class GeneratingSet:
     """Tagged generators of the monotone maps into a range set.
 
-    Three lookups are kept with the set (they are not fields, so
+    Four lookups are kept with the set (they are not fields, so
     equality, hashing and the constructor ignore them).  The duplicate
     check builds two of them as it walks the members: ``kind_of``, mapping
     each member's image tuple to its kind, and ``tag_words``, mapping the
     ``(kind, index)`` of each member not of kind ``FULL_IMAGE`` to the
     one-letter word of that member, which :mod:`ordrange.words` extends
     with the checked word over the set of each pruned retraction it is
-    asked for.  ``anchors``, the pair :func:`first_missing_point`,
+    asked for.  ``corank_words`` starts empty; :mod:`ordrange.words`
+    keeps in it, under the map's image tuple, the word over the set of
+    each regular corank-one map it rewrites, at most one per such
+    element.  ``anchors``, the pair :func:`first_missing_point`,
     :func:`tail_anchor` of the range set, is computed on first use and
     raises DomainError on the whole chain.
     """
@@ -351,6 +354,7 @@ class GeneratingSet:
                 tag_words[g.kind, g.index] = (g.element,)
         object.__setattr__(self, "kind_of", kind_of)
         object.__setattr__(self, "tag_words", tag_words)
+        object.__setattr__(self, "corank_words", {})
 
     @cached_property
     def anchors(self) -> tuple[int, int]:

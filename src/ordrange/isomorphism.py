@@ -61,6 +61,13 @@ def _product_table(table: SemigroupTable) -> tuple[list, list[list[int]]]:
     return list(zip(*cols)), cols
 
 
+def _each_side(S: SemigroupTable, T: SemigroupTable, build) -> list:
+    """[build(S), build(T)], with one build shared by both sides of a self
+    pair; the search never mutates what it builds."""
+    first = build(S)
+    return [first, first if T is S else build(T)]
+
+
 def _refine(tables, colours):
     """Refine the colourings of S and T together until they are stable.
 
@@ -104,10 +111,11 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
     check_guard(max(len(S), len(T)), search_guard())
     if len(S) != len(T):
         return None
-    start = [[int(X.product(i, i) == i) for i in range(len(X))] for X in (S, T)]
+    start = _each_side(S, T, lambda X: [int(X.product(i, i) == i)
+                                        for i in range(len(X))])
     if sorted(start[0]) != sorted(start[1]):
         return None
-    tables = [_product_table(S), _product_table(T)]
+    tables = _each_side(S, T, _product_table)
     stack = [start]
     while stack:
         colours = _refine(tables, stack.pop())

@@ -57,7 +57,7 @@ from .words import express_in_generators
 # was set (two cores; BENCH_19.json: verify_battery p90 op 12.5 ms, pass 0.72 s)
 GREEN_LIMIT = 130          # at 210: +28 ms on each of the six (6, r = 5) sets
 COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.72 s -> 2.79 s
-WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.38 s -> 0.80 s (BENCH_22)
+WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.45 s -> 0.69 s (BENCH_24)
 BRUTE_RANK_LIMIT = 21      # at 60: +124 ms per verify_battery pass
 
 

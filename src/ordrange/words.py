@@ -10,14 +10,17 @@ full-image maps (plus at most one retraction) finish the job.
 Retractions that were pruned from the generating set are themselves
 rewritten as words over it.  Every step is verified by multiplying the
 word back out.  The rewriting functions take the generating set and read
-its three lookups where they are used: ``kind_of``, which tells a
+its four lookups where they are used: ``kind_of``, which tells a
 generator and a full-image generator by its image tuple; ``anchors``,
 only on the regular corank-one path, so a full-image element is its own
-word on every range set, the identity of the whole chain included; and
+word on every range set, the identity of the whole chain included;
 ``tag_words``, which holds each tagged member as its own one-letter word
 and keeps the word for each pruned retraction the slide asks for, built
 and checked against :func:`floor_retraction` or
-:func:`ceiling_retraction` the first time it is asked for.
+:func:`ceiling_retraction` the first time it is asked for; and
+``corank_words``, which keeps the word for each regular corank-one map,
+the one factor every rewrite below full image ends in, built by the
+slide and checked the first time the set meets that map.
 """
 
 from __future__ import annotations
@@ -196,6 +199,16 @@ def _tag_word(gens: GeneratingSet, kind: str, idx: int) -> list[ChainMap]:
 
 def _express_regular_corank(gens: GeneratingSet, gamma: ChainMap
                             ) -> list[ChainMap]:
+    """The word for a regular corank-one map, built once per generating
+    set and kept in its ``corank_words``; each call returns a new list,
+    since callers extend it."""
+    word = gens.corank_words.get(gamma.images)
+    if word is None:
+        word = gens.corank_words[gamma.images] = tuple(_corank_word(gens, gamma))
+    return list(word)
+
+
+def _corank_word(gens: GeneratingSet, gamma: ChainMap) -> list[ChainMap]:
     Y = gens.range_set
     i = gens.anchors[0]
     beta, tags = slide_to_missing_index(gamma, min(i, len(Y.members)), Y)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ordrange
-from ordrange import cli, generators
+from ordrange import cli, generators, isomorphism
 from ordrange.cli import main
 from conftest import regular_by_scan
 
@@ -209,13 +209,25 @@ class TestGolden:
 
     @pytest.mark.parametrize("Z, builds", [("2,4,6", 1), ("1,3,5", 2)])
     def test_iso_search_builds_one_table_per_range_set(self, capsys,
+                                                       monkeypatch,
                                                        table_builds, Z,
                                                        builds):
+        """One semigroup table, and one row-and-column product table for
+        the search, per distinct range set."""
+        product_tables = []
+        build = isomorphism._product_table
+
+        def counted(table):
+            product_tables.append(table)
+            return build(table)
+
+        monkeypatch.setattr(isomorphism, "_product_table", counted)
         code, out, _ = run(capsys, "iso", "-n", "6", "-Y", "2,4,6", "-Z", Z,
                            "--search")
         assert code == 0
         assert json.loads(out)["mapping"] is not None
         assert len(table_builds) == builds
+        assert len(product_tables) == builds
 
     @pytest.mark.parametrize("args", [["gens"], ["rank", "--check"]])
     def test_short_generating_set_fails_verification(self, capsys,

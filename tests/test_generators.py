@@ -399,6 +399,7 @@ class TestLookups:
                 assert len(gens.tag_words) == len(others)
                 for g in others:
                     assert gens.tag_words[g.kind, g.index] == (g.element,)
+                assert gens.corank_words == {}
                 if len(Y) < n:
                     assert gens.anchors == (first_missing_point(Y),
                                             tail_anchor(Y))
@@ -412,6 +413,7 @@ class TestLookups:
         assert gens.kind_of is gens.kind_of
         assert gens.anchors is gens.anchors
         assert gens.tag_words is gens.tag_words
+        assert gens.corank_words is gens.corank_words
 
     def test_equality_and_hash_ignore_lookups(self):
         Y = RangeSet(6, (1, 2, 4, 6))
@@ -424,6 +426,8 @@ class TestLookups:
         assert ("floor_retraction", 3) in a.tag_words
         assert ("floor_retraction", 3) not in b.tag_words
         assert a.tag_words != b.tag_words
+        assert floor_retraction(Y, 3).images in a.corank_words
+        assert b.corank_words == {}
         assert a == b and hash(a) == hash(b)
         b.anchors
         assert a == b and hash(a) == hash(b)

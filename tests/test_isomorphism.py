@@ -152,6 +152,16 @@ class TestSearch:
         S = enumerate_semigroup(RangeSet(6, (1, 6)))
         assert find_isomorphism(S, S) == {a: a for a in range(len(S))}
 
+    @pytest.mark.parametrize("n, members", [(4, (1, 3)), (5, (2, 3, 5)),
+                                            (6, (2, 4, 6))])
+    def test_self_pair_answers_as_two_equal_tables(self, n, members):
+        """A self pair shares its product table between both sides; the
+        answer is the one two separately built equal tables give."""
+        Y = RangeSet(n, members)
+        S, T = enumerate_semigroup(Y), enumerate_semigroup(Y)
+        assert T is not S
+        assert find_isomorphism(S, S) == find_isomorphism(S, T)
+
 
 class TestInducedBijection:
     def test_mirror_pair(self):

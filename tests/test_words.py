@@ -6,12 +6,14 @@ from conftest import range_sets
 from ordrange import (
     ChainMap,
     DomainError,
+    GeneratingSet,
     RangeSet,
     enumerate_elements,
     generators,
     express_in_generators,
     identity,
     image,
+    is_regular,
     minimum_generating_set,
     product_of,
     words,
@@ -127,8 +129,8 @@ def test_rejects_word_member_outside_the_set(monkeypatch):
                        ("floor_retraction", 4)]),
 ])
 def test_pruned_tag_words_checked_once_per_set(monkeypatch, n, members, pruned):
-    """A second pass over every element repeats each per-element check
-    and none of the checks of the words for pruned retractions."""
+    """Each word for a pruned retraction is checked once on the first
+    pass; the second pass reuses the kept words and checks no word."""
     real = words._checked
     checked = []
 
@@ -149,10 +151,9 @@ def test_pruned_tag_words_checked_once_per_set(monkeypatch, n, members, pruned):
         passes.append(Counter(checked))
     builders = {"floor_retraction": generators.floor_retraction,
                 "ceiling_retraction": generators.ceiling_retraction}
-    once = passes[0] - passes[1]  # _imax_word adds its mirror's check
     for kind, t in pruned:
-        assert once[builders[kind](Y, t).images] == 1
-    assert not passes[1] - passes[0]
+        assert passes[0][builders[kind](Y, t).images] == 1
+    assert not passes[1]
     assert set(pruned) <= set(gens.tag_words)
 
 
@@ -176,6 +177,69 @@ def test_sets_on_different_y_keep_their_own_tag_words():
         sets[1].tag_words["floor_retraction", 2]
 
 
+def test_each_regular_corank_one_map_slides_once_per_set(monkeypatch):
+    """Every regular corank-one element is reached, as an element or as the
+    right factor of one below it, and slid on the first pass only."""
+    real = words.slide_to_missing_index
+    slid = []
+
+    def counted(alpha, target, Y):
+        slid.append(alpha.images)
+        return real(alpha, target, Y)
+
+    monkeypatch.setattr(words, "slide_to_missing_index", counted)
+    Y = RangeSet(6, (1, 3, 4, 6))
+    gens = minimum_generating_set(6, Y, check=False)
+    regular = {f.images for f in enumerate_elements(Y)
+               if len(image(f)) == len(Y) - 1 and is_regular(f, Y)}
+    passes = []
+    for _ in range(2):
+        slid.clear()
+        for f in enumerate_elements(Y):
+            if len(image(f)) < len(Y):
+                express_in_generators(f, gens)
+        passes.append(list(slid))
+    assert sorted(passes[0]) == sorted(regular)
+    assert set(gens.corank_words) == regular
+    assert passes[1] == []
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_warm_set_gives_the_words_of_a_fresh_set(n):
+    """Each element's word over a set that has kept every corank word is
+    the word over a new set of the same members, whose memos are empty."""
+    for Y in range_sets(n, smallest=2, largest=n - 1):
+        warm = minimum_generating_set(n, Y, check=False)
+        below = [f for f in enumerate_elements(Y) if len(image(f)) < len(Y)]
+        for f in below:
+            express_in_generators(f, warm)
+        for f in below:
+            fresh = GeneratingSet(Y, warm.members)
+            assert not fresh.corank_words
+            assert express_in_generators(f, warm) == \
+                express_in_generators(f, fresh)
+
+
+def test_sets_on_different_y_keep_their_own_corank_words():
+    """A map of image {1, 3} is regular of corank one over both sets; each
+    set keeps its own word for it, over its own generators."""
+    sets = [minimum_generating_set(5, RangeSet(5, m), check=False)
+            for m in ((1, 3, 5), (1, 3, 4))]
+    elements = [[f for f in enumerate_elements(g.range_set)
+                 if len(image(f)) < len(g.range_set)] for g in sets]
+    for pair in zip(*elements):  # interleaved: both sets fill their memos
+        for f, gens in zip(pair, sets):
+            express_in_generators(f, gens)
+    shared = set(sets[0].corank_words) & set(sets[1].corank_words)
+    assert cm([1, 1, 3, 3, 3]).images in shared
+    for gens in sets:
+        for images, word in gens.corank_words.items():
+            assert product_of(list(word)).images == images
+            assert all(w.images in gens.kind_of for w in word)
+    for images in shared:
+        assert sets[0].corank_words[images] != sets[1].corank_words[images]
+
+
 def test_mutating_a_returned_word_leaves_the_next_one_alone():
     Y = RangeSet(6, (1, 2, 4, 5))
     gens = minimum_generating_set(6, Y, check=False)
@@ -184,11 +248,13 @@ def test_mutating_a_returned_word_leaves_the_next_one_alone():
     kept = list(first)
     kept_tail = gens.tag_words["floor_retraction", 4]  # the pruned tag
     assert tuple(kept[-len(kept_tail):]) == kept_tail
+    assert gens.corank_words[alpha.images] == tuple(kept)  # regular, corank one
     first.reverse()
     first.append(first[0])
     first[0] = identity(6)
     assert express_in_generators(alpha, gens) == kept
     assert gens.tag_words["floor_retraction", 4] == kept_tail
+    assert gens.corank_words[alpha.images] == tuple(kept)
 
 
 def test_empty_word_refused():
