@@ -28,6 +28,7 @@ from .chain import (
     maps_into,
     reflect,
     reflect_set,
+    values,
 )
 from .completability import (
     build_extension,
@@ -67,6 +68,7 @@ from .green import (
     green_classes,
     green_classes_by_ideals,
     green_key,
+    green_partitions_by_ideals,
 )
 from .isomorphism import (
     are_isomorphic,

@@ -157,11 +157,14 @@ class PartialMap:
         in chain order; monotone when every choice lies between the
         bounds that are not None."""
         out: list[int] = []
-        for a, b, lo, hi in self.gaps():
-            if a:
-                out.append(lo)
-            if b - a > 1:
-                out += [choose(lo, hi)] * (b - a - 1)
+        prev, lo = 0, None  # the domain point and image below the next gap
+        for a, v in zip(self.domain, self.images):
+            if a - prev > 1:
+                out += [choose(lo, v)] * (a - prev - 1)
+            out.append(v)
+            prev, lo = a, v
+        if prev < self.n:
+            out += [choose(lo, None)] * (self.n - prev)
         return ChainMap(self.n, tuple(out))
 
     def __repr__(self) -> str:
@@ -280,15 +283,15 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap._unchecked(f.n, tuple(gi[v - 1] for v in f.images))
 
 
+def values(f: ChainMap) -> tuple[int, ...]:
+    """The distinct values of ``f``, ascending: the members of its image,
+    without building a checked RangeSet."""
+    return tuple(dict.fromkeys(f.images))
+
+
 def image(f: ChainMap) -> RangeSet:
     """The set of values taken by ``f``, as a RangeSet."""
-    vals = []
-    prev = 0
-    for v in f.images:
-        if v != prev:
-            vals.append(v)
-            prev = v
-    return RangeSet(f.n, tuple(vals))
+    return RangeSet(f.n, values(f))
 
 
 def kernel(f: ChainMap) -> ConvexPartition:

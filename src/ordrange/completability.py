@@ -22,20 +22,26 @@ from .chain import (ChainMap, DimensionMismatch, DomainError, PartialMap,
 from .enumeration import enumerate_elements
 
 
-def _gaps_into(theta: PartialMap, Y: RangeSet) -> list[tuple[int, tuple[int, ...]]]:
-    """Refuse theta unless it maps into Y; then, per nonempty gap in chain
-    order, its length and the members of Y between the images that bound
-    it (a bound past either end of the domain is the chain's end)."""
+def _gaps_into(theta: PartialMap, Y: RangeSet
+               ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Refuse theta unless it maps into Y, naming its first value outside Y
+    in domain order; then, per nonempty gap in chain order, its length and
+    the members of Y between the images that bound it (a bound past
+    either end of the domain is the chain's end)."""
     check_on_chain(theta.n, Y)
-    ys, out, lo = Y.members, [], 0  # lo: index in ys of the lower bound
-    for a, b, _, v in theta.gaps():
-        hi = len(ys) - 1 if v is None else bisect_left(ys, v)
-        if v is not None and (hi == len(ys) or ys[hi] != v):
-            raise DomainError(f"image value {v} is outside {list(ys)}")
-        if b - a > 1:
-            out.append((b - a - 1, ys[lo:hi + 1]))
-        lo = hi
-    return out
+    ys = Y.members
+    if not Y._member_set.issuperset(theta.images):
+        v = next(v for v in theta.images if v not in Y._member_set)
+        raise DomainError(f"image value {v} is outside {list(ys)}")
+    out, prev, lo = [], 0, 0  # lo: index in ys of the image at prev
+    for a, v in zip(theta.domain, theta.images):
+        hi = bisect_left(ys, v, lo)
+        if a - prev > 1:
+            out.append((a - prev - 1, ys[lo:hi + 1]))
+        prev, lo = a, hi
+    if prev < theta.n:
+        out.append((theta.n - prev, ys[lo:]))
+    return tuple(out)
 
 
 def is_completable(theta: PartialMap, Y: RangeSet) -> bool:
@@ -83,7 +89,8 @@ def build_extension(theta: PartialMap, Y: RangeSet) -> ChainMap | None:
         return None
     least = iter([between[0] for _, between in gaps])
     gamma = theta.extend(lambda lo, hi: next(least))
-    assert all(gamma(a) == theta(a) for a in theta.domain)
+    assert all(gamma.images[a - 1] == v
+               for a, v in zip(theta.domain, theta.images))
     return gamma
 
 

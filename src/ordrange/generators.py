@@ -42,10 +42,10 @@ from .chain import (
     check_on_chain,
     compose,
     floor_extension,
-    image,
     kernel,
     reflect,
     reflect_set,
+    values,
 )
 from .enumeration import (
     SemigroupTable,
@@ -217,7 +217,7 @@ def missing_index(alpha: ChainMap, Y: RangeSet) -> int:
     """For a map whose image misses exactly one member of Y, its 1-based index."""
     # on one chain, the corank test below implies that alpha maps into Y
     check_on_chain(alpha.n, Y)
-    im = set(image(alpha).members)
+    im = set(values(alpha))
     gone = [t for t, y in enumerate(Y.members, start=1) if y not in im]
     if len(gone) != 1 or len(im) != len(Y) - 1:
         raise DomainError(
@@ -257,7 +257,7 @@ def factor_raising_rank(alpha: ChainMap, Y: RangeSet) -> tuple[ChainMap, ChainMa
     dom, img = zip(*sorted([*zip(bv[:j] + bv[j + 1:], a), *zip(fixed, fixed)]))
     gamma = floor_extension(PartialMap(n, dom, img))
     assert compose(beta, gamma) == alpha
-    assert len(image(beta)) == k + 1 and len(image(gamma)) == k + len(fixed)
+    assert len(values(beta)) == k + 1 and len(values(gamma)) == k + len(fixed)
     assert fixed or is_regular(gamma, Y)
     return beta, gamma
 
@@ -475,7 +475,7 @@ def minimal_generating_sets(table: SemigroupTable, *, witness_limit: int | None 
     # larger images first: witnesses surface sooner; the order never
     # changes the answer, since every size is swept in full
     pool = sorted((i for i in range(size) if i not in spanned),
-                  key=lambda i: (-len(image(table.elements[i])), i))
+                  key=lambda i: (-len(values(table.elements[i])), i))
     for extra in range(len(pool) + 1):
         found: list[frozenset[int]] = []
         for combo in combinations(pool, extra):

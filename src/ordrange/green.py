@@ -6,17 +6,19 @@ agree), read from images, kernels and regularity, and a
 definition-based oracle that partitions an enumerated table into the
 strongly connected components of its Cayley graphs, whose reachability
 is principal-ideal containment, labelled by ``enumeration.scc_labels``
-(shared with the regularity oracle).  Both return a partition as a plain
-value, one list of element ids per class: classes in order of least id,
-ids ascending inside each, so two partitions are equal iff the lists
-are.  ``egg_box`` turns a partition into the printed report.
+(shared with the regularity oracle); ``green_partitions_by_ideals``
+builds the graphs once and gives any of the five relations in one call.
+Both return a partition as a plain value, one list of element ids per
+class: classes in order of least id, ids ascending inside each, so two
+partitions are equal iff the lists are.  ``egg_box`` turns a partition
+into the printed report.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .chain import ChainMap, DomainError, RangeSet, check_maps_into, image, kernel
+from .chain import ChainMap, DomainError, RangeSet, check_maps_into, kernel, values
 from .enumeration import SemigroupTable, scc_labels
 from .regularity import is_regular
 
@@ -34,11 +36,11 @@ def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
     """
     if relation == "L":  # is_regular makes the membership check
         if is_regular(alpha, Y):
-            return ("im", image(alpha).members)
+            return ("im", values(alpha))
         return ("el", alpha.images)
     if relation in ("D", "J"):
         if is_regular(alpha, Y):
-            return ("rank", len(image(alpha)))
+            return ("rank", len(values(alpha)))
         return ("ker", kernel(alpha).boundaries)
     check_maps_into(alpha, Y)
     if relation == "H":
@@ -59,7 +61,7 @@ def egg_box(relation: str, table: SemigroupTable, classes: list[list[int]],
     """
     rows = []
     for ids in classes:
-        ims = {image(table.elements[i]).members for i in ids}
+        ims = {values(table.elements[i]) for i in ids}
         kers = {kernel(table.elements[i]).boundaries for i in ids}
         rows.append((ids, {
             "size": len(ids),
@@ -87,7 +89,14 @@ def green_classes(relation: str, table: SemigroupTable) -> list[list[int]]:
 
 def green_classes_by_ideals(relation: str,
                             table: SemigroupTable) -> list[list[int]]:
-    """Definition-based oracle partition, from the Cayley graphs of the table.
+    """Definition-based oracle partition for one relation: see
+    :func:`green_partitions_by_ideals`."""
+    return green_partitions_by_ideals(table, (relation,))[relation]
+
+
+def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str]
+                               ) -> dict[str, list[list[int]]]:
+    """Definition-based oracle partitions, from the Cayley graphs of the table.
 
     b lies in the principal right ideal aS^1 iff b is reachable from a
     along right edges a -> a*s, so R-classes are the strongly connected
@@ -101,37 +110,46 @@ def green_classes_by_ideals(relation: str,
 
     a*s depends on s only through its product column, so one s per
     column gives every right edge.  The left edges of a are the entries
-    of its column; they run through one extra node per column.
+    of its column; they run through one extra node per column.  Both
+    edge sets are built once per call, and each component labelling
+    (R, L, J and the D hub graph) runs at most once, however many of
+    ``relations`` read it.  Returns one partition per requested relation.
     """
-    if relation not in RELATIONS:
-        raise DomainError(f"unknown relation {relation!r}")
+    for relation in relations:
+        if relation not in RELATIONS:
+            raise DomainError(f"unknown relation {relation!r}")
     size = len(table)
     columns, slot = table.columns_of(range(size))
     right = list(zip(*columns))
     left = [(size + c,) for c in slot] + [tuple(set(col)) for col in columns]
 
-    def components(adj: list[Sequence[int]]) -> list[int]:
-        return scc_labels(adj)[:size]
-
-    if relation == "R":
-        keys: list = components(right)
-    elif relation == "L":
-        keys = components(left)
-    elif relation == "J":
-        keys = components([r + e for r, e in zip(right, left)] + left[size:])
-    elif relation == "H":
-        keys = list(zip(components(left), components(right)))
-    else:  # D: L- and R-classes joined through one hub node per class
+    wanted = set(relations)
+    if wanted & {"H", "D"}:
+        wanted |= {"L", "R"}
+    keys: dict[str, list] = {}
+    if "R" in wanted:
+        keys["R"] = scc_labels(right)[:size]
+    if "L" in wanted:
+        keys["L"] = scc_labels(left)[:size]
+    if "J" in wanted:
+        keys["J"] = scc_labels([r + e for r, e in zip(right, left)]
+                               + left[size:])[:size]
+    if "H" in wanted:
+        keys["H"] = list(zip(keys["L"], keys["R"]))
+    if "D" in wanted:  # L- and R-classes joined through one hub per class
         hubs: dict[tuple, list[int]] = {}
-        for side, labels in enumerate((components(left), components(right))):
-            for i, lab in enumerate(labels):
+        for side in "LR":
+            for i, lab in enumerate(keys[side]):
                 hubs.setdefault((side, lab), []).append(i)
         adj: list[list[int]] = [[] for _ in range(size)]
         for hub, members in enumerate(hubs.values(), start=size):
             for i in members:
                 adj[i].append(hub)
-        keys = components(adj + list(hubs.values()))
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+        keys["D"] = scc_labels(adj + list(hubs.values()))[:size]
+    out = {}
+    for relation in relations:
+        groups: dict = {}
+        for i, key in enumerate(keys[relation]):
+            groups.setdefault(key, []).append(i)
+        out[relation] = list(groups.values())
+    return out

@@ -25,8 +25,8 @@ import math
 from collections import Counter
 from itertools import combinations
 
-from .chain import (PartialMap, RangeSet, check_on_chain, image, kernel,
-                    maps_into)
+from .chain import (PartialMap, RangeSet, check_on_chain, kernel, maps_into,
+                    values)
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
@@ -48,17 +48,18 @@ from .generators import (
     rank_by_formula,
     rank_by_search,
 )
-from .green import RELATIONS, green_classes, green_classes_by_ideals
+from .green import RELATIONS, green_classes, green_partitions_by_ideals
 from .isomorphism import are_isomorphic, find_isomorphism
 from .regularity import is_regular, is_regular_by_search, is_semigroup_regular
 from .words import express_in_generators
 
-# The caps on what a check covers, each with the cost of lifting it when it
-# was set (two cores; BENCH_19.json: verify_battery p90 op 12.5 ms, pass 0.72 s)
-GREEN_LIMIT = 130          # at 210: +28 ms on each of the six (6, r = 5) sets
-COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.72 s -> 2.79 s
-WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.45 s -> 0.69 s (BENCH_24)
-BRUTE_RANK_LIMIT = 21      # at 60: +124 ms per verify_battery pass
+# The caps on what a check covers, each with the cost of lifting it (two
+# cores, CPU time, best of 7-15 interleaved runs; BENCH_25.json:
+# verify_battery p90 op 7.8 ms, pass 0.44 s)
+GREEN_LIMIT = 130          # at 210: +16-18 ms on each of the six (6, r = 5) sets
+COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.43 s -> 1.84 s
+WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.40 s -> 0.61 s
+BRUTE_RANK_LIMIT = 21      # at 60: +171 ms per verify_battery pass
 
 
 def _all_range_sets(n: int) -> list[RangeSet]:
@@ -105,9 +106,8 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     def green(Y, table, generating_set):
         where = f"Y={list(Y.members)}"
-        oracle = {}
+        oracle = green_partitions_by_ideals(table, RELATIONS)
         for rel in RELATIONS:
-            oracle[rel] = green_classes_by_ideals(rel, table)
             if green_classes(rel, table) != oracle[rel]:
                 yield f"{rel} differs for {where}"
         if len(oracle["H"]) != len(table):
@@ -153,7 +153,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     def words(Y, table, generating_set):
         gens = generating_set()
         for f in table.elements:
-            if len(image(f)) == len(Y):
+            if len(values(f)) == len(Y):
                 continue
             try:
                 express_in_generators(f, gens)

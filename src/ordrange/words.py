@@ -37,10 +37,10 @@ from .chain import (
     check_maps_into,
     compose,
     floor_extension,
-    image,
     kernel,
     reflect,
     reflect_set,
+    values,
 )
 from .generators import (
     CEILING,
@@ -225,10 +225,12 @@ def _corank_word(gens: GeneratingSet, gamma: ChainMap) -> list[ChainMap]:
 def _express(gens: GeneratingSet, alpha: ChainMap) -> list[ChainMap]:
     Y = gens.range_set
     r = len(Y.members)
-    k = len(image(alpha))
+    k = len(values(alpha))
     if k == r:
         return _emit_full(gens, alpha)
-    if k == r - 1 and is_regular(alpha, Y):
+    # only regular maps have a kept word, so a kept one needs no test
+    if k == r - 1 and (alpha.images in gens.corank_words
+                       or is_regular(alpha, Y)):
         return _express_regular_corank(gens, alpha)
     left, right = factor_raising_rank(alpha, Y)
     if k == r - 1:  # right is regular: factor_raising_rank asserts it

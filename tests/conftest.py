@@ -91,6 +91,21 @@ def restrict(f, points):
     return PartialMap(f.n, dom, tuple(f.images[a - 1] for a in dom))
 
 
+def extend_by_gaps(theta, choose):
+    """Reference for ``PartialMap.extend``, read off ``theta.gaps()``: the
+    image of each domain point, then ``choose(lo, hi)`` on every point of
+    each nonempty gap; returns the image tuple and the (lo, hi) pairs
+    ``choose`` was called with, in chain order."""
+    out, calls = [], []
+    for a, b, lo, hi in theta.gaps():
+        if a:
+            out.append(lo)
+        if b - a > 1:
+            calls.append((lo, hi))
+            out += [choose(lo, hi)] * (b - a - 1)
+    return tuple(out), calls
+
+
 def reflect_partial(theta):
     """Conjugate of a partial map by the reflection x -> n+1-x."""
     n = theta.n

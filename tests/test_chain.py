@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reflect_partial, refines, restrict
+from conftest import extend_by_gaps, reflect_partial, refines, restrict
 from ordrange import (
     ChainMap,
     ConvexPartition,
@@ -24,6 +24,7 @@ from ordrange import (
     maps_into,
     reflect,
     reflect_set,
+    values,
 )
 from ordrange.chain import check_on_chain
 
@@ -235,6 +236,31 @@ class TestCanonicalExtensions:
                         assert floor_extension(theta).images == floor, theta
                         assert ceiling_extension(theta).images == ceiling, theta
 
+    def test_match_the_gap_reference_exhaustively(self):
+        """extend, floor_extension and ceiling_extension give the maps the
+        gap-by-gap reference builds, and extend asks ``choose`` about the
+        same gaps in the same order, on every partial map with n <= 5."""
+        choosers = [lambda lo, hi: hi if lo is None else lo,
+                    lambda lo, hi: lo if hi is None else hi,
+                    lambda lo, hi: ((lo or hi) + (hi or lo)) // 2]
+        for n in range(1, 6):
+            points = range(1, n + 1)
+            for k in points:
+                for dom in combinations(points, k):
+                    for img in combinations_with_replacement(points, k):
+                        theta = PartialMap(n, dom, img)
+                        for choose in choosers:
+                            want, asked = extend_by_gaps(theta, choose)
+                            seen = []
+                            got = theta.extend(
+                                lambda lo, hi: seen.append((lo, hi)) or
+                                choose(lo, hi))
+                            assert (got.images, seen) == (want, asked), theta
+                        assert floor_extension(theta).images == \
+                            extend_by_gaps(theta, choosers[0])[0], theta
+                        assert ceiling_extension(theta).images == \
+                            extend_by_gaps(theta, choosers[1])[0], theta
+
     @given(st.data())
     def test_agree_on_domain_and_image(self, data):
         n = data.draw(st.integers(1, 7))
@@ -273,6 +299,12 @@ class TestReflect:
         theta = PartialMap(9, (2, 5, 6, 8), (1, 3, 5, 7))
         assert reflect(floor_extension(theta)) == \
             ceiling_extension(reflect_partial(theta))
+
+
+def test_values_are_the_members_of_the_image():
+    for n in range(1, 6):
+        for f in enumerate_elements(RangeSet(n, tuple(range(1, n + 1)))):
+            assert values(f) == image(f).members, f
 
 
 def test_maps_into():

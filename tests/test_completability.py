@@ -149,6 +149,30 @@ class TestOnePass:
             routine(theta, y13)
 
     @pytest.mark.parametrize("routine", ROUTINES)
+    @pytest.mark.parametrize("theta, first", [
+        (PartialMap(5, (1, 2, 4), (2, 3, 4)), 2),
+        (PartialMap(5, (1, 3, 4, 5), (1, 2, 4, 5)), 2),
+        (PartialMap(5, (2, 4, 5), (3, 4, 4)), 4),
+    ])
+    def test_names_the_first_value_outside_y(self, routine, theta, first):
+        """Two values outside Y: the refusal names the one at the least
+        domain point."""
+        with pytest.raises(DomainError,
+                           match=rf"^image value {first} is outside \[1, 3, 5\]$"):
+            routine(theta, RangeSet(5, (1, 3, 5)))
+
+    def test_least_extension_asserts_agreement_on_the_domain(self, monkeypatch):
+        """build_extension checks what extend returns at every domain
+        point: a map that disagrees at one of them fails its assert."""
+        theta, Y = PartialMap(5, (2, 4), (1, 3)), RangeSet(5, (1, 3, 5))
+        assert build_extension(theta, Y) == cm([1, 1, 1, 3, 3])
+        # monotone and into Y, but 1 at the domain point 4, not 3
+        monkeypatch.setattr(PartialMap, "extend",
+                            lambda theta, choose: cm([1, 1, 1, 1, 3]))
+        with pytest.raises(AssertionError):
+            build_extension(theta, Y)
+
+    @pytest.mark.parametrize("routine", ROUTINES)
     def test_reads_the_partial_map_once(self, monkeypatch, routine):
         real, calls = completability._gaps_into, []
 

@@ -513,7 +513,7 @@ class TestRankSearch:
         # full-image class as given would start from the whole semigroup
         Y = RangeSet(5, (1, 3, 5))
         table = enumerate_semigroup(Y)
-        monkeypatch.setattr(generators, "image", lambda f: Y)
+        monkeypatch.setattr(generators, "values", lambda f: Y.members)
         assert rank_by_search(table) == rank_by_formula(Y) == 8
 
     def test_guard(self, monkeypatch):

@@ -11,9 +11,11 @@ from ordrange import (
     constant,
     egg_box,
     enumerate_semigroup,
+    green,
     green_classes,
     green_classes_by_ideals,
     green_key,
+    green_partitions_by_ideals,
     image,
     is_regular,
 )
@@ -180,6 +182,41 @@ class TestCayleyOracle:
                 green_classes(rel, table), rel
 
 
+class TestAllRelationsAtOnce:
+    @pytest.fixture
+    def scc_runs(self, monkeypatch):
+        runs = []
+        real = green.scc_labels
+
+        def counted(adj):
+            runs.append(len(adj))
+            return real(adj)
+
+        monkeypatch.setattr(green, "scc_labels", counted)
+        return runs
+
+    def test_five_relations_run_four_labellings(self, scc_runs):
+        """R, L, J and the D hub graph, once each: H and D reuse L and R."""
+        table = enumerate_semigroup(RangeSet(5, (1, 3, 4, 5)))
+        green_partitions_by_ideals(table, RELATIONS)
+        assert len(scc_runs) == 4
+
+    @pytest.mark.parametrize("relation", ["R", "L"])
+    def test_one_relation_call_runs_one_labelling(self, scc_runs, relation):
+        green_classes_by_ideals(relation, enumerate_semigroup(RangeSet(4, (1, 3))))
+        assert len(scc_runs) == 1
+
+    def test_equals_one_relation_calls_and_characterization(self):
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                table = enumerate_semigroup(Y)
+                partitions = green_partitions_by_ideals(table, RELATIONS)
+                assert list(partitions) == list(RELATIONS)
+                for rel in RELATIONS:
+                    assert partitions[rel] == green_classes_by_ideals(
+                        rel, table) == green_classes(rel, table), (n, Y, rel)
+
+
 class TestEquivalenceSweep:
     def test_characterized_equals_oracle(self):
         for n in range(1, 5):
@@ -263,6 +300,7 @@ class TestEggBoxShape:
 @pytest.mark.parametrize("call", [
     lambda Y: green_key("X", ChainMap(5, (1, 1, 3, 3, 5)), Y),
     lambda Y: green_classes_by_ideals("X", enumerate_semigroup(Y)),
+    lambda Y: green_partitions_by_ideals(enumerate_semigroup(Y), ("R", "X")),
 ])
 def test_unknown_relation_refused(call):
     with pytest.raises(DomainError, match=r"^unknown relation 'X'$"):

@@ -230,17 +230,24 @@ def test_green_sweep_compares_the_partitions(monkeypatch):
 
 def test_green_sweep_checks_h_triviality(monkeypatch):
     """Both routes merging two H-classes agree, and H-triviality fails."""
-    def merge_h(route):
-        def merged(relation, *args):
-            classes = route(relation, *args)
-            if relation != "H":
-                return classes
-            first, second, *rest = classes
-            return [sorted(first + second), *rest]
-        return merged
+    def merge_h(classes):
+        first, second, *rest = classes
+        return [sorted(first + second), *rest]
 
-    for name in ("green_classes", "green_classes_by_ideals"):
-        monkeypatch.setattr(verify, name, merge_h(getattr(verify, name)))
+    characterized = verify.green_classes
+    oracle = verify.green_partitions_by_ideals
+
+    def characterized_merged(relation, table):
+        classes = characterized(relation, table)
+        return merge_h(classes) if relation == "H" else classes
+
+    def oracle_merged(table, relations):
+        partitions = oracle(table, relations)
+        partitions["H"] = merge_h(partitions["H"])
+        return partitions
+
+    monkeypatch.setattr(verify, "green_classes", characterized_merged)
+    monkeypatch.setattr(verify, "green_partitions_by_ideals", oracle_merged)
     report = run_all(4, [RangeSet(4, (1, 3))])
     assert ("FAIL green-oracle-equivalence  (H not trivial for Y=[1, 3])"
             in report["lines"])
