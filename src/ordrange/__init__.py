@@ -20,7 +20,6 @@ from .chain import (
     ceiling_extension,
     compose,
     constant,
-    fixed_points,
     floor_extension,
     identity,
     image,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 class DomainError(ValueError):
@@ -142,14 +142,6 @@ class PartialMap:
 
     def __len__(self) -> int:
         return len(self.domain)
-
-    def gaps(self) -> Iterator[tuple[int, int, int | None, int | None]]:
-        """``(a, b, lo, hi)`` per gap, in chain order: the points a+1 .. b-1,
-        with a = 0 before the domain and b = n + 1 after it.  ``lo`` and
-        ``hi`` are the images at a and b, or None past either end.  Gap t
-        follows the t-point prefix ideal of the domain; it may be empty."""
-        dom, img = self.domain, self.images
-        return zip((0,) + dom, dom + (self.n + 1,), (None,) + img, img + (None,))
 
     def extend(self, choose: Callable[[int | None, int | None], int]) -> ChainMap:
         """The total map that agrees with this one and sends each point of
@@ -299,10 +291,6 @@ def kernel(f: ChainMap) -> ConvexPartition:
     bounds = [x for x in range(1, f.n) if f.images[x - 1] != f.images[x]]
     bounds.append(f.n)
     return ConvexPartition(f.n, tuple(bounds))
-
-
-def fixed_points(f: ChainMap) -> frozenset[int]:
-    return frozenset(x for x in range(1, f.n + 1) if f.images[x - 1] == x)
 
 
 def floor_extension(theta: PartialMap) -> ChainMap:

@@ -12,7 +12,8 @@ trie of the elements, with no lookup per element.
 ``check_guard`` is the one element-count refusal: a caller hands it the
 size of the table it is about to build or search.  The subset searches
 read tables their callers built, so a caller needs one table per range
-set.
+set.  ``cayley_labels`` builds the Cayley graphs that both
+definition-based oracles, regularity and Green, read.
 """
 
 from __future__ import annotations
@@ -177,9 +178,12 @@ class SemigroupTable:
         """Ids of all products of the given generators (any length >= 1).
 
         A breadth-first search that multiplies each element reached on
-        the right by the distinct columns of the generators.
+        the right by the distinct columns of the generators; ids that
+        already cover the table are returned at once.
         """
         reached = set(generator_ids)
+        if len(reached) == len(self._ids) and reached.issuperset(self._ids):
+            return frozenset(reached)
         columns, _ = self.columns_of(reached)
         todo = list(reached)
         for x in todo:  # grows while it is read
@@ -189,6 +193,37 @@ class SemigroupTable:
                     reached.add(p)
                     todo.append(p)
         return frozenset(reached)
+
+
+def cayley_labels(table: SemigroupTable, generator_ids: Sequence[int],
+                  sides: Iterable[str]) -> dict[str, list[int]]:
+    """Strongly connected component labels of the table's Cayley graphs,
+    whose reachability is principal-ideal containment (the empty path
+    stands for the adjoined identity), for each of the ``sides`` asked:
+    "R" on the right edges a -> a*g over the columns of the ids, which
+    gives the same components for every generating set; "L" on the left
+    edges a -> s*a over every s, the entries of a's column, reached
+    through one hub node per column; "J" on both.  One ``columns_of``
+    pass serves every side.  AssertionError unless the ids generate."""
+    if len(table.closure(generator_ids)) != len(table):
+        raise AssertionError("the ids do not generate the table")
+    sides, size = set(sides), len(table)
+    if sides <= {"R"}:
+        columns, _ = table.columns_of(generator_ids)
+    else:  # the left edges read every column; the right ones the ids'
+        every, slot = table.columns_of(range(size))
+        columns = [every[c] for c in dict.fromkeys(slot[g] for g in generator_ids)]
+        left = [(size + c,) for c in slot] + [tuple(set(col)) for col in every]
+    right = list(zip(*columns)) if sides & {"R", "J"} else []
+    labels = {}
+    if "R" in sides:
+        labels["R"] = scc_labels(right)
+    if "L" in sides:
+        labels["L"] = scc_labels(left)[:size]
+    if "J" in sides:
+        labels["J"] = scc_labels([r + e for r, e in zip(right, left)]
+                                 + left[size:])[:size]
+    return labels
 
 
 def scc_labels(adj: list[Sequence[int]]) -> list[int]:

@@ -3,11 +3,11 @@
 Two code paths are kept deliberately separate: a characterized class
 key per relation (``green_key``: two maps are related iff their keys
 agree), read from images, kernels and regularity, and a
-definition-based oracle that partitions an enumerated table into the
-strongly connected components of its Cayley graphs, whose reachability
-is principal-ideal containment, labelled by ``enumeration.scc_labels``
-(shared with the regularity oracle); ``green_partitions_by_ideals``
-builds the graphs once and gives any of the five relations in one call.
+definition-based oracle that partitions an enumerated table by
+principal-ideal containment, reading R, L and J off the Cayley graphs of
+a generating set (``enumeration.cayley_labels``, shared with the
+regularity oracle); ``green_partitions_by_ideals`` gives any of the five
+relations in one call.
 Both return a partition as a plain value, one list of element ids per
 class: classes in order of least id, ids ascending inside each, so two
 partitions are equal iff the lists are.  ``egg_box`` turns a partition
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .chain import ChainMap, DomainError, RangeSet, check_maps_into, kernel, values
-from .enumeration import SemigroupTable, scc_labels
+from .enumeration import SemigroupTable, cayley_labels, scc_labels
 from .regularity import is_regular
 
 RELATIONS = ("L", "R", "H", "D", "J")
@@ -87,53 +87,36 @@ def green_classes(relation: str, table: SemigroupTable) -> list[list[int]]:
     return list(keys.values())
 
 
-def green_classes_by_ideals(relation: str,
-                            table: SemigroupTable) -> list[list[int]]:
+def green_classes_by_ideals(relation: str, table: SemigroupTable,
+                            generator_ids: Sequence[int]) -> list[list[int]]:
     """Definition-based oracle partition for one relation: see
     :func:`green_partitions_by_ideals`."""
-    return green_partitions_by_ideals(table, (relation,))[relation]
+    return green_partitions_by_ideals(table, (relation,), generator_ids)[relation]
 
 
-def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str]
+def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str],
+                               generator_ids: Sequence[int]
                                ) -> dict[str, list[list[int]]]:
     """Definition-based oracle partitions, from the Cayley graphs of the table.
 
-    b lies in the principal right ideal aS^1 iff b is reachable from a
-    along right edges a -> a*s, so R-classes are the strongly connected
-    components of the right Cayley graph; L-classes those of the left
-    graph (a -> s*a), J-classes those of both edge sets together.  The
-    empty path stands for the adjoined identity, so no identity is
-    needed in the table.  H intersects L and R, and D is the transitive
-    closure of L union R with no commutation assumption: the components
-    of the graph joining each element, both ways, to a hub node for its
-    L-class and one for its R-class.
-
-    a*s depends on s only through its product column, so one s per
-    column gives every right edge.  The left edges of a are the entries
-    of its column; they run through one extra node per column.  Both
-    edge sets are built once per call, and each component labelling
-    (R, L, J and the D hub graph) runs at most once, however many of
-    ``relations`` read it.  Returns one partition per requested relation.
+    R-, L- and J-classes are the components that
+    :func:`enumeration.cayley_labels` gives over ``generator_ids``, which
+    must generate the table (AssertionError otherwise).  H intersects L
+    and R, and D is the transitive closure of L union R with no
+    commutation assumption: the components of the graph joining each
+    element, both ways, to a hub node for its L-class and one for its
+    R-class.  Each labelling (R, L, J and the D hub graph) runs at most
+    once, however many of ``relations`` read it.  Returns one partition
+    per requested relation.
     """
     for relation in relations:
         if relation not in RELATIONS:
             raise DomainError(f"unknown relation {relation!r}")
-    size = len(table)
-    columns, slot = table.columns_of(range(size))
-    right = list(zip(*columns))
-    left = [(size + c,) for c in slot] + [tuple(set(col)) for col in columns]
-
     wanted = set(relations)
     if wanted & {"H", "D"}:
         wanted |= {"L", "R"}
-    keys: dict[str, list] = {}
-    if "R" in wanted:
-        keys["R"] = scc_labels(right)[:size]
-    if "L" in wanted:
-        keys["L"] = scc_labels(left)[:size]
-    if "J" in wanted:
-        keys["J"] = scc_labels([r + e for r, e in zip(right, left)]
-                               + left[size:])[:size]
+    keys = cayley_labels(table, generator_ids, wanted & set("RLJ"))
+    size = len(table)
     if "H" in wanted:
         keys["H"] = list(zip(keys["L"], keys["R"]))
     if "D" in wanted:  # L- and R-classes joined through one hub per class

@@ -5,15 +5,15 @@ For monotone maps into Y over a finite chain this is equivalent to the
 range condition  image(a) == a(Y):  every value of a is already hit from
 a point of Y.  The set of all such elements is simultaneously the largest
 regular subsemigroup and a right ideal, so a single predicate serves both
-roles.  The definition-based oracle calls a regular iff its R-class, read
-off the right Cayley graph of any generating set, holds an idempotent
-(Howie, *Fundamentals of Semigroup Theory*, 1995, Prop. 2.3.2).
+roles.  The definition-based oracle calls a regular iff its R-class, its
+``enumeration.cayley_labels`` R label, holds an idempotent (Howie,
+*Fundamentals of Semigroup Theory*, 1995, Prop. 2.3.2).
 """
 
 from __future__ import annotations
 
 from .chain import ChainMap, RangeSet, check_maps_into
-from .enumeration import SemigroupTable, enumerate_elements, scc_labels
+from .enumeration import SemigroupTable, cayley_labels, enumerate_elements
 
 
 def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
@@ -26,10 +26,7 @@ def is_regular_by_search(table: SemigroupTable,
                          generator_ids: list[int]) -> list[bool]:
     """One flag per element id, reading only the generators' columns;
     AssertionError unless the ids generate the table."""
-    if len(table.closure(generator_ids)) != len(table):
-        raise AssertionError("the ids do not generate the table")
-    columns, _ = table.columns_of(generator_ids)
-    labels = scc_labels(list(zip(*columns)))
+    labels = cayley_labels(table, generator_ids, "R")["R"]
     holding = {k for k, f in zip(labels, table.elements) if f.is_idempotent()}
     return [k in holding for k in labels]
 

@@ -20,6 +20,8 @@ from ordrange import (
     RangeSet,
     SemigroupTable,
     enumerate_elements,
+    enumeration,
+    green,
     image,
     minimum_generating_set,
 )
@@ -69,6 +71,12 @@ def regular_by_scan(table):
             for a in range(len(table))]
 
 
+def every_id(table):
+    """Ids of every element of a table: the generating set that needs no
+    construction."""
+    return range(len(table))
+
+
 def constructed_ids(table):
     """Ids of the constructed minimum generating set of the table's range
     set in the table."""
@@ -91,13 +99,28 @@ def restrict(f, points):
     return PartialMap(f.n, dom, tuple(f.images[a - 1] for a in dom))
 
 
+def gaps(theta):
+    """``(a, b, lo, hi)`` per gap of a partial map, in chain order: the
+    points a+1 .. b-1, with a = 0 before the domain and b = n + 1 after
+    it.  ``lo`` and ``hi`` are the images at a and b, or None past either
+    end.  Gap t follows the t-point prefix ideal of the domain; it may be
+    empty."""
+    dom, img = theta.domain, theta.images
+    return zip((0,) + dom, dom + (theta.n + 1,), (None,) + img, img + (None,))
+
+
+def fixed_points(f):
+    """The points a total map sends to themselves."""
+    return frozenset(x for x in range(1, f.n + 1) if f.images[x - 1] == x)
+
+
 def extend_by_gaps(theta, choose):
-    """Reference for ``PartialMap.extend``, read off ``theta.gaps()``: the
+    """Reference for ``PartialMap.extend``, read off ``gaps(theta)``: the
     image of each domain point, then ``choose(lo, hi)`` on every point of
     each nonempty gap; returns the image tuple and the (lo, hi) pairs
     ``choose`` was called with, in chain order."""
     out, calls = [], []
-    for a, b, lo, hi in theta.gaps():
+    for a, b, lo, hi in gaps(theta):
         if a:
             out.append(lo)
         if b - a > 1:
@@ -134,6 +157,22 @@ def corank_one_class(table, Y, j):
 @pytest.fixture
 def y13():
     return RangeSet(3, (1, 3))
+
+
+@pytest.fixture
+def scc_runs(monkeypatch):
+    """The node count of every component labelling run while the test
+    runs: the Cayley-graph labellings and the Green oracle's D hub graph."""
+    runs = []
+    real = enumeration.scc_labels
+
+    def counted(adj):
+        runs.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(enumeration, "scc_labels", counted)
+    monkeypatch.setattr(green, "scc_labels", counted)
+    return runs
 
 
 @pytest.fixture

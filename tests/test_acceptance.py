@@ -14,6 +14,7 @@ from itertools import combinations, combinations_with_replacement
 from conftest import (
     constructed_ids,
     corank_one_class,
+    fixed_points,
     range_sets,
     regular_by_scan,
 )
@@ -32,7 +33,6 @@ from ordrange import (
     express_in_generators,
     factor_raising_rank,
     find_isomorphism,
-    fixed_points,
     floor_extension,
     full_image_maps,
     generates,
@@ -93,14 +93,15 @@ def test_criterion_03_green_equivalence():
     for n in range(1, 6):
         for Y in range_sets(n):
             table = enumerate_semigroup(Y)
+            ids = constructed_ids(table)
             for rel in ("L", "R", "H", "D", "J"):
                 chars = green_classes(rel, table)
-                oracle = green_classes_by_ideals(rel, table)
+                oracle = green_classes_by_ideals(rel, table, ids)
                 assert chars == oracle, (n, Y.members, rel)
             assert all(len(c) == 1
-                       for c in green_classes_by_ideals("H", table))
-            assert green_classes_by_ideals("D", table) == \
-                green_classes_by_ideals("J", table)
+                       for c in green_classes_by_ideals("H", table, ids))
+            assert green_classes_by_ideals("D", table, ids) == \
+                green_classes_by_ideals("J", table, ids)
             pairs += 1
     report(3, f"all five relations, characterized == ideal oracle, "
               f"{pairs} semigroups, n <= 5")

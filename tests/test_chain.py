@@ -4,7 +4,8 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import extend_by_gaps, reflect_partial, refines, restrict
+from conftest import (extend_by_gaps, fixed_points, reflect_partial, refines,
+                      restrict)
 from ordrange import (
     ChainMap,
     ConvexPartition,
@@ -16,7 +17,6 @@ from ordrange import (
     compose,
     constant,
     enumerate_elements,
-    fixed_points,
     floor_extension,
     identity,
     image,

@@ -3,7 +3,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import range_sets, restrict
+from conftest import gaps, range_sets, restrict
 from ordrange import (
     ChainMap,
     ConvexPartition,
@@ -41,20 +41,20 @@ class TestOrderIdeals:
 
     def test_two_points(self):
         theta = PartialMap(4, (1, 3), (1, 3))
-        assert list(theta.gaps()) == [
+        assert list(gaps(theta)) == [
             (0, 1, None, 1), (1, 3, 1, 3), (3, 5, 3, None)]
 
     def test_one_point(self):
         theta = PartialMap(3, (2,), (3,))
-        assert list(theta.gaps()) == [(0, 2, None, 3), (2, 4, 3, None)]
+        assert list(gaps(theta)) == [(0, 2, None, 3), (2, 4, 3, None)]
 
     def test_empty(self):
         theta = PartialMap(5, (3, 4), (2, 2))
-        assert next(theta.gaps()) == (0, 3, None, 2)
+        assert next(gaps(theta)) == (0, 3, None, 2)
 
     def test_count(self):
         theta = PartialMap(8, (2, 3, 5, 7), (1, 1, 4, 8))
-        assert len(list(theta.gaps())) == 5
+        assert len(list(gaps(theta))) == 5
 
 
 class TestCriterion:

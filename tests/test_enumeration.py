@@ -21,7 +21,7 @@ from ordrange import (
     full_image_maps,
     minimum_generating_set,
 )
-from ordrange.enumeration import check_guard
+from ordrange.enumeration import cayley_labels, check_guard
 
 
 class TestCount:
@@ -166,6 +166,21 @@ class TestTable:
             with pytest.raises(DomainError):
                 table.closure([0, bad])
 
+    def test_closure_of_a_cover_reads_no_column(self, y13, monkeypatch):
+        """Ids that cover the table are their own closure, with no BFS;
+        a list of the table's length holding an id out of range is no
+        cover, and is refused."""
+        table = enumerate_semigroup(y13)
+        read = table.columns_of
+        calls = []
+        monkeypatch.setattr(table, "columns_of",
+                            lambda ids: calls.append(1) or read(ids))
+        size = len(table)
+        assert table.closure(range(size)) == frozenset(range(size))
+        assert calls == []
+        with pytest.raises(DomainError):
+            table.closure([*range(size - 1), size])
+
     def test_rejects_out_of_range_ids(self, y13):
         table = enumerate_semigroup(y13)
         for bad in (-1, len(table)):
@@ -212,3 +227,21 @@ class TestTable:
         with pytest.raises(GuardExceeded, match=(
                 r"^semigroup has 10 elements, above the guard 9$")):
             check_guard(10, 9)
+
+
+class TestCayleyLabels:
+    @pytest.mark.parametrize("sides", ["R", "L", "J", "RL", "RLJ"])
+    def test_every_id_reads_the_columns_once(self, monkeypatch, scc_runs,
+                                             sides):
+        """Every id generates with no closure BFS: one ``columns_of``
+        pass serves both edge sets, and only the asked sides are
+        labelled."""
+        table = enumerate_semigroup(RangeSet(5, (1, 2, 4, 5)))
+        read, calls = table.columns_of, []
+        monkeypatch.setattr(table, "columns_of",
+                            lambda ids: calls.append(1) or read(ids))
+        labels = cayley_labels(table, range(len(table)), sides)
+        assert sorted(labels) == sorted(sides)
+        assert len(calls) == 1 and len(scc_runs) == len(sides)
+        assert all(len(v) == len(table) for v in labels.values())
+

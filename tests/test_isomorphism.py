@@ -4,14 +4,13 @@ import json
 import pytest
 
 import ordrange.isomorphism as search_module
-from conftest import range_sets
+from conftest import fixed_points, range_sets
 from ordrange import (
     GuardExceeded,
     RangeSet,
     are_isomorphic,
     enumerate_semigroup,
     find_isomorphism,
-    fixed_points,
     image,
     induced_range_bijection,
     is_isomorphism,

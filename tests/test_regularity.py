@@ -40,6 +40,12 @@ class TestOracleAgreement:
         flags4 = is_regular_by_search(table4, constructed_ids(table4))
         assert not flags4[table4.id_of(cm([2, 2, 2, 3]))]
 
+    def test_one_labelling(self, scc_runs):
+        """The R labels of the right Cayley graph, and nothing else."""
+        table = enumerate_semigroup(RangeSet(5, (1, 3, 4, 5)))
+        is_regular_by_search(table, constructed_ids(table))
+        assert scc_runs == [len(table)]
+
     def test_idempotents_are_regular(self):
         for Y in range_sets(4):
             table = enumerate_semigroup(Y)

@@ -17,7 +17,7 @@ from ordrange import (
     reflect,
     verify,
 )
-from ordrange.enumeration import count_maps, search_guard
+from ordrange.enumeration import DEFAULT_SEARCH_GUARD, count_maps, search_guard
 from ordrange.generators import GeneratingSet, TaggedGenerator
 from ordrange.verify import run_all
 
@@ -98,7 +98,8 @@ def test_skip_notes_count_every_excluded_set(n):
             sum(N > min(verify.BRUTE_RANK_LIMIT, guard) for N in sizes),
         "word-reconstruction":
             len(sizes) if n > verify.WORDS_LIMIT else 1,  # the whole chain
-        "isomorphism-classification": sum(N > guard for N in sizes),
+        "isomorphism-classification":
+            sum(N > min(DEFAULT_SEARCH_GUARD, guard) for N in sizes),
     }
     lines = run_all(n)["lines"]
     for line in lines:
@@ -114,6 +115,18 @@ def test_skip_notes_count_every_excluded_set(n):
     if n == 4:
         assert ("ok   word-reconstruction  (skipped 1 of 15 sets: the whole "
                 "chain, or n > 5)") in lines
+
+
+@pytest.mark.parametrize("value, note", [
+    ("7000", "skipped 1 of 31 sets: table above 60"),
+    ("20", "skipped 16 of 31 sets: table above 20"),
+])
+def test_env_guard_only_lowers_the_isomorphism_cap(monkeypatch, value, note):
+    """ORDRANGE_MAX_ELEMENTS may narrow the pairwise search sweep but
+    never widen it: raised to 7000 for the closure guard, it would
+    otherwise put every table up to N = 6435 in the sweep."""
+    monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", value)
+    assert f"ok   isomorphism-classification  ({note})" in run_all(5)["lines"]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -183,7 +196,8 @@ def test_closure_guard_refuses_before_any_work(monkeypatch, n, sets):
 
 def test_rank_constructed_checks_closure(monkeypatch):
     """A set of the right size that fails to generate is reported, and
-    the regularity oracle, which certifies the set it reads, refuses it."""
+    the regularity and Green oracles, which certify the set they read,
+    refuse it."""
     build = verify.minimum_generating_set
 
     def broken(n, Y, **kw):
@@ -195,8 +209,10 @@ def test_rank_constructed_checks_closure(monkeypatch):
 
     monkeypatch.setattr(verify, "minimum_generating_set", broken)
     report = run_all(6, [RangeSet(6, (1, 2, 4))])
-    assert report["failures"] == 2
+    assert report["failures"] == 3
     assert ("FAIL regularity-oracle-equivalence  (the ids do not generate "
+            "the table for Y=[1, 2, 4])") in report["lines"]
+    assert ("FAIL green-oracle-equivalence  (the ids do not generate "
             "the table for Y=[1, 2, 4])") in report["lines"]
     assert ("FAIL rank-constructed  (constructed set fails to generate "
             "Y=[1, 2, 4])") in report["lines"]
@@ -241,8 +257,8 @@ def test_green_sweep_checks_h_triviality(monkeypatch):
         classes = characterized(relation, table)
         return merge_h(classes) if relation == "H" else classes
 
-    def oracle_merged(table, relations):
-        partitions = oracle(table, relations)
+    def oracle_merged(table, relations, ids):
+        partitions = oracle(table, relations, ids)
         partitions["H"] = merge_h(partitions["H"])
         return partitions
 
