@@ -185,18 +185,16 @@ def _cmd_regular(args) -> dict:
 def _cmd_green(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
     table = enumerate_semigroup(Y)
-    ids = range(len(table))  # the oracle's generating set: every element
     if args.oracle:
+        classes = green_classes_by_ideals(args.relation, table)
         gens = minimum_generating_set(args.n, Y, check=False).elements()
-        ids = list(map(table.id_of, gens))
-        classes = green_classes_by_ideals(args.relation, table, ids)
-        regular = is_regular_by_search(table, ids)
+        regular = is_regular_by_search(table, list(map(table.id_of, gens)))
     else:
         classes = green_classes(args.relation, table)
         regular = [is_regular(f, Y) for f in table.elements]
     if args.check:
         other = (green_classes(args.relation, table) if args.oracle
-                 else green_classes_by_ideals(args.relation, table, ids))
+                 else green_classes_by_ideals(args.relation, table))
         if classes != other:
             raise AssertionError(
                 f"relation {args.relation}: characterized and oracle "

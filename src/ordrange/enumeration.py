@@ -12,8 +12,7 @@ trie of the elements, with no lookup per element.
 ``check_guard`` is the one element-count refusal: a caller hands it the
 size of the table it is about to build or search.  The subset searches
 read tables their callers built, so a caller needs one table per range
-set.  ``cayley_labels`` builds the Cayley graphs that both
-definition-based oracles, regularity and Green, read.
+set.  ``cayley_labels`` serves both definition-based oracles.
 """
 
 from __future__ import annotations
@@ -198,13 +197,12 @@ class SemigroupTable:
 def cayley_labels(table: SemigroupTable, generator_ids: Sequence[int],
                   sides: Iterable[str]) -> dict[str, list[int]]:
     """Strongly connected component labels of the table's Cayley graphs,
-    whose reachability is principal-ideal containment (the empty path
-    stands for the adjoined identity), for each of the ``sides`` asked:
-    "R" on the right edges a -> a*g over the columns of the ids, which
-    gives the same components for every generating set; "L" on the left
-    edges a -> s*a over every s, the entries of a's column, reached
-    through one hub node per column; "J" on both.  One ``columns_of``
-    pass serves every side.  AssertionError unless the ids generate."""
+    whose reachability is principal-ideal containment (the empty path is
+    the adjoined identity), for each side asked: "R" on right edges
+    a -> a*g over the ids' columns, the same components for every
+    generating set; "L" on left edges a -> s*a, the entries of a's
+    column, through one hub node per column; "J" on both.  One
+    ``columns_of`` pass.  AssertionError unless the ids generate."""
     if len(table.closure(generator_ids)) != len(table):
         raise AssertionError("the ids do not generate the table")
     sides, size = set(sides), len(table)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .chain import (
@@ -150,6 +150,14 @@ def floor_retraction(Y: RangeSet, i: int) -> ChainMap:
 def ceiling_retraction(Y: RangeSet, i: int) -> ChainMap:
     """Idempotent fixing Y minus its i-th member, pushing y_i upward."""
     return ceiling_extension(_retraction_seed(Y, i))
+
+
+@cache
+def _retraction(Y: RangeSet, kind: str, i: int) -> ChainMap:
+    """The ``kind`` (FLOOR or CEILING) retraction of Y at i, built once
+    per (Y, kind, i): only the slide reads it, to check its word, and it
+    reuses the same few of them for every element of a range set."""
+    return (ceiling_retraction if kind == CEILING else floor_retraction)(Y, i)
 
 
 def prefix_shift_generator(Y: RangeSet, i: int) -> ChainMap:
@@ -287,7 +295,7 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
     assert missing_index(beta, Y) == target and is_regular(beta, Y)
     check = beta
     for kind, idx in word:
-        check = compose(check, _BUILDERS[kind](Y, idx))
+        check = compose(check, _retraction(Y, kind, idx))
     assert check == alpha
     return beta, word
 

@@ -4,8 +4,8 @@ Two code paths are kept deliberately separate: a characterized class
 key per relation (``green_key``: two maps are related iff their keys
 agree), read from images, kernels and regularity, and a
 definition-based oracle that partitions an enumerated table by
-principal-ideal containment, reading R, L and J off the Cayley graphs of
-a generating set (``enumeration.cayley_labels``, shared with the
+principal-ideal containment, reading R, L and J off its Cayley graphs
+over every element (``enumeration.cayley_labels``, shared with the
 regularity oracle); ``green_partitions_by_ideals`` gives any of the five
 relations in one call.
 Both return a partition as a plain value, one list of element ids per
@@ -87,27 +87,24 @@ def green_classes(relation: str, table: SemigroupTable) -> list[list[int]]:
     return list(keys.values())
 
 
-def green_classes_by_ideals(relation: str, table: SemigroupTable,
-                            generator_ids: Sequence[int]) -> list[list[int]]:
+def green_classes_by_ideals(relation: str,
+                            table: SemigroupTable) -> list[list[int]]:
     """Definition-based oracle partition for one relation: see
     :func:`green_partitions_by_ideals`."""
-    return green_partitions_by_ideals(table, (relation,), generator_ids)[relation]
+    return green_partitions_by_ideals(table, (relation,))[relation]
 
 
-def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str],
-                               generator_ids: Sequence[int]
+def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str]
                                ) -> dict[str, list[list[int]]]:
     """Definition-based oracle partitions, from the Cayley graphs of the table.
 
-    R-, L- and J-classes are the components that
-    :func:`enumeration.cayley_labels` gives over ``generator_ids``, which
-    must generate the table (AssertionError otherwise).  H intersects L
+    R-, L- and J-classes are the labels of :func:`enumeration.cayley_labels`
+    over every element, which needs no closure search.  H intersects L
     and R, and D is the transitive closure of L union R with no
     commutation assumption: the components of the graph joining each
     element, both ways, to a hub node for its L-class and one for its
     R-class.  Each labelling (R, L, J and the D hub graph) runs at most
-    once, however many of ``relations`` read it.  Returns one partition
-    per requested relation.
+    once, however many of ``relations`` read it; one partition each.
     """
     for relation in relations:
         if relation not in RELATIONS:
@@ -115,8 +112,8 @@ def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str],
     wanted = set(relations)
     if wanted & {"H", "D"}:
         wanted |= {"L", "R"}
-    keys = cayley_labels(table, generator_ids, wanted & set("RLJ"))
     size = len(table)
+    keys = cayley_labels(table, range(size), wanted & set("RLJ"))
     if "H" in wanted:
         keys["H"] = list(zip(keys["L"], keys["R"]))
     if "D" in wanted:  # L- and R-classes joined through one hub per class

@@ -57,7 +57,7 @@ from .words import express_in_generators
 # The caps on what a check covers, each with the cost of lifting it (two
 # cores, CPU time, best of 7-15 interleaved runs; BENCH_25.json:
 # verify_battery p90 op 7.8 ms, pass 0.44 s)
-GREEN_LIMIT = 130          # at 210: +8 ms on each of the six (6, r = 5) sets
+GREEN_LIMIT = 130          # at 210: +9 ms on each of the six (6, r = 5) sets
 COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.43 s -> 1.84 s
 WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.40 s -> 0.61 s
 BRUTE_RANK_LIMIT = 21      # at 60: +171 ms per verify_battery pass
@@ -107,8 +107,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     def green(Y, table, generating_set):
         where = f"Y={list(Y.members)}"
-        ids = [table.id_of(g) for g in generating_set().elements()]
-        oracle = green_partitions_by_ideals(table, RELATIONS, ids)
+        oracle = green_partitions_by_ideals(table, RELATIONS)
         for rel in RELATIONS:
             if green_classes(rel, table) != oracle[rel]:
                 yield f"{rel} differs for {where}"

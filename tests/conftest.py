@@ -71,12 +71,6 @@ def regular_by_scan(table):
             for a in range(len(table))]
 
 
-def every_id(table):
-    """Ids of every element of a table: the generating set that needs no
-    construction."""
-    return range(len(table))
-
-
 def constructed_ids(table):
     """Ids of the constructed minimum generating set of the table's range
     set in the table."""

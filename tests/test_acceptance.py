@@ -93,15 +93,14 @@ def test_criterion_03_green_equivalence():
     for n in range(1, 6):
         for Y in range_sets(n):
             table = enumerate_semigroup(Y)
-            ids = constructed_ids(table)
             for rel in ("L", "R", "H", "D", "J"):
                 chars = green_classes(rel, table)
-                oracle = green_classes_by_ideals(rel, table, ids)
+                oracle = green_classes_by_ideals(rel, table)
                 assert chars == oracle, (n, Y.members, rel)
             assert all(len(c) == 1
-                       for c in green_classes_by_ideals("H", table, ids))
-            assert green_classes_by_ideals("D", table, ids) == \
-                green_classes_by_ideals("J", table, ids)
+                       for c in green_classes_by_ideals("H", table))
+            assert green_classes_by_ideals("D", table) == \
+                green_classes_by_ideals("J", table)
             pairs += 1
     report(3, f"all five relations, characterized == ideal oracle, "
               f"{pairs} semigroups, n <= 5")

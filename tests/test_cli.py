@@ -279,8 +279,8 @@ class TestGreenReport:
                                                  route):
         oracle = cli.green_classes_by_ideals
 
-        def merged(relation, table, ids):
-            first, second, *rest = oracle(relation, table, ids)
+        def merged(relation, table):
+            first, second, *rest = oracle(relation, table)
             return [sorted(first + second), *rest]
 
         monkeypatch.setattr(cli, "green_classes_by_ideals", merged)

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     brute_force_closure,
     brute_force_maps,
+    constructed_ids,
     maps_with_image_size,
     range_sets,
 )
@@ -19,6 +20,7 @@ from ordrange import (
     enumerate_elements,
     enumerate_semigroup,
     full_image_maps,
+    green_classes,
     minimum_generating_set,
 )
 from ordrange.enumeration import cayley_labels, check_guard
@@ -245,3 +247,34 @@ class TestCayleyLabels:
         assert len(calls) == 1 and len(scc_runs) == len(sides)
         assert all(len(v) == len(table) for v in labels.values())
 
+    def test_any_generating_set_gives_the_characterized_classes(self):
+        """The constructed ids and every id give the same R, L and J
+        partitions, and those are the characterized classes.  Every range
+        set with n <= 5, and the n = 6 whole chain."""
+        tables = [enumerate_semigroup(Y) for n in range(1, 6)
+                  for Y in range_sets(n)]
+        tables.append(enumerate_semigroup(RangeSet(6, (1, 2, 3, 4, 5, 6))))
+        for table in tables:
+            every = cayley_labels(table, range(len(table)), "RLJ")
+            constructed = cayley_labels(table, constructed_ids(table), "RLJ")
+            for side in "RLJ":
+                assert classes_of(every[side]) == \
+                    classes_of(constructed[side]) == \
+                    green_classes(side, table), (table.range_set, side)
+
+    @pytest.mark.parametrize("sides", ["R", "L", "RLJ"])
+    def test_ids_that_do_not_generate_refused(self, sides):
+        table = enumerate_semigroup(RangeSet(5, (1, 3, 4)))
+        ids = constructed_ids(table)[1:]
+        assert len(table.closure(ids)) < len(table)
+        with pytest.raises(AssertionError,
+                           match="^the ids do not generate the table$"):
+            cayley_labels(table, ids, sides)
+
+
+def classes_of(labels):
+    """A labelling as a partition: classes by least id, ids ascending."""
+    classes = {}
+    for i, label in enumerate(labels):
+        classes.setdefault(label, []).append(i)
+    return list(classes.values())

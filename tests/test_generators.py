@@ -265,7 +265,9 @@ class TestSlide:
             beta, word = slide_to_missing_index(alpha, target, Y)
             check = beta
             for kind, idx in word:
-                check = compose(check, builders[kind](Y, idx))
+                fresh = builders[kind](Y, idx)
+                assert generators._retraction(Y, kind, idx) == fresh
+                check = compose(check, fresh)
             assert check == alpha
             digest.update(repr((Y.members, alpha.images, target,
                                 beta.images, word)).encode())
@@ -273,6 +275,22 @@ class TestSlide:
         assert slides == 942
         assert digest.hexdigest() == (
             "61260679081405d289796eadb33771c717e83d957e4d4929700e092541e287bc")
+
+    def test_retractions_built_once_per_key(self, monkeypatch):
+        built = []
+        for name in ("floor_retraction", "ceiling_retraction"):
+            real = getattr(generators, name)
+
+            def counted(Y, i, real=real, name=name):
+                built.append((Y, name, i))
+                return real(Y, i)
+
+            monkeypatch.setattr(generators, name, counted)
+        generators._retraction.cache_clear()
+        for _ in range(2):
+            for Y, alpha, target in self._slides(4):
+                slide_to_missing_index(alpha, target, Y)
+        assert built and len(built) == len(set(built))
 
     def test_irregular_rejected(self):
         Y = RangeSet(4, (2, 3))

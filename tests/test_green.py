@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import constructed_ids, every_id, range_sets
+from conftest import range_sets
 from ordrange import (
     ChainMap,
     DomainError,
@@ -134,18 +134,16 @@ class TestOracleEggBox:
     def test_l_classes_y13(self, y13):
         table = enumerate_semigroup(y13)
         # elements: 0=[1,1,1] 1=[1,1,3] 2=[1,3,3] 3=[3,3,3]
-        assert green_classes_by_ideals("L", table, every_id(table)) == \
-            [[0], [1, 2], [3]]
+        assert green_classes_by_ideals("L", table) == [[0], [1, 2], [3]]
 
     def test_h_singletons_y13(self, y13):
         table = enumerate_semigroup(y13)
-        assert green_classes_by_ideals("H", table, every_id(table)) == \
-            [[0], [1], [2], [3]]
+        assert green_classes_by_ideals("H", table) == [[0], [1], [2], [3]]
 
     def test_d_equals_j_y13(self, y13):
         table = enumerate_semigroup(y13)
-        assert green_classes_by_ideals("D", table, every_id(table)) == \
-            green_classes_by_ideals("J", table, every_id(table))
+        assert green_classes_by_ideals("D", table) == \
+            green_classes_by_ideals("J", table)
 
 
 class TestCanonicalForm:
@@ -157,8 +155,7 @@ class TestCanonicalForm:
                 table = enumerate_semigroup(Y)
                 for rel in RELATIONS:
                     for classes in (green_classes(rel, table),
-                                    green_classes_by_ideals(
-                                        rel, table, every_id(table))):
+                                    green_classes_by_ideals(rel, table)):
                         assert all(c == sorted(c) for c in classes)
                         assert [c[0] for c in classes] == \
                             sorted(c[0] for c in classes)
@@ -172,8 +169,7 @@ class TestCayleyOracle:
             for Y in range_sets(n):
                 table = enumerate_semigroup(Y)
                 for rel in RELATIONS:
-                    assert green_classes_by_ideals(
-                        rel, table, every_id(table)) == \
+                    assert green_classes_by_ideals(rel, table) == \
                         ideal_oracle(rel, table), (n, Y, rel)
 
     def test_matches_characterization_on_whole_chain_6(self):
@@ -181,7 +177,7 @@ class TestCayleyOracle:
         table = enumerate_semigroup(Y)
         assert len(table) == 462
         for rel in RELATIONS:
-            assert green_classes_by_ideals(rel, table, every_id(table)) == \
+            assert green_classes_by_ideals(rel, table) == \
                 green_classes(rel, table), rel
 
 
@@ -189,38 +185,29 @@ class TestAllRelationsAtOnce:
     def test_five_relations_run_four_labellings(self, scc_runs):
         """R, L, J and the D hub graph, once each: H and D reuse L and R."""
         table = enumerate_semigroup(RangeSet(5, (1, 3, 4, 5)))
-        green_partitions_by_ideals(table, RELATIONS, constructed_ids(table))
+        green_partitions_by_ideals(table, RELATIONS)
         assert len(scc_runs) == 4
 
     @pytest.mark.parametrize("relation", ["R", "L"])
     def test_one_relation_call_runs_one_labelling(self, scc_runs, relation):
-        table = enumerate_semigroup(RangeSet(4, (1, 3)))
-        green_classes_by_ideals(relation, table, every_id(table))
+        green_classes_by_ideals(relation, enumerate_semigroup(RangeSet(4, (1, 3))))
         assert len(scc_runs) == 1
 
     def test_d_alone_labels_no_j(self, scc_runs):
         """D reads L and R and its hub graph: three labellings, no J."""
         table = enumerate_semigroup(RangeSet(5, (1, 3, 4, 5)))
-        green_classes_by_ideals("D", table, every_id(table))
+        green_classes_by_ideals("D", table)
         assert len(scc_runs) == 3
 
     def test_equals_one_relation_calls_and_characterization(self):
-        """Over every id and over the constructed ids alike: every
-        generating set gives the same components.  Every range set with
-        n <= 5, and the n = 6 whole chain."""
-        tables = [enumerate_semigroup(Y) for n in range(1, 6)
-                  for Y in range_sets(n)]
-        tables.append(enumerate_semigroup(RangeSet(6, (1, 2, 3, 4, 5, 6))))
-        for table in tables:
-            every, Y = every_id(table), table.range_set
-            partitions = green_partitions_by_ideals(table, RELATIONS, every)
-            constructed = green_partitions_by_ideals(table, RELATIONS,
-                                                     constructed_ids(table))
-            assert list(partitions) == list(RELATIONS)
-            for rel in RELATIONS:
-                assert partitions[rel] == constructed[rel] == \
-                    green_classes_by_ideals(rel, table, every) == \
-                    green_classes(rel, table), (Y, rel)
+        for n in range(1, 6):
+            for Y in range_sets(n):
+                table = enumerate_semigroup(Y)
+                partitions = green_partitions_by_ideals(table, RELATIONS)
+                assert list(partitions) == list(RELATIONS)
+                for rel in RELATIONS:
+                    assert partitions[rel] == green_classes_by_ideals(
+                        rel, table) == green_classes(rel, table), (n, Y, rel)
 
 
 class TestEquivalenceSweep:
@@ -230,8 +217,7 @@ class TestEquivalenceSweep:
                 table = enumerate_semigroup(Y)
                 for rel in ("L", "R", "H", "D", "J"):
                     chars = green_classes(rel, table)
-                    oracle = green_classes_by_ideals(rel, table,
-                                                     every_id(table))
+                    oracle = green_classes_by_ideals(rel, table)
                     assert chars == oracle, (n, Y, rel)
 
     def test_characterized_classes_read_the_tables_range_set(self):
@@ -239,8 +225,7 @@ class TestEquivalenceSweep:
         with it: {1, 2, 3} beside the table of (5, {1, 2}) once gave an L
         partition other than the oracle's, with no error."""
         table = enumerate_semigroup(RangeSet(5, (1, 2)))
-        assert green_classes("L", table) == \
-            green_classes_by_ideals("L", table, every_id(table))
+        assert green_classes("L", table) == green_classes_by_ideals("L", table)
         with pytest.raises(TypeError):
             green_classes("L", table, RangeSet(5, (1, 2, 3)))
 
@@ -307,20 +292,9 @@ class TestEggBoxShape:
 
 @pytest.mark.parametrize("call", [
     lambda Y: green_key("X", ChainMap(5, (1, 1, 3, 3, 5)), Y),
-    lambda Y: green_classes_by_ideals("X", enumerate_semigroup(Y), ()),
-    lambda Y: green_partitions_by_ideals(enumerate_semigroup(Y), ("R", "X"),
-                                         ()),
+    lambda Y: green_classes_by_ideals("X", enumerate_semigroup(Y)),
+    lambda Y: green_partitions_by_ideals(enumerate_semigroup(Y), ("R", "X")),
 ])
 def test_unknown_relation_refused(call):
     with pytest.raises(DomainError, match=r"^unknown relation 'X'$"):
         call(RangeSet(5, (1, 3, 5)))
-
-
-@pytest.mark.parametrize("relation", RELATIONS)
-def test_ids_that_do_not_generate_refused(relation):
-    table = enumerate_semigroup(RangeSet(5, (1, 3, 4)))
-    ids = constructed_ids(table)[1:]
-    assert len(table.closure(ids)) < len(table)
-    with pytest.raises(AssertionError,
-                       match="^the ids do not generate the table$"):
-        green_classes_by_ideals(relation, table, ids)

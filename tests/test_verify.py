@@ -196,8 +196,7 @@ def test_closure_guard_refuses_before_any_work(monkeypatch, n, sets):
 
 def test_rank_constructed_checks_closure(monkeypatch):
     """A set of the right size that fails to generate is reported, and
-    the regularity and Green oracles, which certify the set they read,
-    refuse it."""
+    the regularity oracle, which certifies the set it reads, refuses it."""
     build = verify.minimum_generating_set
 
     def broken(n, Y, **kw):
@@ -209,10 +208,8 @@ def test_rank_constructed_checks_closure(monkeypatch):
 
     monkeypatch.setattr(verify, "minimum_generating_set", broken)
     report = run_all(6, [RangeSet(6, (1, 2, 4))])
-    assert report["failures"] == 3
+    assert report["failures"] == 2
     assert ("FAIL regularity-oracle-equivalence  (the ids do not generate "
-            "the table for Y=[1, 2, 4])") in report["lines"]
-    assert ("FAIL green-oracle-equivalence  (the ids do not generate "
             "the table for Y=[1, 2, 4])") in report["lines"]
     assert ("FAIL rank-constructed  (constructed set fails to generate "
             "Y=[1, 2, 4])") in report["lines"]
@@ -257,8 +254,8 @@ def test_green_sweep_checks_h_triviality(monkeypatch):
         classes = characterized(relation, table)
         return merge_h(classes) if relation == "H" else classes
 
-    def oracle_merged(table, relations, ids):
-        partitions = oracle(table, relations, ids)
+    def oracle_merged(table, relations):
+        partitions = oracle(table, relations)
         partitions["H"] = merge_h(partitions["H"])
         return partitions
 
