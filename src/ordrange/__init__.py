@@ -67,6 +67,7 @@ from .green import (
     green_classes,
     green_classes_by_ideals,
     green_key,
+    green_partitions,
     green_partitions_by_ideals,
 )
 from .isomorphism import (

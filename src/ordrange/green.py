@@ -6,8 +6,11 @@ agree), read from images, kernels and regularity, and a
 definition-based oracle that partitions an enumerated table by
 principal-ideal containment, reading R, L and J off its Cayley graphs
 over every element (``enumeration.cayley_labels``, shared with the
-regularity oracle); ``green_partitions_by_ideals`` gives any of the five
-relations in one call.
+regularity oracle).  Each path gives any of the five relations in one
+call: ``green_partitions`` reads each element's regularity, values and
+kernel at most once, through the same per-element routine as
+``green_key`` and ``green_classes``, and ``green_partitions_by_ideals``
+runs each labelling at most once.
 Both return a partition as a plain value, one list of element ids per
 class: classes in order of least id, ids ascending inside each, so two
 partitions are equal iff the lists are.  ``egg_box`` turns a partition
@@ -23,6 +26,7 @@ from .enumeration import SemigroupTable, cayley_labels, scc_labels
 from .regularity import is_regular
 
 RELATIONS = ("L", "R", "H", "D", "J")
+_READ_REGULARITY = frozenset("LDJ")  # the keys that split on regularity
 
 
 def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
@@ -34,20 +38,34 @@ def green_key(relation: str, alpha: ChainMap, Y: RangeSet) -> tuple:
     does not map into Y raises DomainError (DimensionMismatch when it
     lives on another chain).
     """
-    if relation == "L":  # is_regular makes the membership check
-        if is_regular(alpha, Y):
-            return ("im", values(alpha))
-        return ("el", alpha.images)
-    if relation in ("D", "J"):
-        if is_regular(alpha, Y):
-            return ("rank", len(values(alpha)))
-        return ("ker", kernel(alpha).boundaries)
-    check_maps_into(alpha, Y)
-    if relation == "H":
-        return ("el", alpha.images)
-    if relation == "R":
-        return ("ker", kernel(alpha).boundaries)
-    raise DomainError(f"unknown relation {relation!r}")
+    return _keys((relation,), alpha, Y)[0]
+
+
+def _keys(relations: Sequence[str], alpha: ChainMap, Y: RangeSet
+          ) -> list[tuple]:
+    """The key of ``alpha`` under each of ``relations``, in order (see
+    :func:`green_key`): its regularity, values and kernel are each read
+    at most once, and only when a relation asked for needs them."""
+    if _READ_REGULARITY.isdisjoint(relations):
+        check_maps_into(alpha, Y)
+        regular = None
+    else:
+        regular = is_regular(alpha, Y)  # makes the membership check
+    vals = ker = None
+    keys = []
+    for relation in relations:
+        if relation == "H" or (relation == "L" and not regular):
+            keys.append(("el", alpha.images))
+        elif relation == "R" or (relation in ("D", "J") and not regular):
+            ker = ker or kernel(alpha).boundaries
+            keys.append(("ker", ker))
+        elif relation in ("L", "D", "J"):
+            vals = vals or values(alpha)
+            keys.append(("im", vals) if relation == "L"
+                        else ("rank", len(vals)))
+        else:
+            raise DomainError(f"unknown relation {relation!r}")
+    return keys
 
 
 def egg_box(relation: str, table: SemigroupTable, classes: list[list[int]],
@@ -79,12 +97,33 @@ def egg_box(relation: str, table: SemigroupTable, classes: list[list[int]],
 
 
 def green_classes(relation: str, table: SemigroupTable) -> list[list[int]]:
-    """Partition by the characterized form of one relation (L/R/H/D/J)."""
+    """Partition by the characterized form of one relation (L/R/H/D/J):
+    see :func:`green_partitions`."""
+    return green_partitions(table, (relation,))[relation]
+
+
+def green_partitions(table: SemigroupTable, relations: Sequence[str]
+                     ) -> dict[str, list[list[int]]]:
+    """Characterized partitions of the table, one per relation asked for.
+
+    The twin of :func:`green_partitions_by_ideals`: one pass keys each
+    element under every relation at once, so its regularity, values and
+    kernel are each read at most once, and only when an asked relation
+    needs them (H and R read no regularity).  An unknown relation raises
+    DomainError.
+    """
     Y = table.range_set
-    keys: dict[tuple, list[int]] = {}
-    for i, el in enumerate(table.elements):
-        keys.setdefault(green_key(relation, el, Y), []).append(i)
-    return list(keys.values())
+    rows = [_keys(relations, f, Y) for f in table.elements]
+    return {relation: _partition(keys)
+            for relation, keys in zip(relations, zip(*rows))}
+
+
+def _partition(keys: Sequence) -> list[list[int]]:
+    """The ids grouped by equal key: classes by least id, ids ascending."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def green_classes_by_ideals(relation: str,
@@ -126,10 +165,4 @@ def green_partitions_by_ideals(table: SemigroupTable, relations: Sequence[str]
             for i in members:
                 adj[i].append(hub)
         keys["D"] = scc_labels(adj + list(hubs.values()))[:size]
-    out = {}
-    for relation in relations:
-        groups: dict = {}
-        for i, key in enumerate(keys[relation]):
-            groups.setdefault(key, []).append(i)
-        out[relation] = list(groups.values())
-    return out
+    return {relation: _partition(keys[relation]) for relation in relations}

@@ -9,7 +9,13 @@ swept.  The canonical order-isomorphism is certified inside the
 semigroup: each element a and the first element c of its kernel class
 are joined by the extension s of the fiber-matching bijection, which
 must map into Y, and a * s must give c (and back unless a is c), a
-witness that a R c.
+witness that a R c.  For kernel-equal maps the bijection is the order
+isomorphism between the two images, so it and its extension are built
+once per distinct pair of images in a table, and every element is
+checked against them; s is injective on the image of a, so a * s = c
+still fails when a and c have different kernels.  The green sweep keys
+every element under all five relations in one pass
+(``green.green_partitions``) and compares with the oracle's five.
 Coverage has one rule: each check names the range sets it covers and
 the cap that skips the rest, and its line counts the sets it skipped:
 ``ok   <name>  (skipped K of M sets: <cap>)``, with no note when K = 0.
@@ -25,8 +31,8 @@ import math
 from collections import Counter
 from itertools import combinations
 
-from .chain import (PartialMap, RangeSet, check_on_chain, kernel, maps_into,
-                    values)
+from .chain import (ChainMap, DomainError, PartialMap, RangeSet,
+                    check_on_chain, kernel, maps_into, values)
 from .completability import (
     build_extension,
     canonical_order_isomorphism,
@@ -49,18 +55,18 @@ from .generators import (
     rank_by_formula,
     rank_by_search,
 )
-from .green import RELATIONS, green_classes, green_partitions_by_ideals
+from .green import RELATIONS, green_partitions, green_partitions_by_ideals
 from .isomorphism import are_isomorphic, find_isomorphism
 from .regularity import is_regular, is_regular_by_search, is_semigroup_regular
 from .words import express_in_generators
 
 # The caps on what a check covers, each with the cost of lifting it (two
-# cores, CPU time, best of 7-15 interleaved runs; BENCH_25.json:
-# verify_battery p90 op 7.8 ms, pass 0.44 s)
-GREEN_LIMIT = 130          # at 210: +9 ms on each of the six (6, r = 5) sets
-COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.43 s -> 1.84 s
-WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.40 s -> 0.61 s
-BRUTE_RANK_LIMIT = 21      # at 60: +171 ms per verify_battery pass
+# cores, CPU time, best of 7 interleaved runs; BENCH_27.json:
+# verify_battery p90 op 6.7 ms, pass 0.39 s)
+GREEN_LIMIT = 130          # at 210: +8 ms on each of the six (6, r = 5) sets
+COMPLETABILITY_LIMIT = 5   # at n = 6: run_all(6) 0.29 s -> 1.06 s
+WORDS_LIMIT = 5            # at n = 6: run_all(6) 0.27 s -> 0.45 s
+BRUTE_RANK_LIMIT = 21      # at 60: +107 ms per verify_battery pass
 
 
 def _all_range_sets(n: int) -> list[RangeSet]:
@@ -69,6 +75,19 @@ def _all_range_sets(n: int) -> list[RangeSet]:
         for members in combinations(range(1, n + 1), size):
             out.append(RangeSet(n, members))
     return out
+
+
+def _extension_images(alpha: ChainMap, beta: ChainMap, Y: RangeSet
+                      ) -> tuple[int, ...] | None:
+    """The images of the least extension of the fiber-matching bijection
+    from alpha to beta, or None when the kernels differ, there is no
+    extension or it leaves Y."""
+    try:
+        theta = canonical_order_isomorphism(alpha, beta)
+    except DomainError:  # kernels differ
+        return None
+    s = build_extension(theta, Y)
+    return s.images if s is not None and maps_into(s, Y) else None
 
 
 def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
@@ -108,8 +127,9 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
     def green(Y, table, generating_set):
         where = f"Y={list(Y.members)}"
         oracle = green_partitions_by_ideals(table, RELATIONS)
+        characterized = green_partitions(table, RELATIONS)
         for rel in RELATIONS:
-            if green_classes(rel, table) != oracle[rel]:
+            if characterized[rel] != oracle[rel]:
                 yield f"{rel} differs for {where}"
         if len(oracle["H"]) != len(table):
             yield f"H not trivial for {where}"
@@ -163,14 +183,20 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     def canonical(Y, table, generating_set):
         els = table.elements
+        vals = [values(f) for f in els]
         first: dict = {}  # kernel -> id of its first element
+        # (values x, values y) -> images of the extension into Y, or None:
+        # the bijection is the order isomorphism between the two images
+        extensions: dict = {}
         for a, f in enumerate(els):
             c = first.setdefault(kernel(f).boundaries, a)
             for x, y in ((a, c), (c, a)) if a != c else ((c, c),):
-                s = build_extension(
-                    canonical_order_isomorphism(els[x], els[y]), Y)
-                if (s is None or not maps_into(s, Y) or els[y].images
-                        != tuple(s.images[v - 1] for v in els[x].images)):
+                key = (vals[x], vals[y])
+                if key not in extensions:
+                    extensions[key] = _extension_images(els[x], els[y], Y)
+                s = extensions[key]
+                if s is None or els[y].images != tuple(
+                        s[v - 1] for v in els[x].images):
                     yield f"roundtrip fails in Y={list(Y.members)}"
 
     def isomorphism(Y, table, generating_set):

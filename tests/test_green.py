@@ -11,9 +11,11 @@ from ordrange import (
     constant,
     egg_box,
     enumerate_semigroup,
+    green,
     green_classes,
     green_classes_by_ideals,
     green_key,
+    green_partitions,
     green_partitions_by_ideals,
     image,
     is_regular,
@@ -200,14 +202,47 @@ class TestAllRelationsAtOnce:
         assert len(scc_runs) == 3
 
     def test_equals_one_relation_calls_and_characterization(self):
+        """Both routes' five-relation calls equal their one-relation calls
+        and each other."""
         for n in range(1, 6):
             for Y in range_sets(n):
                 table = enumerate_semigroup(Y)
                 partitions = green_partitions_by_ideals(table, RELATIONS)
-                assert list(partitions) == list(RELATIONS)
+                characterized = green_partitions(table, RELATIONS)
+                assert list(partitions) == list(characterized) == \
+                    list(RELATIONS)
                 for rel in RELATIONS:
                     assert partitions[rel] == green_classes_by_ideals(
-                        rel, table) == green_classes(rel, table), (n, Y, rel)
+                        rel, table) == characterized[rel] == green_classes(
+                        rel, table), (n, Y, rel)
+
+    @pytest.mark.parametrize("relations, regular, kernels", [
+        (("H",), 0, 0),
+        (("R",), 0, 1),
+        (("L",), 1, 0),
+        (RELATIONS, 1, 1),
+    ])
+    def test_characterized_reads_each_fact_once(self, monkeypatch, relations,
+                                                regular, kernels):
+        """Regularity and kernel are read at most once per element, and
+        only for a relation that needs them: a single H or R partition,
+        as `green --check` asks for, makes no regularity test."""
+        calls = []
+
+        def counted(name):
+            real = getattr(green, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in ("is_regular", "kernel"):
+            monkeypatch.setattr(green, name, counted(name))
+        table = enumerate_semigroup(RangeSet(5, (1, 3, 4, 5)))
+        green_partitions(table, relations)
+        assert calls.count("is_regular") == regular * len(table)
+        assert calls.count("kernel") == kernels * len(table)
 
 
 class TestEquivalenceSweep:
@@ -294,6 +329,8 @@ class TestEggBoxShape:
     lambda Y: green_key("X", ChainMap(5, (1, 1, 3, 3, 5)), Y),
     lambda Y: green_classes_by_ideals("X", enumerate_semigroup(Y)),
     lambda Y: green_partitions_by_ideals(enumerate_semigroup(Y), ("R", "X")),
+    lambda Y: green_classes("X", enumerate_semigroup(Y)),
+    lambda Y: green_partitions(enumerate_semigroup(Y), ("R", "X")),
 ])
 def test_unknown_relation_refused(call):
     with pytest.raises(DomainError, match=r"^unknown relation 'X'$"):

@@ -7,6 +7,7 @@ import pytest
 
 from ordrange import (
     ChainMap,
+    ConvexPartition,
     DomainError,
     GuardExceeded,
     RangeSet,
@@ -61,6 +62,26 @@ def test_run_all_oversize_and_capped_notes():
         "ok   word-reconstruction  (skipped 1 of 1 sets: the whole chain, "
         "or n > 5)",
         "ok   canonical-order-isomorphism",
+    ]
+
+
+def test_run_all_n6_report():
+    """Lines captured before the canonical sweep built one bijection per
+    distinct image pair and the green sweep keyed all five relations in
+    one pass."""
+    assert run_all(6)["lines"] == [
+        "ok   cardinality  (63 sets)",
+        "ok   regularity-oracle-equivalence",
+        "ok   green-oracle-equivalence  (skipped 7 of 63 sets: table above "
+        "130)",
+        "ok   completability-criterion  (skipped 63 of 63 sets: n > 5)",
+        "ok   rank-constructed",
+        "ok   rank-search  (skipped 42 of 63 sets: table above 21)",
+        "ok   word-reconstruction  (skipped 63 of 63 sets: the whole chain, "
+        "or n > 5)",
+        "ok   canonical-order-isomorphism",
+        "ok   isomorphism-classification  (skipped 22 of 63 sets: table above "
+        "60)",
     ]
 
 
@@ -228,13 +249,15 @@ def test_rank_constructed_reports_a_short_set(monkeypatch):
 
 def test_green_sweep_compares_the_partitions(monkeypatch):
     """A characterized partition with two classes merged is reported."""
-    characterized = verify.green_classes
+    characterized = verify.green_partitions
 
-    def merged(relation, table):
-        first, second, *rest = characterized(relation, table)
-        return [sorted(first + second), *rest]
+    def merged(table, relations):
+        partitions = characterized(table, relations)
+        first, second, *rest = partitions["L"]
+        partitions["L"] = [sorted(first + second), *rest]
+        return partitions
 
-    monkeypatch.setattr(verify, "green_classes", merged)
+    monkeypatch.setattr(verify, "green_partitions", merged)
     report = run_all(4, [RangeSet(4, (1, 3))])
     assert report["failures"] == 1
     assert ("FAIL green-oracle-equivalence  (L differs for Y=[1, 3])"
@@ -243,24 +266,18 @@ def test_green_sweep_compares_the_partitions(monkeypatch):
 
 def test_green_sweep_checks_h_triviality(monkeypatch):
     """Both routes merging two H-classes agree, and H-triviality fails."""
-    def merge_h(classes):
-        first, second, *rest = classes
-        return [sorted(first + second), *rest]
-
-    characterized = verify.green_classes
-    oracle = verify.green_partitions_by_ideals
-
-    def characterized_merged(relation, table):
-        classes = characterized(relation, table)
-        return merge_h(classes) if relation == "H" else classes
-
-    def oracle_merged(table, relations):
-        partitions = oracle(table, relations)
-        partitions["H"] = merge_h(partitions["H"])
+    def merged_h(route):
+        def partitions(table, relations):
+            out = route(table, relations)
+            first, second, *rest = out["H"]
+            out["H"] = [sorted(first + second), *rest]
+            return out
         return partitions
 
-    monkeypatch.setattr(verify, "green_classes", characterized_merged)
-    monkeypatch.setattr(verify, "green_partitions_by_ideals", oracle_merged)
+    monkeypatch.setattr(verify, "green_partitions",
+                        merged_h(verify.green_partitions))
+    monkeypatch.setattr(verify, "green_partitions_by_ideals",
+                        merged_h(verify.green_partitions_by_ideals))
     report = run_all(4, [RangeSet(4, (1, 3))])
     assert ("FAIL green-oracle-equivalence  (H not trivial for Y=[1, 3])"
             in report["lines"])
@@ -278,8 +295,9 @@ def test_canonical_certificate_checks_the_product(monkeypatch, value):
 
 
 def test_canonical_certificate_is_linear(monkeypatch):
-    """Two bijections per element: to its kernel representative and back;
-    one for the representative itself."""
+    """One bijection per distinct pair (image of a, image of its kernel
+    representative), either way round, per table: 1,138 at n = 6, where
+    the 6,282 element pairs built one each."""
     calls = []
     build = verify.canonical_order_isomorphism
 
@@ -289,7 +307,21 @@ def test_canonical_certificate_is_linear(monkeypatch):
 
     monkeypatch.setattr(verify, "canonical_order_isomorphism", counted)
     assert run_all(6)["failures"] == 0
-    assert len(calls) == 6282
+    assert len(calls) == 1138
+
+
+@pytest.mark.parametrize("merged", [(2, 4), (1, 2, 4)])
+def test_canonical_certificate_reports_a_wrong_kernel(monkeypatch, merged):
+    """A kernel key that merges two kernel classes fails the certificate
+    with its detail, not a traceback, whichever pair meets the merge
+    first: a key of two values or of three merged into one of two."""
+    real = verify.kernel
+    monkeypatch.setattr(verify, "kernel", lambda f: ConvexPartition(4, (3, 4))
+                        if real(f).boundaries == merged else real(f))
+    report = run_all(4, [RangeSet(4, (1, 2, 3))])
+    assert report["failures"] == 1
+    assert ("FAIL canonical-order-isomorphism  (roundtrip fails in "
+            "Y=[1, 2, 3])") in report["lines"]
 
 
 @pytest.mark.parametrize("name,patch", [
