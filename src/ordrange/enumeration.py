@@ -143,7 +143,7 @@ class SemigroupTable:
         raise DomainError(f"{el!r} is not an element of this table")
 
     def product(self, i: int, j: int) -> int:
-        """Id of elements[i] followed by elements[j]."""
+        """Id of elements[i] then elements[j]; a public, checked accessor."""
         size = len(self._ids)
         if not (0 <= i < size and 0 <= j < size):
             raise DomainError(f"element ids {i}, {j}: not both in 0..{size - 1}")

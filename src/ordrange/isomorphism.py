@@ -10,8 +10,9 @@ isomorphism, II", 2014; Araújo, von Bünau, Mitchell and Neunhöffer,
 "Computing automorphisms of semigroups", 2010), returns the
 lexicographically least isomorphism, and verifies it against the whole
 multiplication table, so a successful answer is a certified isomorphism.
-It reads the caller's two tables and refuses, through
-``enumeration.check_guard``, a pair whose larger table is above the
+It reads the caller's two tables, through ``columns_of`` only (the search
+once per side, a self pair once, the certificate on its own), and refuses,
+through ``enumeration.check_guard``, a pair whose larger table is above the
 search guard; a caller that builds the tables checks that guard first.
 """
 
@@ -43,29 +44,25 @@ def are_isomorphic(Y: RangeSet, Z: RangeSet) -> bool:
 
 
 def is_isomorphism(phi: dict[int, int], S: SemigroupTable, T: SemigroupTable) -> bool:
-    """Full multiplication-table check of a candidate bijection."""
-    if len(phi) != len(S) or len(set(phi.values())) != len(S) or len(S) != len(T):
+    """Full multiplication-table check, a*b read as the column of b at row
+    a; columns are unchecked, so a phi not a bijection of 0..N-1 is refused."""
+    ids = set(range(len(S)))
+    if len(T) != len(S) or phi.keys() != ids or set(phi.values()) != ids:
         return False
-    for a in range(len(S)):
-        fa = phi[a]
-        for b in range(len(S)):
-            if T.product(fa, phi[b]) != phi[S.product(a, b)]:
-                return False
-    return True
+    image = [phi[a] for a in range(len(S))]
+    s_columns, s_slot = S.columns_of(range(len(S)))
+    t_columns, t_slot = T.columns_of(image)  # T's column of phi(b), per b
+    return all(list(map(t_columns[t].__getitem__, image))
+               == list(map(image.__getitem__, s_columns[s]))
+               for s, t in set(zip(s_slot, t_slot)))
 
 
-def _product_table(table: SemigroupTable) -> tuple[list, list[list[int]]]:
-    """Rows (a*b over b) and columns (b*a over b) of every element a."""
+def _side(table: SemigroupTable) -> tuple[list[int], list[list[int]]]:
+    """Idempotency colours (a*a == a) and columns (b*a over b) of every
+    element a, from one ``columns_of`` pass; the search never mutates them."""
     columns, slots = table.columns_of(range(len(table)))
     cols = [columns[s] for s in slots]
-    return list(zip(*cols)), cols
-
-
-def _each_side(S: SemigroupTable, T: SemigroupTable, build) -> list:
-    """[build(S), build(T)], with one build shared by both sides of a self
-    pair; the search never mutates what it builds."""
-    first = build(S)
-    return [first, first if T is S else build(T)]
+    return [int(col[a] == a) for a, col in enumerate(cols)], cols
 
 
 def _refine(tables, colours):
@@ -111,12 +108,13 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
     check_guard(max(len(S), len(T)), search_guard())
     if len(S) != len(T):
         return None
-    start = _each_side(S, T, lambda X: [int(X.product(i, i) == i)
-                                        for i in range(len(X))])
-    if sorted(start[0]) != sorted(start[1]):
+    cs, s_cols = _side(S)
+    ct, t_cols = (cs, s_cols) if T is S else _side(T)
+    if sorted(cs) != sorted(ct):
         return None
-    tables = _each_side(S, T, _product_table)
-    stack = [start]
+    rows = list(zip(*s_cols))
+    tables = [(rows, s_cols), (rows if T is S else list(zip(*t_cols)), t_cols)]
+    stack = [[cs, ct]]
     while stack:
         colours = _refine(tables, stack.pop())
         if colours is None:
@@ -131,12 +129,10 @@ def find_isomorphism(S: SemigroupTable, T: SemigroupTable) -> dict[int, int] | N
                 return phi
             continue
         fresh = len(sizes)
-        branches = []
-        for t, c in enumerate(ct):
-            if c == cs[v]:
-                branches.append([cs[:v] + [fresh] + cs[v + 1:],
-                                 ct[:t] + [fresh] + ct[t + 1:]])
-        stack.extend(reversed(branches))  # pop the lowest t first
+        pinned = cs[:v] + [fresh] + cs[v + 1:]
+        for t in reversed(range(len(ct))):  # the lowest t is popped first
+            if ct[t] == cs[v]:
+                stack.append([pinned, ct[:t] + [fresh] + ct[t + 1:]])
     return None
 
 
@@ -159,6 +155,9 @@ def induced_range_bijection(phi: dict[int, int], S: SemigroupTable,
                 f"isomorphism sends the constant at {y} to {target!r}, "
                 "which is not constant")
         out[y] = next(iter(vals))
-    if sorted(out.values()) != list(Z.members):
+    images, members = list(out.values()), list(Z.members)  # in Y's order
+    if sorted(images) != members:
         raise AssertionError("induced map is not a bijection onto the range set")
+    if images != members and images[::-1] != members:
+        raise AssertionError("induced map is neither monotone nor antitone")
     return out

@@ -19,6 +19,7 @@ from ordrange import (
     PartialMap,
     RangeSet,
     SemigroupTable,
+    constant,
     enumerate_elements,
     enumeration,
     green,
@@ -146,6 +147,16 @@ def corank_one_class(table, Y, j):
     want = Y.without(j)
     return frozenset(i for i, el in enumerate(table.elements)
                      if image(el).members == want)
+
+
+def mixed_constants(table):
+    """The identity of a table on (3, {1, 2, 3}), but for its constants,
+    sent in the order 2, 1, 3: onto the range set, and neither monotone
+    nor antitone."""
+    c1, c2 = (table.id_of(constant(3, y)) for y in (1, 2))
+    phi = {a: a for a in range(len(table))}
+    phi[c1], phi[c2] = c2, c1
+    return phi
 
 
 @pytest.fixture

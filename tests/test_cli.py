@@ -13,7 +13,7 @@ import pytest
 import ordrange
 from ordrange import cli, generators, isomorphism
 from ordrange.cli import main
-from conftest import regular_by_scan
+from conftest import mixed_constants, regular_by_scan
 
 
 def run(capsys, *argv):
@@ -212,22 +212,34 @@ class TestGolden:
                                                        monkeypatch,
                                                        table_builds, Z,
                                                        builds):
-        """One semigroup table, and one row-and-column product table for
-        the search, per distinct range set."""
-        product_tables = []
-        build = isomorphism._product_table
+        """One semigroup table, and one read of its colours and columns
+        for the search, per distinct range set."""
+        reads = []
+        build = isomorphism._side
 
         def counted(table):
-            product_tables.append(table)
+            reads.append(table)
             return build(table)
 
-        monkeypatch.setattr(isomorphism, "_product_table", counted)
+        monkeypatch.setattr(isomorphism, "_side", counted)
         code, out, _ = run(capsys, "iso", "-n", "6", "-Y", "2,4,6", "-Z", Z,
                            "--search")
         assert code == 0
         assert json.loads(out)["mapping"] is not None
         assert len(table_builds) == builds
-        assert len(product_tables) == builds
+        assert len(reads) == builds
+
+    def test_mixed_induced_bijection_fails_verification(self, capsys,
+                                                       monkeypatch):
+        """A map that sends the constants in an order neither monotone nor
+        antitone is a broken isomorphism, reported as such."""
+        monkeypatch.setattr(cli, "find_isomorphism",
+                            lambda S, T: mixed_constants(S))
+        code, out, err = run(capsys, "iso", "-n", "3", "-Y", "1,2,3", "-Z",
+                             "1,2,3", "--search")
+        assert code == 1 and out == ""
+        assert err == ("verification failure: induced map is neither "
+                       "monotone nor antitone\n")
 
     @pytest.mark.parametrize("args", [["gens"], ["rank", "--check"]])
     def test_short_generating_set_fails_verification(self, capsys,

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from itertools import permutations
 
 import pytest
 
 import ordrange.isomorphism as search_module
-from conftest import fixed_points, range_sets
+from conftest import fixed_points, mixed_constants, range_sets
 from ordrange import (
     GuardExceeded,
     RangeSet,
@@ -18,7 +19,7 @@ from ordrange import (
     reflect,
     reflect_set,
 )
-from ordrange.enumeration import count_maps, search_guard
+from ordrange.enumeration import DEFAULT_SEARCH_GUARD, count_maps, search_guard
 
 
 class TestClassification:
@@ -77,6 +78,39 @@ class TestSearch:
         assert not is_isomorphism({**identity, 1: 2}, S, S)  # not injective
         assert not is_isomorphism({0: 0}, S, S)               # not total
 
+    @pytest.mark.parametrize("last_to", [
+        (3, 4),    # a value past the last id
+        (3, -1),   # a negative value
+        (4, 3),    # a key past the last id, in place of 3
+    ])
+    def test_certificate_refuses_a_map_off_the_ids(self, y13, last_to):
+        """A map that is not a bijection of 0..N-1 is refused before any
+        column is read, not raised on."""
+        S = enumerate_semigroup(y13)
+        phi = {a: a for a in range(len(S) - 1)}
+        key, value = last_to
+        phi[key] = value
+        assert len(phi) == len(S)
+        assert not is_isomorphism(phi, S, S)
+
+    @pytest.mark.parametrize("n, Y, Z", [(3, (1, 3), (1, 3)),
+                                         (4, (1, 2), (3, 4)),
+                                         (5, (2, 4), (2, 4))])
+    def test_certificate_is_the_definition_on_every_bijection(self, n, Y, Z):
+        """On small tables the certificate accepts exactly the bijections
+        that respect every product, read through the public accessor."""
+        S = enumerate_semigroup(RangeSet(n, Y))
+        T = enumerate_semigroup(RangeSet(n, Z))
+        ids = range(len(S))
+        accepted = 0
+        for images in permutations(ids):
+            phi = dict(zip(ids, images))
+            expected = all(T.product(phi[a], phi[b]) == phi[S.product(a, b)]
+                           for a in ids for b in ids)
+            assert is_isomorphism(phi, S, T) == expected
+            accepted += expected
+        assert accepted >= 1
+
     def test_size_mismatch_short_circuits(self):
         S = enumerate_semigroup(RangeSet(3, (1, 3)))
         T = enumerate_semigroup(RangeSet(3, (1, 2, 3)))
@@ -131,6 +165,34 @@ class TestSearch:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == ("0d7377264e018a70c92c5973d252821066c5fd2ff8bc7534"
                           "bac735e5c4df625f")
+
+    def test_pinned_answers_within_the_guard_up_to_n6(self):
+        """The search's answer on every ordered pair of equal-size range
+        sets with n <= 5 whose table is within the default search guard,
+        and on the self and mirror pairs at n = 6, pinned; every found
+        map induces a monotone or antitone range bijection."""
+        pairs = [(Y, Z) for n in range(1, 6) for Y in range_sets(n)
+                 for Z in range_sets(n, len(Y), len(Y))]
+        pairs += [(Y, Z) for Y in range_sets(6) for Z in (Y, reflect_set(Y))]
+        lines = []
+        tables = {}
+        for Y, Z in pairs:
+            if count_maps(Y.n, len(Y)) > DEFAULT_SEARCH_GUARD:
+                continue
+            for X in (Y, Z):
+                if X not in tables:
+                    tables[X] = enumerate_semigroup(X)
+            S, T = tables[Y], tables[Z]
+            phi = find_isomorphism(S, T)
+            if phi is not None:
+                induced_range_bijection(phi, S, T)
+            lines.append(json.dumps([
+                Y.n, list(Y.members), list(Z.members),
+                None if phi is None else [phi[a] for a in range(len(phi))]]))
+        assert len(lines) == 426
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("78f1a53c027d01d4cf9b6594815e8cbe043f05b7bd68393d"
+                          "5f82f6e73db05e61")
 
     def test_least_map_with_many_automorphisms(self):
         S = enumerate_semigroup(RangeSet(9, (1, 5)))
@@ -206,6 +268,13 @@ class TestInducedBijection:
         swap = {0: 3, 3: 0, 1: 1, 2: 2}
         assert is_isomorphism(swap, S, S)
         assert induced_range_bijection(swap, S, S) == {1: 3, 3: 1}
+
+    def test_mixed_order_on_the_constants_reported_as_broken(self):
+        # onto the range set, but neither monotone nor antitone
+        S = enumerate_semigroup(RangeSet(3, (1, 2, 3)))
+        phi = mixed_constants(S)
+        with pytest.raises(AssertionError, match="neither monotone nor antitone"):
+            induced_range_bijection(phi, S, S)
 
     def test_constant_to_nonconstant_reported_as_broken(self, y13):
         S = enumerate_semigroup(y13)
