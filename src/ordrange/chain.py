@@ -3,13 +3,16 @@
 Points of the chain {1 < 2 < ... < n} are 1-indexed everywhere; any
 0-indexing is an implementation detail that never crosses the API.
 All types are immutable values and every operation here is pure, so
-instances are safe to share between threads.
+instances are safe to share between threads.  The value classes keep
+their fields in ``__slots__`` that only the constructor writes: they
+refuse assignment and deletion with AttributeError, compare and hash by
+their field tuple, and a copy or pickle is rebuilt through the
+constructor, so its checks run again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
@@ -48,6 +51,22 @@ def _check_points(n: int, points: tuple[int, ...], name: str,
         prev = v + step
 
 
+class _Frozen:
+    """Base of the value types: instances refuse assignment and deletion;
+    constructors write their fields through ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
 def check_on_chain(n: int, Y: RangeSet) -> None:
     """Refuse a range set that lives on a chain other than {1..n}."""
     if Y.n != n:
@@ -61,8 +80,7 @@ def check_maps_into(f: ChainMap, Y: RangeSet) -> None:
         raise DomainError(f"{f!r} does not map into {list(Y.members)}")
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(_Frozen):
     """A total order-preserving transformation of {1..n}.
 
     ``images[x-1]`` is the image of point ``x``.  The sequence must be
@@ -70,11 +88,16 @@ class ChainMap:
     construction, never normalized.
     """
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ("n", "images")
+
+    def __init__(self, n: int, images: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "images", tuple(images))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
+        """The checks of a new map, a method of its own so that
+        ``bench/tracer.py`` can count checked constructions by rebinding it."""
         _check_points(self.n, self.images, "image", False)
         if len(self.images) != self.n:
             raise DomainError(
@@ -86,11 +109,21 @@ class ChainMap:
         valid by construction: ``images`` is a weakly increasing tuple of
         n values in 1..n."""
         f = object.__new__(cls)
-        # as the dataclass __init__ does; writing through f.__dict__ would
-        # give each map its own dict and slow every later attribute read
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "images", images)
+        # the slots as __init__ writes them, without its tuple() copy
+        _set(f, "n", n)
+        _set(f, "images", images)
         return f
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.images) == (other.n, other.images)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.images))
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.images)
 
     @classmethod
     def from_images(cls, images: Iterable[int]) -> "ChainMap":
@@ -109,8 +142,7 @@ class ChainMap:
         return all(self.images[v - 1] == v for v in set(self.images))
 
 
-@dataclass(frozen=True)
-class PartialMap:
+class PartialMap(_Frozen):
     """An order-preserving map from a subchain of {1..n} into {1..n}.
 
     The domain is strictly increasing, the image sequence weakly
@@ -118,13 +150,13 @@ class PartialMap:
     extension is a choice of values on each gap (:meth:`extend`).
     """
 
-    n: int
-    domain: tuple[int, ...]
-    images: tuple[int, ...]
+    __slots__ = ("n", "domain", "images")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "images", tuple(self.images))
+    def __init__(self, n: int, domain: tuple[int, ...],
+                 images: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "domain", tuple(domain))
+        _set(self, "images", tuple(images))
         _check_points(self.n, self.domain, "domain point", True)
         _check_points(self.n, self.images, "image", False)
         if not self.domain:
@@ -133,6 +165,18 @@ class PartialMap:
             raise DomainError(
                 f"domain has {len(self.domain)} points but "
                 f"{len(self.images)} images")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.domain, self.images)
+                    == (other.n, other.domain, other.images))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.domain, self.images))
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.domain, self.images)
 
     def __call__(self, a: int) -> int:
         i = bisect_left(self.domain, a)
@@ -164,8 +208,7 @@ class PartialMap:
         return f"PartialMap({pairs})"
 
 
-@dataclass(frozen=True)
-class RangeSet:
+class RangeSet(_Frozen):
     """A nonempty subset of {1..n}, kept sorted strictly increasing.
 
     ``_member_set``, the members as a frozenset for membership tests, is
@@ -173,15 +216,26 @@ class RangeSet:
     constructor ignore it.
     """
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "members", "_member_set")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "members", tuple(members))
         _check_points(self.n, self.members, "member", True)
         if not self.members:
             raise DomainError("range set must be nonempty")
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+        _set(self, "_member_set", frozenset(self.members))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.members) == (other.n, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -202,23 +256,33 @@ class RangeSet:
         return f"RangeSet(n={self.n}, {{{', '.join(map(str, self.members))}}})"
 
 
-@dataclass(frozen=True)
-class ConvexPartition:
+class ConvexPartition(_Frozen):
     """A partition of {1..n} into consecutive intervals.
 
     Stored as the strictly increasing right endpoints of the blocks,
     ending at n.  Two kernels are equal iff their boundary tuples are.
     """
 
-    n: int
-    boundaries: tuple[int, ...]
+    __slots__ = ("n", "boundaries")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
+    def __init__(self, n: int, boundaries: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "boundaries", tuple(boundaries))
         _check_points(self.n, self.boundaries, "boundary point", True)
         if not self.boundaries or self.boundaries[-1] != self.n:
             raise DomainError(
                 f"boundaries {list(self.boundaries)} must end at {self.n}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.boundaries) == (other.n, other.boundaries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.boundaries))
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.boundaries)
 
     @property
     def weight(self) -> int:
@@ -241,6 +305,8 @@ class ConvexPartition:
 
     def split_block(self, t: int) -> "ConvexPartition":
         """Split off the first point of block ``t`` (1-based) as its own block."""
+        if not 1 <= t <= self.weight:
+            raise DomainError(f"block {t} outside 1..{self.weight}")
         first, last = self.blocks()[t - 1]
         if first == last:
             raise DomainError(f"block {t} is a singleton, cannot split")

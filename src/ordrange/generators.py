@@ -27,7 +27,6 @@ that the rest of it generates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
@@ -46,6 +45,8 @@ from .chain import (
     reflect,
     reflect_set,
     values,
+    _Frozen,
+    _set,
 )
 from .enumeration import (
     SemigroupTable,
@@ -304,13 +305,32 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
 # the generating set
 
 
-@dataclass(frozen=True)
-class TaggedGenerator:
+class TaggedGenerator(_Frozen):
     """A generator together with how it was constructed."""
 
-    element: ChainMap
-    kind: str
-    index: int | None = None
+    __slots__ = ("element", "kind", "index")
+
+    def __init__(self, element: ChainMap, kind: str,
+                 index: int | None = None) -> None:
+        _set(self, "element", element)
+        _set(self, "kind", kind)
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.element, self.kind, self.index)
+                    == (other.element, other.kind, other.index))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.element, self.kind, self.index))
+
+    def __reduce__(self):
+        return self.__class__, (self.element, self.kind, self.index)
+
+    def __repr__(self) -> str:
+        return (f"TaggedGenerator(element={self.element!r}, "
+                f"kind={self.kind!r}, index={self.index!r})")
 
     def as_dict(self) -> dict:
         return {
@@ -320,8 +340,7 @@ class TaggedGenerator:
         }
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(_Frozen):
     """Tagged generators of the monotone maps into a range set.
 
     Four lookups are kept with the set (they are not fields, so
@@ -339,10 +358,12 @@ class GeneratingSet:
     raises DomainError on the whole chain.
     """
 
-    range_set: RangeSet
-    members: tuple[TaggedGenerator, ...]
+    # no __slots__: the lookups and the cached ``anchors`` live in __dict__
 
-    def __post_init__(self) -> None:
+    def __init__(self, range_set: RangeSet,
+                 members: tuple[TaggedGenerator, ...]) -> None:
+        _set(self, "range_set", range_set)
+        _set(self, "members", members)
         kind_of: dict[tuple[int, ...], str] = {}
         tag_words: dict[tuple[str, int | None], tuple[ChainMap, ...]] = {}
         for g in self.members:
@@ -352,9 +373,25 @@ class GeneratingSet:
             check_maps_into(g.element, self.range_set)
             if g.kind != FULL_IMAGE:
                 tag_words[g.kind, g.index] = (g.element,)
-        object.__setattr__(self, "kind_of", kind_of)
-        object.__setattr__(self, "tag_words", tag_words)
-        object.__setattr__(self, "corank_words", {})
+        _set(self, "kind_of", kind_of)
+        _set(self, "tag_words", tag_words)
+        _set(self, "corank_words", {})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.range_set, self.members)
+                    == (other.range_set, other.members))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.range_set, self.members))
+
+    def __reduce__(self):
+        return self.__class__, (self.range_set, self.members)
+
+    def __repr__(self) -> str:
+        return (f"GeneratingSet(range_set={self.range_set!r}, "
+                f"members={self.members!r})")
 
     @cached_property
     def anchors(self) -> tuple[int, int]:

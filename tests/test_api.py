@@ -6,6 +6,10 @@ disagrees with the range set has nowhere to come in.
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +69,19 @@ def test_where_a_chain_size_meets_a_range_set_another_chain_is_refused(
                            match=r"^range set lives on chain 5, not 4$"):
             call()
     assert table_builds == []
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    """Every CLI call and benchmark pass pays the package's imports; the
+    value types are plain classes, so neither module nor its own import
+    chain is loaded.  Modules the interpreter loaded before the package
+    do not count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); "
+            "import ordrange, ordrange.cli, ordrange.verify; "
+            "print(sorted(({'dataclasses', 'inspect'} - before) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from itertools import combinations, combinations_with_replacement, product
 
@@ -330,7 +332,68 @@ _Y135 = RangeSet(5, (1, 3, 5))
     (lambda: ConvexPartition(3, (1, 3)).block_of(4), "point 4 outside 1..3"),
     (lambda: ConvexPartition(3, (1, 3)).split_block(1),
      "block 1 is a singleton, cannot split"),
+    (lambda: ConvexPartition(5, (2, 5)).split_block(0), "block 0 outside 1..2"),
+    (lambda: ConvexPartition(5, (2, 5)).split_block(-1),
+     "block -1 outside 1..2"),
+    (lambda: ConvexPartition(5, (2, 5)).split_block(3), "block 3 outside 1..2"),
 ])
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# (build, a field, a value of that field the constructor refuses)
+VALUE_TYPES = [
+    (lambda: ChainMap(4, (1, 1, 3, 4)), "images", (4, 3, 1, 1)),
+    (lambda: PartialMap(5, (1, 4), (2, 5)), "domain", (4, 1)),
+    (lambda: RangeSet(5, (1, 3, 5)), "members", (5, 3, 1)),
+    (lambda: ConvexPartition(5, (2, 5)), "boundaries", (2, 4)),
+]
+ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+TRIP_IDS = ["copy", "deepcopy", "pickle"]
+
+
+@pytest.mark.parametrize("build, field, bad", VALUE_TYPES,
+                         ids=["ChainMap", "PartialMap", "RangeSet",
+                              "ConvexPartition"])
+class TestValueTypes:
+    def test_equal_fields_give_equal_values_and_hashes(self, build, field, bad):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+
+    def test_fields_refuse_assignment_and_deletion(self, build, field, bad):
+        a = build()
+        for name in (field, "n", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, bad)
+        for name in (field, "n"):
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == build()
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS, ids=TRIP_IDS)
+    def test_copies_are_rebuilt_through_the_constructor(
+            self, build, field, bad, trip, monkeypatch):
+        a = build()
+        cls = type(a)
+        init, calls = cls.__init__, []
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+        b = trip(a)
+        assert type(b) is cls and b == a and hash(b) == hash(a)
+        assert len(calls) == 1
+        object.__setattr__(a, field, bad)
+        with pytest.raises(DomainError):
+            trip(a)
+
+
+def test_values_of_other_types_with_equal_fields_differ():
+    whole = (1, 2, 3)
+    values = [ChainMap(3, whole), RangeSet(3, whole), ConvexPartition(3, whole),
+              PartialMap(3, whole, whole), (3, whole), (3, whole, whole)]
+    for a, b in combinations(values, 2):
+        assert a != b and b != a

@@ -1,6 +1,8 @@
-import dataclasses
+import copy
 import hashlib
+import inspect
 import math
+import pickle
 import re
 
 import pytest
@@ -436,11 +438,94 @@ class TestLookups:
     def test_the_chain_is_the_range_sets(self):
         """A generating set has no chain size of its own to disagree with
         its range set."""
-        assert [f.name for f in dataclasses.fields(GeneratingSet)] == [
+        assert list(inspect.signature(GeneratingSet).parameters) == [
             "range_set", "members"]
         gens = minimum_generating_set(5, RangeSet(5, (1, 3, 4)), check=False)
         with pytest.raises(TypeError):
             GeneratingSet(7, gens.range_set, gens.members)
+
+
+class TestValueTypes:
+    """TaggedGenerator and GeneratingSet are values: equal fields give
+    equal values and hashes, fields are frozen, and a copy is rebuilt
+    through the constructor."""
+
+    Y = RangeSet(6, (1, 2, 4, 6))
+
+    def builds(self):
+        yield lambda: TaggedGenerator(cm([1, 1, 3]), "floor_retraction", 2)
+        yield lambda: minimum_generating_set(6, self.Y, check=False)
+
+    def test_equal_fields_give_equal_values_and_hashes(self):
+        for build in self.builds():
+            a, b = build(), build()
+            assert a is not b
+            assert a == b and not a != b and hash(a) == hash(b)
+
+    def test_never_equal_to_another_type(self):
+        class Lookalike(TaggedGenerator):
+            __slots__ = ()
+
+        g, gens = (build() for build in self.builds())
+        for a, b in ((g, Lookalike(g.element, g.kind, g.index)),
+                     (g, (g.element, g.kind, g.index)),
+                     (gens, (gens.range_set, gens.members))):
+            assert a != b and b != a
+
+    def test_fields_refuse_assignment_and_deletion(self):
+        g, gens = (build() for build in self.builds())
+        for value, fields in ((g, ("element", "kind", "index")),
+                              (gens, ("range_set", "members", "kind_of",
+                                      "anchors"))):
+            for name in fields + ("extra",):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+
+    @pytest.mark.parametrize("trip", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_rebuilt_through_the_constructor(self, trip,
+                                                        monkeypatch):
+        calls = []
+        for cls in (TaggedGenerator, GeneratingSet):
+            def counted(self, *args, init=cls.__init__):
+                calls.append(type(self))
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
+        gens = minimum_generating_set(6, self.Y, check=False)
+        express_in_generators(floor_retraction(self.Y, 3), gens)
+        assert gens.corank_words
+        calls.clear()
+        twin = trip(gens)
+        assert type(twin) is GeneratingSet
+        assert twin == gens and hash(twin) == hash(gens)
+        assert calls.count(GeneratingSet) == 1
+        assert twin.kind_of == gens.kind_of and twin.corank_words == {}
+        calls.clear()
+        assert trip(gens.members[0]) == gens.members[0]
+        assert calls == [TaggedGenerator]
+        object.__setattr__(gens, "members", gens.members * 2)
+        with pytest.raises(DomainError, match="^duplicate generator"):
+            trip(gens)
+
+    def test_reprs(self):
+        assert repr(TaggedGenerator(cm([1, 1, 3]), "floor_retraction", 2)) == (
+            "TaggedGenerator(element=ChainMap([1, 1, 3]), "
+            "kind='floor_retraction', index=2)")
+        Y = RangeSet(4, (1, 3))
+        assert repr(minimum_generating_set(4, Y, check=False)) == (
+            "GeneratingSet(range_set=RangeSet(n=4, {1, 3}), members=("
+            "TaggedGenerator(element=ChainMap([1, 3, 3, 3]), "
+            "kind='full_image', index=None), "
+            "TaggedGenerator(element=ChainMap([1, 1, 3, 3]), "
+            "kind='full_image', index=None), "
+            "TaggedGenerator(element=ChainMap([1, 1, 1, 3]), "
+            "kind='full_image', index=None), "
+            "TaggedGenerator(element=ChainMap([3, 3, 3, 3]), "
+            "kind='ceiling_retraction', index=1)))")
 
 
 class TestGenerates:
