@@ -3,16 +3,15 @@
 Points of the chain {1 < 2 < ... < n} are 1-indexed everywhere; any
 0-indexing is an implementation detail that never crosses the API.
 All types are immutable values and every operation here is pure, so
-instances are safe to share between threads.  The value classes keep
-their fields in ``__slots__`` that only the constructor writes: they
-refuse assignment and deletion with AttributeError, compare and hash by
-their field tuple, and a copy or pickle is rebuilt through the
-constructor, so its checks run again.
+instances are safe to share between threads.  Their base ``_Frozen``
+derives equality, hashing and copying from one field list per class; a
+copy or pickle is rebuilt through the constructor, so its checks run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Callable, Iterable
 
 
@@ -34,17 +33,25 @@ class GuardExceeded(RuntimeError):
     """
 
 
+def check_int(v: int, name: str) -> None:
+    """Refuse ``v``, named ``name``, unless its type is exactly int."""
+    if type(v) is not int:
+        raise DomainError(f"{name} {v!r} is not an int")
+
+
 def _check_points(n: int, points: tuple[int, ...], name: str,
                   strict: bool) -> None:
-    """Refuse a point sequence unless the chain size n is positive and the
-    points are ints in 1..n, strictly increasing when ``strict`` and
+    """Refuse a point sequence unless the chain size n is a positive int and
+    the points are ints in 1..n, strictly increasing when ``strict`` and
     weakly otherwise; ``name`` names one point in the messages."""
+    check_int(n, "chain size")
     if n < 1:
         raise DomainError(f"chain size must be positive, got {n}")
     prev, step = 1, int(strict)
     for v in points:  # one chained comparison per point on the valid path
         if type(v) is not int or not prev <= v <= n:
-            if type(v) is not int or not 1 <= v <= n:
+            check_int(v, name)
+            if not 1 <= v <= n:
                 raise DomainError(f"{name} {v!r} outside 1..{n}")
             raise DomainError(f"{name}s {list(points)} are not "
                               f"{'strictly' if strict else 'weakly'} increasing")
@@ -52,16 +59,37 @@ def _check_points(n: int, points: tuple[int, ...], name: str,
 
 
 class _Frozen:
-    """Base of the value types: instances refuse assignment and deletion;
-    constructors write their fields through ``_set``."""
+    """Base of the value types.  ``_fields``, the constructor's parameters
+    in order (two or more), is all that equality (same class and field
+    tuple), the hash, copy and pickle (the constructor on the field tuple)
+    and the default ``name=value`` repr read.  Instances refuse assignment
+    and deletion; constructors write their fields through ``_set``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)  # a value's field tuple
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
 
 _set = object.__setattr__
@@ -88,7 +116,7 @@ class ChainMap(_Frozen):
     construction, never normalized.
     """
 
-    __slots__ = ("n", "images")
+    __slots__ = _fields = ("n", "images")
 
     def __init__(self, n: int, images: tuple[int, ...]) -> None:
         _set(self, "n", n)
@@ -113,17 +141,6 @@ class ChainMap(_Frozen):
         _set(f, "n", n)
         _set(f, "images", images)
         return f
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.images) == (other.n, other.images)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.images))
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.images)
 
     @classmethod
     def from_images(cls, images: Iterable[int]) -> "ChainMap":
@@ -150,7 +167,7 @@ class PartialMap(_Frozen):
     extension is a choice of values on each gap (:meth:`extend`).
     """
 
-    __slots__ = ("n", "domain", "images")
+    __slots__ = _fields = ("n", "domain", "images")
 
     def __init__(self, n: int, domain: tuple[int, ...],
                  images: tuple[int, ...]) -> None:
@@ -165,18 +182,6 @@ class PartialMap(_Frozen):
             raise DomainError(
                 f"domain has {len(self.domain)} points but "
                 f"{len(self.images)} images")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.n, self.domain, self.images)
-                    == (other.n, other.domain, other.images))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.domain, self.images))
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.domain, self.images)
 
     def __call__(self, a: int) -> int:
         i = bisect_left(self.domain, a)
@@ -216,7 +221,8 @@ class RangeSet(_Frozen):
     constructor ignore it.
     """
 
-    __slots__ = ("n", "members", "_member_set")
+    _fields = ("n", "members")
+    __slots__ = _fields + ("_member_set",)
 
     def __init__(self, n: int, members: tuple[int, ...]) -> None:
         _set(self, "n", n)
@@ -225,17 +231,6 @@ class RangeSet(_Frozen):
         if not self.members:
             raise DomainError("range set must be nonempty")
         _set(self, "_member_set", frozenset(self.members))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.members) == (other.n, other.members)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.members))
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -263,7 +258,7 @@ class ConvexPartition(_Frozen):
     ending at n.  Two kernels are equal iff their boundary tuples are.
     """
 
-    __slots__ = ("n", "boundaries")
+    __slots__ = _fields = ("n", "boundaries")
 
     def __init__(self, n: int, boundaries: tuple[int, ...]) -> None:
         _set(self, "n", n)
@@ -272,17 +267,6 @@ class ConvexPartition(_Frozen):
         if not self.boundaries or self.boundaries[-1] != self.n:
             raise DomainError(
                 f"boundaries {list(self.boundaries)} must end at {self.n}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.boundaries) == (other.n, other.boundaries)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.boundaries))
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.boundaries)
 
     @property
     def weight(self) -> int:
@@ -310,9 +294,7 @@ class ConvexPartition(_Frozen):
         first, last = self.blocks()[t - 1]
         if first == last:
             raise DomainError(f"block {t} is a singleton, cannot split")
-        extra = first
-        bs = sorted(self.boundaries + (extra,))
-        return ConvexPartition(self.n, tuple(bs))
+        return ConvexPartition(self.n, tuple(sorted(self.boundaries + (first,))))
 
     def __repr__(self) -> str:
         parts = "|".join(
@@ -325,11 +307,13 @@ class ConvexPartition(_Frozen):
 
 
 def identity(n: int) -> ChainMap:
+    check_int(n, "chain size")
     return ChainMap(n, tuple(range(1, n + 1)))
 
 
 def constant(n: int, y: int) -> ChainMap:
     """The constant transformation with image {y}."""
+    check_int(n, "chain size")
     return ChainMap(n, (y,) * n)
 
 

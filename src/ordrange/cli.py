@@ -168,7 +168,6 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_regular(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    check_guard(count_maps(args.n, len(Y)), closure_guard())
     reg = regular_elements(Y)
     payload = {
         "n": args.n,

@@ -19,7 +19,8 @@ from bisect import bisect_left
 
 from .chain import (ChainMap, DimensionMismatch, DomainError, PartialMap,
                     RangeSet, check_on_chain, kernel)
-from .enumeration import enumerate_elements
+from .enumeration import (check_guard, closure_guard, count_maps,
+                          enumerate_elements)
 
 
 def _gaps_into(theta: PartialMap, Y: RangeSet
@@ -57,8 +58,9 @@ def is_completable(theta: PartialMap, Y: RangeSet) -> bool:
 
 def complete_extensions(theta: PartialMap, Y: RangeSet) -> list[ChainMap]:
     """Every total monotone map into Y agreeing with theta, by filtering
-    all of them in lexicographic order."""
+    all of them in lexicographic order, inside the closure guard."""
     _gaps_into(theta, Y)
+    check_guard(count_maps(Y.n, len(Y)), closure_guard())
     at = [a - 1 for a in theta.domain]
     want = list(theta.images)
     return [f for f in enumerate_elements(Y)

@@ -22,7 +22,7 @@ import os
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .chain import ChainMap, DomainError, GuardExceeded, RangeSet
+from .chain import ChainMap, DomainError, GuardExceeded, RangeSet, check_int
 
 DEFAULT_SEARCH_GUARD = 60
 DEFAULT_CLOSURE_GUARD = 5000
@@ -58,6 +58,8 @@ def closure_guard() -> int:
 
 def count_maps(n: int, r: int) -> int:
     """Number of monotone maps on {1..n} with values in an r-element set."""
+    check_int(n, "chain size")
+    check_int(r, "range size")
     if n < 1:
         raise DomainError(f"chain size must be positive, got {n}")
     if not 1 <= r <= n:

@@ -308,29 +308,13 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
 class TaggedGenerator(_Frozen):
     """A generator together with how it was constructed."""
 
-    __slots__ = ("element", "kind", "index")
+    __slots__ = _fields = ("element", "kind", "index")
 
     def __init__(self, element: ChainMap, kind: str,
                  index: int | None = None) -> None:
         _set(self, "element", element)
         _set(self, "kind", kind)
         _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.element, self.kind, self.index)
-                    == (other.element, other.kind, other.index))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.element, self.kind, self.index))
-
-    def __reduce__(self):
-        return self.__class__, (self.element, self.kind, self.index)
-
-    def __repr__(self) -> str:
-        return (f"TaggedGenerator(element={self.element!r}, "
-                f"kind={self.kind!r}, index={self.index!r})")
 
     def as_dict(self) -> dict:
         return {
@@ -359,6 +343,7 @@ class GeneratingSet(_Frozen):
     """
 
     # no __slots__: the lookups and the cached ``anchors`` live in __dict__
+    _fields = ("range_set", "members")
 
     def __init__(self, range_set: RangeSet,
                  members: tuple[TaggedGenerator, ...]) -> None:
@@ -376,22 +361,6 @@ class GeneratingSet(_Frozen):
         _set(self, "kind_of", kind_of)
         _set(self, "tag_words", tag_words)
         _set(self, "corank_words", {})
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.range_set, self.members)
-                    == (other.range_set, other.members))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.range_set, self.members))
-
-    def __reduce__(self):
-        return self.__class__, (self.range_set, self.members)
-
-    def __repr__(self) -> str:
-        return (f"GeneratingSet(range_set={self.range_set!r}, "
-                f"members={self.members!r})")
 
     @cached_property
     def anchors(self) -> tuple[int, int]:

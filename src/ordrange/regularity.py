@@ -13,7 +13,8 @@ roles.  The definition-based oracle calls a regular iff its R-class, its
 from __future__ import annotations
 
 from .chain import ChainMap, RangeSet, check_maps_into
-from .enumeration import SemigroupTable, cayley_labels, enumerate_elements
+from .enumeration import (SemigroupTable, cayley_labels, check_guard,
+                          closure_guard, count_maps, enumerate_elements)
 
 
 def is_regular(alpha: ChainMap, Y: RangeSet) -> bool:
@@ -32,7 +33,8 @@ def is_regular_by_search(table: SemigroupTable,
 
 
 def regular_elements(Y: RangeSet) -> list[ChainMap]:
-    """All regular elements, in enumeration order; closed under composition."""
+    """All regular elements in enumeration order, inside the closure guard."""
+    check_guard(count_maps(Y.n, len(Y)), closure_guard())
     return [f for f in enumerate_elements(Y) if is_regular(f, Y)]
 
 

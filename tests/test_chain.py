@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 import re
 from itertools import combinations, combinations_with_replacement, product
@@ -28,7 +29,7 @@ from ordrange import (
     reflect_set,
     values,
 )
-from ordrange.chain import check_on_chain
+from ordrange.chain import _Frozen, check_on_chain
 
 cm = ChainMap.from_images
 
@@ -81,22 +82,39 @@ class TestConstruction:
             RangeSet(4, ())
 
     def test_rejects_non_integer_points(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^domain point 1\.5 is not an int$"):
             PartialMap(3, (1.5,), (1,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^image 1\.0 is not an int$"):
             PartialMap(3, (1,), (1.0,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^member 2\.0 is not an int$"):
             RangeSet(3, (1, 2.0))
 
     def test_rejects_bool_points(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^image True is not an int$"):
             ChainMap(2, (True, 2))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^domain point True is not an int$"):
             PartialMap(3, (True,), (1,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^image True is not an int$"):
             PartialMap(3, (1,), (True,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^member True is not an int$"):
             RangeSet(3, (True, 3))
+
+    @pytest.mark.parametrize("build", [
+        lambda n: ChainMap(n, (1, 2)),
+        lambda n: PartialMap(n, (1,), (1,)),
+        lambda n: RangeSet(n, (1,)),
+        lambda n: ConvexPartition(n, (1, 2)),
+        identity,
+        lambda n: constant(n, 1),
+    ], ids=["ChainMap", "PartialMap", "RangeSet", "ConvexPartition",
+            "identity", "constant"])
+    @pytest.mark.parametrize("n", [2.0, 3.5, True])
+    def test_rejects_a_chain_size_that_is_not_an_int(self, build, n):
+        with pytest.raises(DomainError,
+                           match=f"^chain size {re.escape(repr(n))} is not an int$"):
+            build(n)
 
     def test_partition_must_end_at_n(self):
         with pytest.raises(DomainError):
@@ -104,7 +122,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("boundaries", [(1.5, 3), (True, 3), (1, 3.0)])
     def test_partition_rejects_non_integer_boundaries(self, boundaries):
-        with pytest.raises(DomainError):
+        bad = next(v for v in boundaries if type(v) is not int)
+        with pytest.raises(DomainError, match=(
+                f"^boundary point {re.escape(repr(bad))} is not an int$")):
             ConvexPartition(3, boundaries)
 
 
@@ -389,6 +409,18 @@ class TestValueTypes:
         object.__setattr__(a, field, bad)
         with pytest.raises(DomainError):
             trip(a)
+
+
+def test_fields_are_the_constructor_parameters_of_every_value_type():
+    """Equality, hashing and copies read ``_fields``; a copy calls the
+    constructor on them positionally, so they must be its parameters."""
+    subclasses = _Frozen.__subclasses__()
+    assert {cls.__name__ for cls in subclasses} >= {
+        "ChainMap", "PartialMap", "RangeSet", "ConvexPartition",
+        "TaggedGenerator", "GeneratingSet"}
+    for cls in subclasses:
+        params = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        assert len(cls._fields) >= 2 and cls._fields == params, cls
 
 
 def test_values_of_other_types_with_equal_fields_differ():

@@ -407,6 +407,9 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "True" in err
+        code, out, err = run(capsys, "complete", "-n", "3", "-Y", "1,3",
+                             "--theta", '{"domain":[2],"images":[true]}')
+        assert (code, out, err) == (2, "", "error: image True is not an int\n")
 
     def test_verify_needs_target(self, capsys):
         code, _, err = run(capsys, "verify", "-n", "3")

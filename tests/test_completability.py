@@ -9,6 +9,7 @@ from ordrange import (
     ConvexPartition,
     DimensionMismatch,
     DomainError,
+    GuardExceeded,
     PartialMap,
     RangeSet,
     build_extension,
@@ -100,12 +101,23 @@ class TestExtensions:
         got = complete_extensions(theta, y13)
         assert got == [cm([1, 1, 3])]
 
-    def test_worked_example_contains_both_canonical_extensions(self):
+    def test_worked_example_contains_both_canonical_extensions(
+            self, monkeypatch):
         theta = PartialMap(9, (2, 5, 6, 8), (1, 3, 5, 7))
         Y = RangeSet(9, tuple(range(1, 10)))
+        with pytest.raises(GuardExceeded, match=(
+                "^semigroup has 24310 elements, above the guard 5000$")):
+            complete_extensions(theta, Y)
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", "24310")
         exts = {f.images for f in complete_extensions(theta, Y)}
         assert floor_extension(theta).images in exts
         assert ceiling_extension(theta).images in exts
+
+    def test_a_map_not_into_y_is_refused_before_the_guard(self):
+        Y = RangeSet(9, tuple(range(1, 9)))  # 11440 elements
+        with pytest.raises(DomainError, match=(
+                r"^image value 9 is outside \[1, 2, 3, 4, 5, 6, 7, 8\]$")):
+            complete_extensions(PartialMap(9, (1,), (9,)), Y)
 
 
     def test_filter_keeps_the_enumeration_order(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -37,6 +38,16 @@ class TestCount:
             count_maps(3, 0)
         with pytest.raises(DomainError):
             count_maps(3, 4)
+
+    @pytest.mark.parametrize("n, r, message", [
+        (3.0, 2, "chain size 3.0 is not an int"),
+        (True, 1, "chain size True is not an int"),
+        (3, 2.0, "range size 2.0 is not an int"),
+        (3, True, "range size True is not an int"),
+    ])
+    def test_rejects_sizes_that_are_not_ints(self, n, r, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            count_maps(n, r)
 
     def test_big_values_exact(self):
         # exact integer arithmetic well beyond enumeration sizes

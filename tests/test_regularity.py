@@ -4,6 +4,7 @@ from conftest import constructed_ids, range_sets, regular_by_scan
 from ordrange import (
     ChainMap,
     DomainError,
+    GuardExceeded,
     RangeSet,
     compose,
     count_maps,
@@ -117,6 +118,11 @@ class TestRegularPart:
             for f in reg:
                 for g in reg:
                     assert compose(f, g).images in have
+
+    def test_refused_above_the_closure_guard(self):
+        with pytest.raises(GuardExceeded, match=(
+                "^semigroup has 24310 elements, above the guard 5000$")):
+            regular_elements(RangeSet(9, tuple(range(1, 10))))
 
     def test_right_ideal(self):
         for Y in range_sets(4):
