@@ -39,6 +39,13 @@ def check_int(v: int, name: str) -> None:
         raise DomainError(f"{name} {v!r} is not an int")
 
 
+def _check_in(v: int, hi: int, name: str) -> None:
+    """Refuse ``v``, named ``name``, unless it is an int in 1..hi."""
+    if type(v) is not int or not 1 <= v <= hi:
+        check_int(v, name)
+        raise DomainError(f"{name} {v} outside 1..{hi}")
+
+
 def _check_points(n: int, points: tuple[int, ...], name: str,
                   strict: bool) -> None:
     """Refuse a point sequence unless the chain size n is a positive int and
@@ -148,8 +155,7 @@ class ChainMap(_Frozen):
         return cls(len(images), images)
 
     def __call__(self, x: int) -> int:
-        if not 1 <= x <= self.n:
-            raise DomainError(f"point {x} outside 1..{self.n}")
+        _check_in(x, self.n, "point")
         return self.images[x - 1]
 
     def __repr__(self) -> str:
@@ -184,6 +190,7 @@ class PartialMap(_Frozen):
                 f"{len(self.images)} images")
 
     def __call__(self, a: int) -> int:
+        check_int(a, "point")
         i = bisect_left(self.domain, a)
         if i == len(self.domain) or self.domain[i] != a:
             raise DomainError(f"point {a} not in domain {list(self.domain)}")
@@ -243,8 +250,7 @@ class RangeSet(_Frozen):
 
     def without(self, i: int) -> tuple[int, ...]:
         """Members minus the i-th one (1-based)."""
-        if not 1 <= i <= len(self.members):
-            raise DomainError(f"index {i} outside 1..{len(self.members)}")
+        _check_in(i, len(self.members), "index")
         return self.members[: i - 1] + self.members[i:]
 
     def __repr__(self) -> str:
@@ -283,14 +289,12 @@ class ConvexPartition(_Frozen):
 
     def block_of(self, x: int) -> int:
         """1-based index of the block containing ``x``."""
-        if not 1 <= x <= self.n:
-            raise DomainError(f"point {x} outside 1..{self.n}")
+        _check_in(x, self.n, "point")
         return bisect_left(self.boundaries, x) + 1
 
     def split_block(self, t: int) -> "ConvexPartition":
         """Split off the first point of block ``t`` (1-based) as its own block."""
-        if not 1 <= t <= self.weight:
-            raise DomainError(f"block {t} outside 1..{self.weight}")
+        _check_in(t, self.weight, "block")
         first, last = self.blocks()[t - 1]
         if first == last:
             raise DomainError(f"block {t} is a singleton, cannot split")

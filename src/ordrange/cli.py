@@ -27,6 +27,7 @@ from .enumeration import (
     check_guard,
     closure_guard,
     count_maps,
+    enumerate_elements,
     enumerate_semigroup,
     search_guard,
 )
@@ -157,12 +158,12 @@ def _cmd_card(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     Y = _parse_Y(args.Y, args.n)
-    table = enumerate_semigroup(Y)
+    elements = enumerate_elements(Y)
     return {
         "n": args.n,
         "Y": list(Y.members),
-        "count": len(table),
-        "elements": [list(f.images) for f in table.elements],
+        "count": len(elements),
+        "elements": [list(f.images) for f in elements],
     }
 
 
@@ -230,20 +231,15 @@ def _search_tables(*sets: RangeSet) -> list[SemigroupTable]:
 
 def _generating_set(Y: RangeSet):
     """The constructed minimum generating set, closure-checked within the
-    closure guard; above it only the formula check runs, noted on stderr.
-    A set with more members than the closure guard is refused before
-    any map is built."""
+    closure guard; above it only the formula check runs, noted on stderr
+    once the set is built, so that a refusal of the set comes first."""
     total, guard = count_maps(Y.n, len(Y)), closure_guard()
-    rank = rank_by_formula(Y)
-    if rank > guard:
-        raise GuardExceeded(
-            f"generating set has {rank} members, above the closure guard "
-            f"{guard}")
+    gens = minimum_generating_set(Y.n, Y, check=total <= guard)
     if total > guard:
         print(f"note: closure check skipped: {total} elements above the "
               f"closure guard {guard}; generator count checked against the "
               "rank formula only", file=sys.stderr)
-    return minimum_generating_set(Y.n, Y, check=total <= guard)
+    return gens
 
 
 def _cmd_rank(args) -> dict:

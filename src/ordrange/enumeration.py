@@ -9,10 +9,11 @@ chain of Y and no other set of maps, keeping Y as ``range_set``.  Its
 ids are lexicographic ranks computed as sums of per-position weights,
 and each product column is filled by suffix sums over the lexicographic
 trie of the elements, with no lookup per element.
-``check_guard`` is the one element-count refusal: a caller hands it the
-size of the table it is about to build or search.  The subset searches
-read tables their callers built, so a caller needs one table per range
-set.  ``cayley_labels`` serves both definition-based oracles.
+``check_guard`` is the one element-count refusal.  ``enumerate_elements``,
+on which every table is built, applies the closure guard before it makes
+a map; the subset searches apply the search guard to tables their
+callers built, so a caller needs one table per range set.
+``cayley_labels`` serves both definition-based oracles.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def count_maps(n: int, r: int) -> int:
 
 class SemigroupTable:
     """The semigroup O(n, Y) of all monotone maps on {1..n} into Y, with
-    id-based products; n is the chain Y lives on.
+    id-based products; n is the chain Y lives on.  Built on
+    :func:`enumerate_elements`, it is refused above the closure guard.
 
     Element ids follow the lexicographic order of image sequences, and an
     id is computed, not looked up: it is the rank of the sequence in the
@@ -271,7 +273,8 @@ def scc_labels(adj: list[Sequence[int]]) -> list[int]:
 
 
 def enumerate_elements(Y: RangeSet) -> list[ChainMap]:
-    """All monotone maps on the chain of Y into Y, in lexicographic order."""
+    """The maps of O(n, Y) in lexicographic order, inside the closure guard."""
+    check_guard(count_maps(Y.n, len(Y)), closure_guard())
     n, new = Y.n, ChainMap._unchecked  # Y is a checked RangeSet on this chain
     return [new(n, seq) for seq in combinations_with_replacement(Y.members, n)]
 
@@ -285,6 +288,5 @@ def check_guard(total: int, limit: int) -> None:
 
 
 def enumerate_semigroup(Y: RangeSet) -> SemigroupTable:
-    """The table of O(n, Y) with stable element ids, inside the closure guard."""
-    check_guard(count_maps(Y.n, len(Y)), closure_guard())
+    """``SemigroupTable(Y)``: stable element ids, inside the closure guard."""
     return SemigroupTable(Y)

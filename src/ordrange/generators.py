@@ -34,9 +34,11 @@ from .chain import (
     ChainMap,
     ConvexPartition,
     DomainError,
+    GuardExceeded,
     PartialMap,
     RangeSet,
     ceiling_extension,
+    check_int,
     check_maps_into,
     check_on_chain,
     compose,
@@ -51,6 +53,7 @@ from .chain import (
 from .enumeration import (
     SemigroupTable,
     check_guard,
+    closure_guard,
     enumerate_semigroup,
     search_guard,
 )
@@ -102,7 +105,7 @@ def _blocks_and_values(alpha: ChainMap, part: ConvexPartition
                        ) -> tuple[list[tuple[int, int]], list[int]]:
     """The blocks of alpha's kernel ``part`` and alpha's value on each."""
     blocks = list(part.blocks())
-    return blocks, [alpha(s) for s, _ in blocks]
+    return blocks, [alpha.images[s - 1] for s, _ in blocks]
 
 
 def _map_from_blocks(n: int, blocks: list[tuple[int, int]],
@@ -168,6 +171,7 @@ def prefix_shift_generator(Y: RangeSet, i: int) -> ChainMap:
     the tail from y_i on stays fixed; the ceiling extension misses y_1.
     """
     r = len(Y)
+    check_int(i, "index")
     if not 3 <= i <= r:
         raise DomainError(f"index {i} outside 3..{r}")
     ys = Y.members
@@ -184,6 +188,7 @@ def suffix_shift_generator(Y: RangeSet, j: int) -> ChainMap:
     the prefix shift of the mirrored set at index r+2-j.
     """
     r = len(Y)
+    check_int(j, "index")
     if not 2 <= j <= r - 1:
         raise DomainError(f"index {j} outside 2..{r - 1}")
     return reflect(prefix_shift_generator(reflect_set(Y), r + 2 - j))
@@ -193,6 +198,7 @@ def corank_one_generator(Y: RangeSet, t: int) -> ChainMap:
     """For the whole chain: the map with image {1..n} minus t whose one
     non-singleton kernel block is {n-t, n-t+1}, or {1, 2} when t = n."""
     n = Y.n
+    check_int(t, "index")
     if not 2 <= n == len(Y) or not 1 <= t <= n:
         raise DomainError(f"need Y the whole chain of n >= 2 and 1 <= t <= n, "
                           f"got |Y|={len(Y)}, n={n}, t={t}")
@@ -274,6 +280,7 @@ def slide_to_missing_index(alpha: ChainMap, target: int, Y: RangeSet
     retractions with indices target+1 up to m when above.
     """
     r = len(Y)
+    check_int(target, "target")
     if not 1 <= target <= r:
         raise DomainError(f"target {target} outside 1..{r}")
     if not is_regular(alpha, Y):
@@ -404,12 +411,16 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
     when 2 <= j < r.  Retractions whose index is not captive lie in the
     closure of the full-image maps.  A one-point Y needs its constant
     map alone; the whole chain needs the identity and the n maps of
-    :func:`corank_one_generator`.  With ``check`` the closure is computed
-    and compared against the full semigroup (mandatory everywhere the
-    guard allows).
+    :func:`corank_one_generator`.  Refused before any map is built when
+    larger than the closure guard; with ``check`` (mandatory wherever the
+    guard allows) its closure is compared against the full semigroup.
     """
     r = len(Y)
     check_on_chain(n, Y)
+    rank, guard = rank_by_formula(Y), closure_guard()
+    if rank > guard:
+        raise GuardExceeded(f"generating set has {rank} members, above the "
+                            f"closure guard {guard}")
     eps: list[tuple[str, int]] = []
     if r == n > 1:
         eps = [(CORANK_ONE, t) for t in range(1, n + 1)]
@@ -435,10 +446,9 @@ def minimum_generating_set(n: int, Y: RangeSet, *, check: bool = True
         members.append(TaggedGenerator(_BUILDERS[kind](Y, idx), kind, idx))
 
     gens = GeneratingSet(Y, tuple(members))
-    expected = rank_by_formula(Y)
-    if len(gens) != expected:
+    if len(gens) != rank:
         raise AssertionError(
-            f"built {len(gens)} generators, formula says {expected}")
+            f"built {len(gens)} generators, formula says {rank}")
     if check:
         table = enumerate_semigroup(Y)
         if not generates(gens.elements(), table):

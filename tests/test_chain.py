@@ -89,6 +89,16 @@ class TestConstruction:
             PartialMap(3, (1,), (1.0,))
         with pytest.raises(DomainError, match=r"^member 2\.0 is not an int$"):
             RangeSet(3, (1, 2.0))
+        for call, message in [
+                (lambda: ChainMap(3, (1, 2, 3))(1.5), "point 1.5"),
+                (lambda: PartialMap(3, (1,), (2,))(1.0), "point 1.0"),
+                (lambda: ConvexPartition(3, (1, 3)).block_of(1.5), "point 1.5"),
+                (lambda: ConvexPartition(3, (2, 3)).split_block(1.5),
+                 "block 1.5"),
+                (lambda: RangeSet(3, (1, 3)).without(1.5), "index 1.5")]:
+            with pytest.raises(DomainError,
+                               match=f"^{re.escape(message)} is not an int$"):
+                call()
 
     def test_rejects_bool_points(self):
         with pytest.raises(DomainError, match=r"^image True is not an int$"):
@@ -100,6 +110,14 @@ class TestConstruction:
             PartialMap(3, (1,), (True,))
         with pytest.raises(DomainError, match=r"^member True is not an int$"):
             RangeSet(3, (True, 3))
+        for call, name in [
+                (lambda: ChainMap(3, (1, 2, 3))(True), "point"),
+                (lambda: PartialMap(3, (1,), (2,))(True), "point"),
+                (lambda: ConvexPartition(3, (1, 3)).block_of(True), "point"),
+                (lambda: ConvexPartition(3, (2, 3)).split_block(True), "block"),
+                (lambda: RangeSet(3, (1, 3)).without(True), "index")]:
+            with pytest.raises(DomainError, match=f"^{name} True is not an int$"):
+                call()
 
     @pytest.mark.parametrize("build", [
         lambda n: ChainMap(n, (1, 2)),

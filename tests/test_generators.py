@@ -631,6 +631,7 @@ class TestCaseAnalysisHelpers:
 
 
 _Y135 = RangeSet(5, (1, 3, 5))
+_Y1234 = RangeSet(5, (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -645,6 +646,14 @@ _Y135 = RangeSet(5, (1, 3, 5))
     (lambda: GeneratingSet(_Y135, (TaggedGenerator(
         ChainMap(5, (1, 1, 3, 3, 5)), FULL_IMAGE),) * 2),
      "duplicate generator ChainMap([1, 1, 3, 3, 5])"),
+    (lambda: floor_retraction(_Y135, 1.5), "index 1.5 is not an int"),
+    (lambda: ceiling_retraction(_Y135, True), "index True is not an int"),
+    (lambda: prefix_shift_generator(_Y1234, 3.0), "index 3.0 is not an int"),
+    (lambda: suffix_shift_generator(_Y1234, True), "index True is not an int"),
+    (lambda: corank_one_generator(RangeSet(3, (1, 2, 3)), 1.0),
+     "index 1.0 is not an int"),
+    (lambda: slide_to_missing_index(ChainMap(5, (1, 1, 3, 3, 3)), 2.0, _Y135),
+     "target 2.0 is not an int"),
 ])
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

@@ -6,8 +6,10 @@ from ordrange import (
     DomainError,
     GuardExceeded,
     RangeSet,
+    SemigroupTable,
     compose,
     count_maps,
+    enumerate_elements,
     enumerate_semigroup,
     is_regular,
     is_regular_by_search,
@@ -17,6 +19,9 @@ from ordrange import (
 )
 
 cm = ChainMap.from_images
+_WHOLE_9 = RangeSet(9, tuple(range(1, 10)))  # C(17, 8) = 24310 elements
+_ABOVE = "semigroup has 24310 elements, above the guard 5000"
+_HALF_16 = RangeSet(16, tuple(range(1, 9)))  # rank C(15, 7) + 2 = 6442
 
 
 class TestCharacterized:
@@ -119,10 +124,23 @@ class TestRegularPart:
                 for g in reg:
                     assert compose(f, g).images in have
 
-    def test_refused_above_the_closure_guard(self):
-        with pytest.raises(GuardExceeded, match=(
-                "^semigroup has 24310 elements, above the guard 5000$")):
-            regular_elements(RangeSet(9, tuple(range(1, 10))))
+    @pytest.mark.parametrize("call, message, size", [
+        (lambda: enumerate_elements(_WHOLE_9), _ABOVE, 24310),
+        (lambda: SemigroupTable(_WHOLE_9), _ABOVE, 24310),
+        (lambda: enumerate_semigroup(_WHOLE_9), _ABOVE, 24310),
+        (lambda: regular_elements(_WHOLE_9), _ABOVE, 24310),  # all regular
+        (lambda: minimum_generating_set(16, _HALF_16, check=False),
+         "generating set has 6442 members, above the closure guard 5000", 6442),
+    ], ids=["enumerate_elements", "SemigroupTable", "enumerate_semigroup",
+            "regular_elements", "minimum_generating_set"])
+    def test_refused_above_the_closure_guard(self, monkeypatch, call, message,
+                                             size):
+        """Each door to an exponential list refuses before any work, and
+        answers once ORDRANGE_MAX_ELEMENTS lets it."""
+        with pytest.raises(GuardExceeded, match=f"^{message}$"):
+            call()
+        monkeypatch.setenv("ORDRANGE_MAX_ELEMENTS", str(size))
+        assert len(call()) == size
 
     def test_right_ideal(self):
         for Y in range_sets(4):
