@@ -6,9 +6,12 @@ C(n+r-1, r-1) of them for r = |Y|.  Enumeration order is fixed as
 lexicographic on image sequences so element ids are stable across runs.
 ``SemigroupTable(Y)`` is the one table built on it: O(n, Y) on the
 chain of Y and no other set of maps, keeping Y as ``range_set``.  Its
-ids are lexicographic ranks computed as sums of per-position weights,
-and each product column is filled by suffix sums over the lexicographic
-trie of the elements, with no lookup per element.
+ids are lexicographic ranks computed as sums of per-position weights.
+A product column depends on the right factor only through its
+restriction to Y, a monotone self-map of Y's indices, so columns compose;
+a batch of columns is filled through the defect-one idempotents'
+columns, each by one read of a column already filled, and a lone
+column by suffix sums over the lexicographic trie of the elements.
 ``check_guard`` is the one element-count refusal.  ``enumerate_elements``,
 on which every table is built, applies the closure guard before it makes
 a map; the subset searches apply the search guard to tables their
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import accumulate, combinations_with_replacement
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .chain import ChainMap, DomainError, GuardExceeded, RangeSet, check_int
@@ -85,10 +89,27 @@ class SemigroupTable:
     The product f*g reads g only through its restriction to Y, a monotone
     self-map b of the indices of Y, so elements with equal restrictions
     share one product column: there are C(2r-1, r-1) columns, each filled
-    on first use.  The id of f*g is sum_i Q[i][b[a_i]], so a column is
+    on first use, in one of two ways.
+
+    By the trie: the id of f*g is sum_i Q[i][b[a_i]], so a column is
     filled by walking the lex trie of the elements from the last position
     to the first, keeping for each value v the suffix sums of the
     sequences that start at v or above, in lexicographic order.
+
+    By composition: (f*g)*h has images h(g(f(x))), read through the
+    restrictions to Y of g and h alone.  So when they are b' and e,
+    (f*g)*h is f times any element restricting to b = e o b' (b' first):
+    col(b)[f] = col(e)[col(b')[f]], one C-level read per product.
+    :func:`_factor` writes any b but the identity as e o b', with e a
+    defect-one idempotent and b' one step closer to the identity, whose
+    column is the ids; the idempotents, one step away, are filled by the
+    trie.  So every column is reached from the 2(r-1) idempotents, and
+    each column on the way is kept.
+
+    ``columns_of`` composes when a batch asks for more unfilled columns
+    than those 2(r-1) idempotents; a smaller batch, and ``product``,
+    fill each column by the trie, as a chain of up to r(r-1)/2 steps
+    would fill more columns than it was asked for.
     """
 
     def __init__(self, Y: RangeSet):
@@ -103,15 +124,19 @@ class SemigroupTable:
         self._weights = [dict(zip(members, row)) for row in self._q]
         self._ids = list(range(len(self.elements)))  # one int object per id
         pos = {y: v for v, y in enumerate(members)}
-        columns: dict[tuple[int, ...], int] = {}  # restriction -> column id
-        self._col_of = [columns.setdefault(
-            tuple([pos[f.images[y - 1]] for y in members]), len(columns))
-            for f in self.elements]
-        self._restriction = list(columns)  # b of each column, as indices
-        self._cols: list[list[int] | None] = [None] * len(columns)
+        at = itemgetter(*[y - 1 for y in members])  # one point: not a tuple
+        keys: dict = {}  # images at Y's points -> column id
+        self._col_of = [keys.setdefault(at(f.images), len(keys))
+                        for f in self.elements]
+        self._restriction = [tuple(map(pos.__getitem__, k)) if r > 1 else (0,)
+                             for k in keys]  # b of each column, as indices
+        self._col_id = {b: c for c, b in enumerate(self._restriction)}
+        self._cols: list[list[int] | None] = [None] * len(keys)
+        self._cols[self._col_id[tuple(range(r))]] = self._ids
 
     def _column(self, c: int) -> list[int]:
-        """Ids of f * g over all f, for the elements g of column c."""
+        """Ids of f * g over all f, for the elements g of column c, from
+        the suffix sums of the lex trie."""
         col = self._cols[c]
         if col is None:
             b = self._restriction[c]
@@ -132,6 +157,20 @@ class SemigroupTable:
             for v in range(r):
                 k = q[b[v]]
                 col += [ids[k + s] for s in below[v]]
+            self._cols[c] = col
+        return col
+
+    def _composed(self, c: int) -> list[int]:
+        """Column c as col(e)[col(b')[f]] for b = e o b', filling the
+        columns along the factorization chain; idempotents by the trie."""
+        col = self._cols[c]
+        if col is None:
+            b = self._restriction[c]
+            rest, e = _factor(b)
+            if e == b:
+                return self._column(c)
+            col = list(map(self._composed(self._col_id[e]).__getitem__,
+                           self._composed(self._col_id[rest])))
             self._cols[c] = col
         return col
 
@@ -163,19 +202,17 @@ class SemigroupTable:
         the elements g that share it, and for each id in ``ids`` the
         position of its column in that list.  Columns are filled on demand.
         """
-        position: dict[int, int] = {}
-        columns: list[list[int]] = []
+        size = len(self._ids)
+        position: dict[int, int] = {}  # column id -> place in the result
         slots = []
         for g in ids:
-            if not 0 <= g < len(self._ids):
-                raise DomainError(
-                    f"element id {g} outside 0..{len(self._ids) - 1}")
-            c = self._col_of[g]
-            if c not in position:
-                position[c] = len(columns)
-                columns.append(self._column(c))
-            slots.append(position[c])
-        return columns, slots
+            if not 0 <= g < size:
+                raise DomainError(f"element id {g} outside 0..{size - 1}")
+            slots.append(position.setdefault(self._col_of[g], len(position)))
+        unfilled = sum(self._cols[c] is None for c in position)
+        fill = (self._composed if unfilled > 2 * (len(self.range_set) - 1)
+                else self._column)
+        return [fill(c) for c in position], slots
 
     def closure(self, generator_ids: Iterable[int]) -> frozenset[int]:
         """Ids of all products of the given generators (any length >= 1).
@@ -196,6 +233,28 @@ class SemigroupTable:
                     reached.add(p)
                     todo.append(p)
         return frozenset(reached)
+
+
+def _factor(b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(b', e) with b = e o b' for a monotone self-map b of 0..r-1 other
+    than the identity: e is the defect-one idempotent that sends u to
+    b[x], and b' is b with u at the point x, one closer to x.
+
+    With x the least point where b[x] > x, u = b[x] - 1 >= x: points
+    below x map to at most themselves, below x, and points above x to at
+    least b[x] = u + 1.  Else, with x the largest point where b[x] < x,
+    u = b[x] + 1 <= x: points above x are fixed, above x, and points
+    below x map to at most b[x] = u - 1.  So no point of b takes u, b'
+    is monotone and e o b' = b, and sum |b'[x] - x| is one less than b's.
+    """
+    x = next((x for x, v in enumerate(b) if v > x), None)
+    if x is None:
+        x = max(x for x, v in enumerate(b) if v < x)
+        u = b[x] + 1
+    else:
+        u = b[x] - 1
+    return (b[:x] + (u,) + b[x + 1:],
+            tuple(range(u)) + (b[x],) + tuple(range(u + 1, len(b))))
 
 
 def cayley_labels(table: SemigroupTable, generator_ids: Sequence[int],

@@ -138,7 +138,8 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
 
     def completability(Y, table, generating_set):
         # grouped by their images on a domain, the elements are the
-        # extension lists of the partial maps on it, in id order
+        # extension lists of the partial maps on it, in id order, so the
+        # least extension comes first
         for k in range(1, n + 1):
             for dom in combinations(range(1, n + 1), k):
                 exts: dict = {}  # images on dom -> elements with them
@@ -151,7 +152,7 @@ def run_all(n: int, sets: list[RangeSet] | None = None) -> dict:
                 for img, group in exts.items():
                     theta = PartialMap(n, dom, img)
                     if (not is_completable(theta, Y)
-                            or build_extension(theta, Y) not in group
+                            or build_extension(theta, Y) != group[0]
                             or count_extensions(theta, Y) != len(group)):
                         yield f"{theta!r} into Y={list(Y.members)}"
 

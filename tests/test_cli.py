@@ -194,6 +194,22 @@ class TestGolden:
         assert payload["rank"] == 4
         assert payload["checked"] == ["brute", "constructed", "formula"]
 
+    @pytest.mark.parametrize("n, Y, method, checked", [
+        ("5", "1,2,3", "formula", ["brute", "constructed", "formula"]),
+        ("5", "1,2,3", "constructed", ["brute", "constructed", "formula"]),
+        ("5", "1,2,3", "brute", ["brute", "constructed", "formula"]),
+        ("6", "1,2,3,4", "formula", ["constructed", "formula"]),  # N = 84
+    ])
+    def test_rank_check_builds_one_table(self, capsys, table_builds, n, Y,
+                                         method, checked):
+        """The closure check of the constructed set and the subset search
+        read one table; above the search guard only the first is run."""
+        code, out, _ = run(capsys, "rank", "-n", n, "-Y", Y, "--check",
+                           "--method", method)
+        assert code == 0
+        assert json.loads(out)["checked"] == checked
+        assert len(table_builds) == 1
+
     @pytest.mark.parametrize("argv", [
         ("iso", "-n", "6", "-Y", "1,2,3,4", "-Z", "3,4,5,6", "--search"),
         ("iso", "-n", "3", "-Y", "1,3", "-Z", "1,2,3,4", "--n2", "6",

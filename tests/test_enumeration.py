@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -24,7 +25,7 @@ from ordrange import (
     green_classes,
     minimum_generating_set,
 )
-from ordrange.enumeration import cayley_labels, check_guard
+from ordrange.enumeration import _factor, cayley_labels, check_guard
 
 
 class TestCount:
@@ -230,6 +231,62 @@ class TestTable:
                 columns, _ = table.columns_of([j])
                 assert [els[p] for p in columns[0]] \
                     == [compose(f, g) for f in els], (n, j)
+
+    @pytest.mark.parametrize("n, members, step", [
+        *((n, None, 1) for n in range(1, 6)),  # every Y with n <= 5
+        (12, (2, 5, 6, 7, 12), 181),
+        (8, (1, 2, 3, 5, 6, 7, 8), 97),
+    ])
+    def test_batch_columns_match_compose(self, monkeypatch, n, members,
+                                         step):
+        """Columns filled in one batch, of every id or of the constructed
+        generating set, equal the products, and the columns filled one
+        request at a time; every id's batch is composed from at most the
+        2(r-1) idempotents' trie columns.  ``step`` samples the checks."""
+        trie = []  # columns filled by the trie
+        fill = SemigroupTable._column
+
+        def counted(table, c):
+            if table._cols[c] is None:
+                trie.append(c)
+            return fill(table, c)
+
+        monkeypatch.setattr(SemigroupTable, "_column", counted)
+        sets = range_sets(n) if members is None else [RangeSet(n, members)]
+        for Y in sets:
+            r = len(Y)
+            gens = minimum_generating_set(n, Y, check=False).elements()
+            lone = enumerate_semigroup(Y)
+            for every in (True, False):
+                table = enumerate_semigroup(Y)
+                ids = (list(range(len(table))) if every
+                       else [table.id_of(g) for g in gens])
+                trie.clear()
+                columns, slot = table.columns_of(ids)
+                if every:
+                    assert len(trie) <= 2 * (r - 1), Y
+                els = table.elements
+                for k in range(0, len(ids), step):
+                    col = columns[slot[k]]
+                    assert [els[p] for p in col] \
+                        == [compose(f, els[ids[k]]) for f in els], (Y, k)
+                    assert lone.columns_of([ids[k]])[0] == [col]
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_factor_steps_toward_the_identity(self, r):
+        """Every monotone self-map b of 0..r-1 but the identity is e o b'
+        with e a defect-one idempotent and b' monotone, one step nearer."""
+        def distance(b):
+            return sum(abs(v - x) for x, v in enumerate(b))
+
+        for b in combinations_with_replacement(range(r), r):
+            if b == tuple(range(r)):
+                continue
+            rest, e = _factor(b)
+            assert tuple(e[v] for v in rest) == b
+            assert list(rest) == sorted(rest)
+            assert distance(rest) == distance(b) - 1
+            assert distance(e) == 1 and [e[v] for v in e] == list(e)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

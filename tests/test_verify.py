@@ -13,6 +13,7 @@ from ordrange import (
     RangeSet,
     cli,
     completability,
+    complete_extensions,
     constant,
     generators,
     reflect,
@@ -327,6 +328,10 @@ def test_canonical_certificate_reports_a_wrong_kernel(monkeypatch, merged):
 @pytest.mark.parametrize("name,patch", [
     ("count_extensions", lambda theta, Y: 1),
     ("build_extension", lambda theta, Y: constant(theta.n, Y.members[0])),
+    # an extension, but the greatest, not the least
+    pytest.param("build_extension",
+                 lambda theta, Y: complete_extensions(theta, Y)[-1],
+                 id="build_extension-greatest"),
 ])
 def test_completability_checks_witness_and_count(monkeypatch, name, patch):
     monkeypatch.setattr(verify, name, patch)
